@@ -302,10 +302,16 @@ def rules_cmd(edge_path, attr_path, directed, comune, patterns_path,
     stage = _Stage(manifest)
     with stage("load"):
         g = _load(edge_path, attr_path, directed, comune)
-        with open(patterns_path, "r", encoding="utf-8") as fh:
-            patterns = [pattern_from_dict(d) for d in json.load(fh)]
+        try:
+            with open(patterns_path, "r", encoding="utf-8") as fh:
+                patterns = [pattern_from_dict(d) for d in json.load(fh)]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MrkError(f"{patterns_path}: not a JSON pattern file: {exc}")
     with stage("rules"):
-        rs = build_rules(patterns, g, min_conf=min_conf, min_lift=min_lift)
+        try:
+            rs = build_rules(patterns, g, min_conf=min_conf, min_lift=min_lift)
+        except ValueError as exc:  # a pattern without its support
+            raise MrkError(f"{patterns_path}: {exc}")
         if layer_filter is not None:
             rs = [r for r in rs if r.delta_edge[2] == layer_filter]
     with stage("write"):
@@ -494,12 +500,13 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
     neg_mode, neg_k = _parse_negatives(negatives)
     stage = _Stage(manifest)
     with stage("load"):
-        g = _load(edge_path, attr_path, directed, comune)
         if test_path:
             splits = [load_temporal(edge_path, test_path,
                                     directed=directed, comune=comune,
                                     attr_path=attr_path)]
+            g = splits[0].train
         else:
+            g = _load(edge_path, attr_path, directed, comune)
             splits = split_random(g, folds=folds, seed=seed)
     if sigma is None:
         sigma = max(g.smallest_layer_size(), 1)

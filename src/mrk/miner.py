@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import MiningBudgetError, MiningInvariantError
@@ -21,14 +22,20 @@ from .graph import MultiplexGraph
 DEFAULT_BUDGET = 10 ** 6
 
 PatternEdge = Tuple[int, int, str]  # (src slot, dst slot, layer name)
+SlotMap = Tuple[int, ...]  # slot i of one pattern maps to slot map[i] of another
 
 
 @dataclass(frozen=True)
 class Pattern:
-    """A connected attributed pattern with layer-labeled directed edges."""
+    """A connected attributed pattern with layer-labeled directed edges.
+
+    ``support`` is the mined minimum image support, or None; equality and
+    hashing go by canonical code only.
+    """
 
     attrs: Tuple[str, ...]
     edges: FrozenSet[PatternEdge]
+    support: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
         k = len(self.attrs)
@@ -39,7 +46,6 @@ class Pattern:
                 raise ValueError(
                     f"pattern edge {a}->{b} references a slot outside 0..{k - 1}"
                 )
-        object.__setattr__(self, "_code", None)
 
     @property
     def n_slots(self) -> int:
@@ -49,14 +55,19 @@ class Pattern:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _canonical(self) -> Tuple[str, Tuple[SlotMap, ...]]:
+        return _canonical_form(self)
+
     @property
     def code(self) -> str:
         """Canonical code, cached after first computation."""
-        c = self._code
-        if c is None:
-            c = canonical_code(self)
-            object.__setattr__(self, "_code", c)
-        return c
+        return self._canonical[0]
+
+    @property
+    def canonical_perms(self) -> Tuple[SlotMap, ...]:
+        """Every slot permutation that serializes to :attr:`code`."""
+        return self._canonical[1]
 
     def is_connected(self) -> bool:
         if self.n_slots == 0:
@@ -87,35 +98,50 @@ class Pattern:
         return f"Pattern({self.code})"
 
 
+# Separators of the serialized code; names escape them (and the escape
+# character itself) so that distinct names can never run together.
+_ESCAPE = str.maketrans({c: f"%{ord(c):02X}" for c in "%|,>:;="})
+
+
 def _serialize(attrs: Sequence[str], edges: Sequence[PatternEdge]) -> str:
     vpart = "|".join(attrs)
     epart = ",".join(f"{a}>{b}:{l}" for a, b, l in sorted(edges))
     return f"v={vpart};e={epart}"
 
 
-def canonical_code(p: Pattern) -> str:
-    """Minimum serialization over all slot permutations.
+def _canonical_form(p: Pattern) -> Tuple[str, Tuple[SlotMap, ...]]:
+    """Minimum serialization over all slot permutations, with every
+    permutation attaining it.
 
     Two patterns get the same code iff they are isomorphic respecting
     attributes, edge directions and layers.  Patterns are tiny (at most a
     handful of slots), so scanning every permutation is cheap and avoids
     the usual canonical-ordering subtleties.
+
+    A permutation maps slot i to canonical slot ``perm[i]``.  Composing the
+    inverse of one minimising permutation with each of them yields every
+    automorphism of the pattern exactly once.
     """
     k = len(p.attrs)
+    names = [a.translate(_ESCAPE) for a in p.attrs]
+    edges = [(a, b, l.translate(_ESCAPE)) for a, b, l in p.edges]
     best = None
+    perms: List[SlotMap] = []
+    attrs = [""] * k
     for perm in itertools.permutations(range(k)):
-        attrs = tuple(p.attrs[_inv(perm, i)] for i in range(k))
-        edges = [(perm[a], perm[b], l) for a, b, l in p.edges]
-        cand = _serialize(attrs, edges)
+        for i, s in enumerate(perm):
+            attrs[s] = names[i]
+        cand = _serialize(attrs, [(perm[a], perm[b], l) for a, b, l in edges])
         if best is None or cand < best:
-            best = cand
+            best, perms = cand, [perm]
+        elif cand == best:
+            perms.append(perm)
     assert best is not None
-    return best
+    return best, tuple(perms)
 
 
-def _inv(perm: Sequence[int], i: int) -> int:
-    # perm maps old slot -> new slot; find the old slot landing on i.
-    return perm.index(i)
+def canonical_code(p: Pattern) -> str:
+    return _canonical_form(p)[0]
 
 
 def single_edge_pattern(src_attr: str, dst_attr: str, layer: str) -> Pattern:
@@ -394,14 +420,11 @@ def mine(
         by_src.setdefault(sa, []).append((da, lay))
         by_dst.setdefault(da, []).append((sa, lay))
 
-    supports: Dict[str, int] = {}
-    frontier: List[Pattern] = []
+    firsts: Dict[str, Pattern] = {}
     for (sa, da, lay), sup in sorted(singles.items()):
-        p = single_edge_pattern(sa, da, lay)
-        if p.code not in supports:
-            supports[p.code] = sup
-            frontier.append(p)
-    frontier.sort(key=lambda p: p.code)
+        p = Pattern((sa, da), frozenset({(0, 1, lay)}), sup)
+        firsts.setdefault(p.code, p)
+    frontier = [firsts[c] for c in sorted(firsts)]
     result: List[Pattern] = list(frontier)
     if stats is not None:
         stats.frequent_per_level.append(len(frontier))
@@ -416,15 +439,12 @@ def mine(
             children: Dict[str, Pattern] = {}
             parents_of: Dict[str, List[int]] = {}
             for p in frontier:
-                psup = supports[p.code]
                 for child in _grow(p, cfg.max_nodes, by_pair, by_src, by_dst):
                     code = child.code
-                    if code in supports:
-                        continue  # already counted at an earlier level
                     if code not in children:
                         children[code] = child
                         parents_of[code] = []
-                    parents_of[code].append(psup)
+                    parents_of[code].append(p.support)
             ordered = sorted(children)
             cands = [children[c] for c in ordered]
             if pool is not None:
@@ -447,8 +467,7 @@ def mine(
                         f"({min(bad)}): anti-monotonicity violated"
                     )
                 if sup >= sigma:
-                    supports[code] = sup
-                    nxt.append(child)
+                    nxt.append(Pattern(child.attrs, child.edges, sup))
             if stats is not None:
                 stats.frequent_per_level.append(len(nxt))
             result.extend(nxt)
@@ -459,20 +478,7 @@ def mine(
             pool.join()
 
     result.sort(key=lambda p: p.code)
-    return [_with_support(p, supports[p.code]) for p in result]
-
-
-@dataclass(frozen=True, eq=False)
-class SupportedPattern(Pattern):
-    """A pattern annotated with its minimum image support in the host."""
-
-    support: int = 0
-
-
-def _with_support(p: Pattern, sup: int) -> SupportedPattern:
-    sp = SupportedPattern(p.attrs, p.edges, sup)
-    object.__setattr__(sp, "_code", p.code)
-    return sp
+    return result
 
 
 # -- serialization ----------------------------------------------------------
@@ -484,18 +490,14 @@ def pattern_to_dict(p: Pattern) -> dict:
         "edges": sorted([a, b, l] for a, b, l in p.edges),
         "code": p.code,
     }
-    sup = getattr(p, "support", None)
-    if sup is not None:
-        d["support"] = sup
+    if p.support is not None:
+        d["support"] = p.support
     return d
 
 
 def pattern_from_dict(d: dict) -> Pattern:
-    attrs = tuple(d["nodes"])
     edges = frozenset((a, b, l) for a, b, l in d["edges"])
-    if "support" in d:
-        return SupportedPattern(attrs, edges, d["support"])
-    return Pattern(attrs, edges)
+    return Pattern(tuple(d["nodes"]), edges, d.get("support"))
 
 
 def patterns_to_lg(patterns: Sequence[Pattern]) -> str:
@@ -506,8 +508,7 @@ def patterns_to_lg(patterns: Sequence[Pattern]) -> str:
     """
     lines: List[str] = []
     for idx, p in enumerate(patterns):
-        sup = getattr(p, "support", 0)
-        lines.append(f"t # {idx} s {sup}")
+        lines.append(f"t # {idx} s {p.support or 0}")
         for i, a in enumerate(p.attrs):
             lines.append(f"v {i} {a}")
         for a, b, l in sorted(p.edges):

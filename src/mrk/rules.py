@@ -9,15 +9,12 @@ confidence is the support ratio of the two patterns.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 from .graph import MultiplexGraph
-from .miner import Pattern, PatternEdge, SupportedPattern
-
-SlotMap = Tuple[int, ...]  # antecedent slot i maps to consequent slot map[i]
+from .miner import Pattern, PatternEdge, SlotMap, pattern_from_dict, pattern_to_dict
 
 
 @dataclass(frozen=True)
@@ -25,8 +22,8 @@ class Rule:
     """antecedent => consequent, predicting the one uncovered edge.
 
     ``delta_edge`` is in consequent slot coordinates; ``antecedent_map``
-    is one representative of the maps realizing the containment, chosen so
-    its uncovered edge equals ``delta_edge``.  ``new_node`` marks rules
+    is the smallest of the maps realizing the containment whose uncovered
+    edge is ``delta_edge``.  ``new_node`` marks rules
     whose consequent has a slot the antecedent lacks (the delta edge then
     touches that fresh slot).
     """
@@ -50,58 +47,6 @@ class Rule:
             f"Rule({self.antecedent.code} => {self.consequent.code}, "
             f"delta={self.delta_edge}, conf={self.confidence:.3f})"
         )
-
-
-def structure_maps(p1: Pattern, p2: Pattern) -> List[SlotMap]:
-    """All injective maps of p1's slots into p2's preserving structure.
-
-    A map m is valid when attributes agree slotwise and every p1 edge
-    (a, b, l) appears in p2 as (m[a], m[b], l).
-    """
-    k1, k2 = p1.n_slots, p2.n_slots
-    if k1 > k2:
-        return []
-    out = []
-    for dst in itertools.permutations(range(k2), k1):
-        if any(p1.attrs[i] != p2.attrs[dst[i]] for i in range(k1)):
-            continue
-        if all((dst[a], dst[b], l) in p2.edges for a, b, l in p1.edges):
-            out.append(dst)
-    return out
-
-
-def automorphisms(p: Pattern) -> List[SlotMap]:
-    return structure_maps(p, p)
-
-
-def _orbit_canon(
-    delta: PatternEdge, auts: Sequence[SlotMap]
-) -> PatternEdge:
-    """Smallest image of the delta edge under the automorphism group."""
-    a, b, l = delta
-    return min((m[a], m[b], l) for m in auts)
-
-
-def _is_bridge(p: Pattern, edge: PatternEdge) -> bool:
-    """True when removing ``edge`` disconnects the pattern's slots.
-
-    Direction is ignored; parallel edges on other layers keep the slots
-    connected.
-    """
-    rest = p.edges - {edge}
-    adj: Dict[int, Set[int]] = {i: set() for i in range(p.n_slots)}
-    for a, b, _ in rest:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) != p.n_slots
 
 
 def rule_lift(confidence: float, layer: str, g: MultiplexGraph) -> float:
@@ -133,74 +78,63 @@ def build_rules(
 ) -> List[Rule]:
     """Derive every rule from a frequent pattern collection.
 
-    Each pattern pair (p1, p2) with p2 one edge bigger contributes one rule
-    per orbit of the uncovered edge under p2's automorphisms.  Confidence
-    is support(p2) / support(p1); both supports come from the mined
-    patterns, so both sides are frequent by construction.  For rules whose
-    consequent adds no slot, the delta edge must not be a bridge in p2,
-    otherwise removing it would disconnect the antecedent.
+    Each rule is read off its consequent p2 by deleting one edge, the
+    delta, together with any endpoint that it leaves bare (a new-node rule;
+    otherwise a close rule).  The remainder must be connected, so a close
+    rule's delta is never a bridge; looked up by canonical code among
+    ``patterns``, it is the antecedent p1.  Confidence is support(p2) /
+    support(p1).  Only the smallest delta of each orbit under p2's
+    automorphism group is deleted, and the antecedent map is the smallest
+    isomorphism of p1 onto the remainder, in p2's slots; both come from the
+    minimising permutations of the canonical-code scans.
 
     Filters: rules below ``min_conf`` are dropped; when ``min_lift`` is
     given, rules with NaN or smaller lift are dropped too.
     """
-    sup: Dict[str, int] = {}
     for p in patterns:
-        s = getattr(p, "support", None)
-        if s is None:
+        if p.support is None:
             raise ValueError(f"pattern {p.code!r} carries no support")
-        sup[p.code] = s
-
-    by_size: Dict[Tuple[int, int], List[Pattern]] = {}
-    for p in patterns:
-        by_size.setdefault((p.n_slots, p.n_edges), []).append(p)
+    by_code = {p.code: p for p in patterns}
 
     rules: List[Rule] = []
     for p2 in patterns:
-        if p2.n_edges < 2 and p2.n_slots <= 2:
-            # A 2-slot single-edge consequent leaves an empty antecedent.
+        if not p2.is_connected():
             continue
-        auts = automorphisms(p2)
-        for extra_slot in (0, 1):
-            ants = by_size.get((p2.n_slots - extra_slot, p2.n_edges - 1), [])
-            for p1 in ants:
-                if not p1.is_connected():
-                    continue
-                best: Dict[PatternEdge, SlotMap] = {}
-                for m in structure_maps(p1, p2):
-                    covered = {(m[a], m[b], l) for a, b, l in p1.edges}
-                    left = p2.edges - covered
-                    if len(left) != 1:
-                        continue
-                    delta = next(iter(left))
-                    if delta != _orbit_canon(delta, auts):
-                        continue  # another map in the orbit represents this rule
-                    if delta not in best or m < best[delta]:
-                        best[delta] = m
-                new_node = extra_slot == 1
-                for delta, m in sorted(best.items()):
-                    if not new_node and _is_bridge(p2, delta):
-                        continue
-                    if new_node:
-                        fresh = set(range(p2.n_slots)) - set(m)
-                        if not (delta[0] in fresh or delta[1] in fresh):
-                            continue  # extra slot must be the predicted endpoint
-                    conf = sup[p2.code] / sup[p1.code]
-                    lift = rule_lift(conf, delta[2], g)
-                    if conf < min_conf:
-                        continue
-                    if min_lift is not None and not (lift >= min_lift):
-                        continue
-                    rules.append(
-                        Rule(
-                            antecedent=p1,
-                            consequent=p2,
-                            delta_edge=delta,
-                            antecedent_map=m,
-                            new_node=new_node,
-                            confidence=conf,
-                            lift=lift,
-                        )
-                    )
+        perms = p2.canonical_perms
+        auts = [tuple(perms[0].index(s) for s in perm) for perm in perms]
+        deltas = {min((m[a], m[b], l) for m in auts) for a, b, l in p2.edges}
+        for delta in sorted(deltas):
+            rest = p2.edges - {delta}
+            keep = sorted({s for a, b, _ in rest for s in (a, b)})
+            new = {s: i for i, s in enumerate(keep)}
+            q = Pattern(
+                tuple(p2.attrs[s] for s in keep),
+                frozenset((new[a], new[b], l) for a, b, l in rest),
+            )
+            p1 = by_code.get(q.code) if q.is_connected() else None
+            if p1 is None:
+                continue
+            m = min(
+                tuple(keep[perm.index(s)] for s in p1.canonical_perms[0])
+                for perm in q.canonical_perms
+            )
+            conf = p2.support / p1.support
+            lift = rule_lift(conf, delta[2], g)
+            if conf < min_conf:
+                continue
+            if min_lift is not None and not (lift >= min_lift):
+                continue
+            rules.append(
+                Rule(
+                    antecedent=p1,
+                    consequent=p2,
+                    delta_edge=delta,
+                    antecedent_map=m,
+                    new_node=q.n_slots < p2.n_slots,
+                    confidence=conf,
+                    lift=lift,
+                )
+            )
     rules.sort(
         key=lambda r: (r.antecedent.code, r.consequent.code, r.delta_edge)
     )
@@ -211,8 +145,6 @@ def build_rules(
 
 
 def rule_to_dict(r: Rule) -> dict:
-    from .miner import pattern_to_dict
-
     return {
         "id": r.rid,
         "antecedent": pattern_to_dict(r.antecedent),
@@ -226,8 +158,6 @@ def rule_to_dict(r: Rule) -> dict:
 
 
 def rule_from_dict(d: dict) -> Rule:
-    from .miner import pattern_from_dict
-
     lift = d["lift"]
     return Rule(
         antecedent=pattern_from_dict(d["antecedent"]),

@@ -266,6 +266,32 @@ def test_rules_min_conf_filter(tmp_path, host_file, patterns_file):
     assert len(doc) == len(build_rules(pats, g, min_conf=0.8))
 
 
+def test_rules_non_json_patterns_exit_2(tmp_path, capsys, host_file):
+    lg = str(tmp_path / "p.lg")
+    assert run(["mine", "--input", host_file, "--support", "2",
+                "--max-size", "3", "--format", "lg", "--out", lg]) == 0
+    out = str(tmp_path / "r.json")
+    assert run(["rules", "--input", host_file, "--patterns", lg,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a JSON pattern file" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_rules_pattern_without_support_exits_2(tmp_path, capsys, host_file,
+                                               patterns_file):
+    doc = json.load(open(patterns_file))
+    del doc[0]["support"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    out = str(tmp_path / "r.json")
+    assert run(["rules", "--input", host_file, "--patterns", str(bare),
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "carries no support" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 # -- predict -----------------------------------------------------------------
 
 
@@ -412,6 +438,26 @@ def test_evaluate_temporal_split(tmp_path, temporal_files):
     # remaining absent known-node pairs are the negatives
     assert summary["per_fold"][0]["n_pos"] == 2
     assert summary["per_fold"][0]["n_neg"] == 2
+
+
+def test_evaluate_temporal_loads_each_file_once(tmp_path, temporal_files,
+                                               monkeypatch):
+    import mrk.cli
+    import mrk.evaluation
+
+    loaded = []
+
+    def counting_load(path, *args, **kwargs):
+        loaded.append(path)
+        return load_graph(path, *args, **kwargs)
+
+    monkeypatch.setattr(mrk.cli, "load_graph", counting_load)
+    monkeypatch.setattr(mrk.evaluation, "load_graph", counting_load)
+    train, test = temporal_files
+    assert run(["evaluate", "--input", train, "--test-input", test,
+                "--support", "2", "--max-size", "3",
+                "--out-dir", str(tmp_path / "ev")]) == 0
+    assert sorted(loaded) == sorted([train, test])
 
 
 def test_evaluate_old_new_temporal(tmp_path, temporal_files):

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrk.errors import MiningBudgetError
 from mrk.graph import ATTR_DEFAULT, MultiplexGraph
@@ -213,6 +215,71 @@ def test_code_iff_isomorphic_on_random_relabelings(rng):
         assert (p1.code == p2.code) == oracle_isomorphic(p1, p2)
 
 
+def test_code_separates_names_containing_separators():
+    assert Pattern(("a|b", "c"), frozenset({(0, 1, "L")})) != Pattern(
+        ("a", "b|c"), frozenset({(0, 1, "L")})
+    )
+    assert Pattern((D, D), frozenset({(0, 1, "L,1>0:M")})) != Pattern(
+        (D, D), frozenset({(0, 1, "L"), (1, 0, "M")})
+    )
+    assert Pattern(("%7C",), frozenset()) != Pattern(("|",), frozenset())
+    # Names free of separators keep their plain codes.
+    assert single_edge_pattern("p", "q", "a").code == "v=p|q;e=0>1:a"
+
+
+# Names made of the code's separators and its escape character: a small
+# fixed pool (so that colliding pairs come up often) plus free text.
+SEP_NAMES = st.one_of(
+    st.sampled_from(["a", "a|a", "L", "M", "L,1>0:M", "%7C", "|", ""]),
+    st.text(alphabet="a|,>:;=%", max_size=4),
+)
+
+
+def sep_attrs(k):
+    return st.lists(SEP_NAMES, min_size=k, max_size=k).map(tuple)
+
+
+def sep_edges(k):
+    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+    if not pairs:
+        return st.just(frozenset())
+    return st.frozensets(
+        st.tuples(st.sampled_from(pairs), SEP_NAMES).map(
+            lambda e: (e[0][0], e[0][1], e[1])
+        ),
+        max_size=3,
+    )
+
+
+@st.composite
+def pattern_pairs(draw):
+    """A pattern and a second one: independent, relabeled, or sharing the
+    first one's edges or attributes."""
+    k = draw(st.integers(1, 3))
+    p = Pattern(draw(sep_attrs(k)), draw(sep_edges(k)))
+    how = draw(st.sampled_from(["other", "relabel", "attrs", "edges"]))
+    if how == "other":
+        j = draw(st.integers(1, 3))
+        return p, Pattern(draw(sep_attrs(j)), draw(sep_edges(j)))
+    if how == "attrs":
+        return p, Pattern(draw(sep_attrs(k)), p.edges)
+    if how == "edges":
+        return p, Pattern(p.attrs, draw(sep_edges(k)))
+    perm = draw(st.permutations(range(k)))
+    attrs = [""] * k
+    for i, s in enumerate(perm):
+        attrs[s] = p.attrs[i]
+    edges = frozenset((perm[a], perm[b], l) for a, b, l in p.edges)
+    return p, Pattern(tuple(attrs), edges)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(pattern_pairs())
+def test_code_equal_iff_isomorphic_with_separator_names(pair):
+    p, q = pair
+    assert (p.code == q.code) == oracle_isomorphic(p, q)
+
+
 def test_canonical_code_function_matches_property():
     p = path_pattern(["a", "b"])
     assert canonical_code(p) == p.code
@@ -344,9 +411,6 @@ def test_pattern_dict_without_support():
 
 
 def test_lg_rendering():
-    p = Pattern(("p", D), frozenset({(0, 1, "a")}))
-    from mrk.miner import SupportedPattern
-
-    sp = SupportedPattern(p.attrs, p.edges, 7)
-    text = patterns_to_lg([sp])
+    p = Pattern(("p", D), frozenset({(0, 1, "a")}), 7)
+    text = patterns_to_lg([p])
     assert text == "t # 0 s 7\nv 0 p\nv 1 ·\ne 0 1 a\n"

@@ -8,7 +8,7 @@ import pytest
 
 from mrk.errors import MrkError
 from mrk.graph import ATTR_DEFAULT, MultiplexGraph
-from mrk.miner import MinerConfig, Pattern, SupportedPattern, mine
+from mrk.miner import MinerConfig, Pattern, mine
 from mrk.predictor import (
     OldNewScoreTable,
     ScoreTable,
@@ -30,11 +30,11 @@ def mk_rule(ant_edges, cons_edges, delta, amap, new_node,
     k1 = 1 + max(max(a, b) for a, b, _ in ant_edges)
     k2 = 1 + max(max(a, b) for a, b, _ in cons_edges)
     return Rule(
-        antecedent=SupportedPattern(
+        antecedent=Pattern(
             tuple(ant_attrs) if ant_attrs else (D,) * k1,
             frozenset(ant_edges), 10,
         ),
-        consequent=SupportedPattern(
+        consequent=Pattern(
             tuple(cons_attrs) if cons_attrs else (D,) * k2,
             frozenset(cons_edges), 5,
         ),

@@ -6,16 +6,13 @@ import math
 import pytest
 
 from mrk.graph import ATTR_DEFAULT, MultiplexGraph
-from mrk.miner import MinerConfig, Pattern, SupportedPattern, mine
+from mrk.miner import MinerConfig, Pattern, mine
 from mrk.rules import (
     Rule,
-    _is_bridge,
-    automorphisms,
     build_rules,
     rule_from_dict,
     rule_lift,
     rule_to_dict,
-    structure_maps,
 )
 from tests.conftest import rand_host
 
@@ -23,7 +20,7 @@ D = ATTR_DEFAULT
 
 
 def sp(attrs, edges, support):
-    return SupportedPattern(tuple(attrs), frozenset(edges), support)
+    return Pattern(tuple(attrs), frozenset(edges), support)
 
 
 def rule_key(r):
@@ -158,94 +155,137 @@ def test_bridge_delta_suppressed(lift_host):
 
 @pytest.fixture(scope="module")
 def mined():
+    """(host, patterns, rules) for a directed 3-slot and an undirected
+    4-slot host; the second has many consequents with symmetries."""
     import numpy as np
 
-    rng = np.random.default_rng(20240817)
-    g = rand_host(rng, 25, 2, 46, directed=True, attr_values="mn")
-    pats = mine(g, MinerConfig(min_support=2, max_nodes=3))
-    return g, pats, build_rules(pats, g)
+    out = []
+    for seed, n, layers, units, directed, attrs, sigma, k in (
+        (20240817, 25, 2, 46, True, "mn", 2, 3),
+        (3, 12, 2, 18, False, "", 3, 4),
+    ):
+        rng = np.random.default_rng(seed)
+        g = rand_host(rng, n, layers, units, directed=directed,
+                      attr_values=attrs)
+        pats = mine(g, MinerConfig(min_support=sigma, max_nodes=k))
+        out.append((g, pats, build_rules(pats, g)))
+    return out
 
 
 def test_rule_fields_consistent(mined):
-    g, pats, rules = mined
-    assert rules
-    sup = {p.code: p.support for p in pats}
-    for r in rules:
-        assert r.delta_edge in r.consequent.edges
-        m = r.antecedent_map
-        covered = {
-            (m[a], m[b], l) for a, b, l in r.antecedent.edges
-        }
-        assert r.consequent.edges - covered == {r.delta_edge}
-        assert r.confidence == sup[r.consequent.code] / sup[r.antecedent.code]
-        assert 0.0 < r.confidence <= 1.0
-        assert r.new_node == (
-            r.consequent.n_slots == r.antecedent.n_slots + 1
-        )
-        if r.new_node:
-            fresh = set(range(r.consequent.n_slots)) - set(m)
-            a, b, _ = r.delta_edge
-            assert a in fresh or b in fresh
-        else:
-            assert brute_connected_without(r.consequent, r.delta_edge)
-        auts = brute_automorphisms(r.consequent)
-        a, b, l = r.delta_edge
-        assert r.delta_edge == min((q[a], q[b], l) for q in auts)
+    for g, pats, rules in mined:
+        assert rules
+        sup = {p.code: p.support for p in pats}
+        for r in rules:
+            assert r.delta_edge in r.consequent.edges
+            m = r.antecedent_map
+            covered = {
+                (m[a], m[b], l) for a, b, l in r.antecedent.edges
+            }
+            assert r.consequent.edges - covered == {r.delta_edge}
+            assert r.confidence == (
+                sup[r.consequent.code] / sup[r.antecedent.code]
+            )
+            assert 0.0 < r.confidence <= 1.0
+            assert r.new_node == (
+                r.consequent.n_slots == r.antecedent.n_slots + 1
+            )
+            if r.new_node:
+                fresh = set(range(r.consequent.n_slots)) - set(m)
+                a, b, _ = r.delta_edge
+                assert a in fresh or b in fresh
+            else:
+                assert brute_connected_without(r.consequent, r.delta_edge)
+            auts = brute_automorphisms(r.consequent)
+            a, b, l = r.delta_edge
+            assert r.delta_edge == min((q[a], q[b], l) for q in auts)
+
+
+def test_antecedent_map_is_smallest(mined):
+    # Among all maps of the antecedent into the consequent that leave
+    # exactly the delta edge uncovered, the rule carries the smallest.
+    for _, _, rules in mined:
+        for r in rules:
+            p1, p2 = r.antecedent, r.consequent
+            want = p2.edges - {r.delta_edge}
+            maps = [
+                m
+                for m in itertools.permutations(range(p2.n_slots), p1.n_slots)
+                if all(p1.attrs[i] == p2.attrs[m[i]] for i in range(p1.n_slots))
+                and {(m[a], m[b], l) for a, b, l in p1.edges} == want
+            ]
+            assert r.antecedent_map == min(maps)
+
+
+def test_canonical_scan_yields_automorphism_group(mined):
+    # Composing the inverse of one minimising permutation with each of the
+    # others gives exactly the pattern's automorphism group.
+    symmetric_four = 0
+    for _, pats, _ in mined:
+        for p in pats:
+            perms = p.canonical_perms
+            back = {s: i for i, s in enumerate(perms[0])}
+            auts = sorted(tuple(back[s] for s in perm) for perm in perms)
+            assert auts == brute_automorphisms(p)
+            symmetric_four += p.n_slots == 4 and len(auts) > 1
+    assert symmetric_four > 0
 
 
 def test_rule_identities_unique(mined):
-    _, _, rules = mined
-    keys = [rule_key(r) for r in rules]
-    assert len(set(keys)) == len(keys)
-    rids = {r.rid for r in rules}
-    assert len(rids) == len(rules)
+    for _, _, rules in mined:
+        keys = [rule_key(r) for r in rules]
+        assert len(set(keys)) == len(keys)
+        rids = {r.rid for r in rules}
+        assert len(rids) == len(rules)
 
 
 def test_rule_count_matches_oracle(mined):
-    _, pats, rules = mined
-    expected = sum(
-        oracle_rule_count(p1, p2)
-        for p1 in pats
-        for p2 in pats
-    )
-    assert len(rules) == expected
+    for _, pats, rules in mined:
+        expected = sum(
+            oracle_rule_count(p1, p2)
+            for p1 in pats
+            for p2 in pats
+        )
+        assert len(rules) == expected
 
 
 def test_rules_sorted_and_deterministic(mined):
-    g, pats, rules = mined
-    again = build_rules(pats, g)
-    assert [rule_key(r) for r in again] == [rule_key(r) for r in rules]
-    assert [rule_key(r) for r in rules] == sorted(rule_key(r) for r in rules)
+    for g, pats, rules in mined:
+        again = build_rules(pats, g)
+        assert [rule_key(r) for r in again] == [rule_key(r) for r in rules]
+        assert [rule_key(r) for r in rules] == sorted(
+            rule_key(r) for r in rules
+        )
 
 
 def test_threshold_filtering_identity(mined):
-    g, pats, rules2 = mined
-    sup = {p.code: p.support for p in pats}
-    pats3 = [p for p in pats if p.support >= 3]
-    rules3 = build_rules(pats3, g)
-    expected = [
-        rule_key(r) for r in rules2 if sup[r.consequent.code] >= 3
-    ]
-    assert [rule_key(r) for r in rules3] == expected
+    for g, pats, rules in mined:
+        sup = {p.code: p.support for p in pats}
+        sigma = min(sup.values()) + 1
+        higher = build_rules([p for p in pats if p.support >= sigma], g)
+        expected = [
+            rule_key(r) for r in rules if sup[r.consequent.code] >= sigma
+        ]
+        assert [rule_key(r) for r in higher] == expected
 
 
 def test_min_conf_filter(mined):
-    g, pats, rules = mined
-    half = build_rules(pats, g, min_conf=0.5)
-    assert [rule_key(r) for r in half] == [
-        rule_key(r) for r in rules if r.confidence >= 0.5
-    ]
+    for g, pats, rules in mined:
+        half = build_rules(pats, g, min_conf=0.5)
+        assert [rule_key(r) for r in half] == [
+            rule_key(r) for r in rules if r.confidence >= 0.5
+        ]
 
 
 def test_min_lift_filter(mined):
-    g, pats, rules = mined
-    cut = 1.0
-    kept = build_rules(pats, g, min_lift=cut)
-    assert [rule_key(r) for r in kept] == [
-        rule_key(r)
-        for r in rules
-        if not math.isnan(r.lift) and r.lift >= cut
-    ]
+    for g, pats, rules in mined:
+        cut = 1.0
+        kept = build_rules(pats, g, min_lift=cut)
+        assert [rule_key(r) for r in kept] == [
+            rule_key(r)
+            for r in rules
+            if not math.isnan(r.lift) and r.lift >= cut
+        ]
 
 
 # -- lift -------------------------------------------------------------------
@@ -272,39 +312,11 @@ def test_lift_undirected_density_consistent():
     assert rule_lift(1.0, "a", g) == pytest.approx(1.0)
 
 
-# -- helpers ----------------------------------------------------------------
-
-
-def test_structure_maps_and_automorphisms():
-    path = Pattern((D, D, D), frozenset({(0, 1, "a"), (1, 2, "a")}))
-    single = Pattern((D, D), frozenset({(0, 1, "a")}))
-    assert sorted(structure_maps(single, path)) == [(0, 1), (1, 2)]
-    assert automorphisms(path) == [(0, 1, 2)]
-    cyc = Pattern((D, D), frozenset({(0, 1, "a"), (1, 0, "a")}))
-    assert sorted(automorphisms(cyc)) == [(0, 1), (1, 0)]
-    assert structure_maps(path, single) == []
-
-
-def test_is_bridge_cases():
-    path = Pattern((D, D, D), frozenset({(0, 1, "a"), (1, 2, "a")}))
-    assert _is_bridge(path, (0, 1, "a"))
-    tri = Pattern(
-        (D, D, D),
-        frozenset({(0, 1, "a"), (1, 2, "a"), (2, 0, "a")}),
-    )
-    assert not _is_bridge(tri, (0, 1, "a"))
-    par = Pattern((D, D), frozenset({(0, 1, "a"), (0, 1, "b")}))
-    assert not _is_bridge(par, (0, 1, "a"))
-    cyc = Pattern((D, D), frozenset({(0, 1, "a"), (1, 0, "a")}))
-    assert not _is_bridge(cyc, (0, 1, "a"))
-
-
 # -- serialization ----------------------------------------------------------
 
 
 def test_rule_dict_round_trip(mined):
-    _, _, rules = mined
-    for r in rules[:40]:
+    for r in [r for _, _, rules in mined for r in rules[:40]]:
         d = rule_to_dict(r)
         q = rule_from_dict(d)
         assert rule_key(q) == rule_key(r)
