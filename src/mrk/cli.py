@@ -72,6 +72,8 @@ PREDICTORS = (
 
 CTX = {"auto_envvar_prefix": "MRK", "help_option_names": ["-h", "--help"]}
 
+BUDGET_HELP = "Cap on the candidate embedding rows one pattern's join generates."
+
 
 # -- manifest and atomic output ---------------------------------------------
 
@@ -169,9 +171,11 @@ def _write_patterns(patterns, path: str, fmt: str) -> None:
 
 
 def _read_rules(path: str) -> List[Rule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return [rule_from_dict(d) for d in doc]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [rule_from_dict(d) for d in json.load(fh)]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MrkError(f"{path}: not a JSON rules file: {exc}")
 
 
 def _miner_config(sigma: int, max_nodes: int, budget: int) -> MinerConfig:
@@ -233,20 +237,19 @@ def main():
 @click.option("--max-size", "max_nodes", type=int, default=4, show_default=True,
               help="Pattern size cap in nodes.")
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help="Embedding enumeration budget per pattern.")
-@click.option("--workers", type=int, default=1, show_default=True)
+              help=BUDGET_HELP)
 @click.option("--format", "fmt", type=click.Choice(["json", "lg"]),
               default="json", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def mine_cmd(edge_path, attr_path, directed, comune, sigma, max_nodes,
-             budget, workers, fmt, out_path):
+             budget, fmt, out_path):
     """Mine frequent multiplex patterns from an edge file."""
     manifest = RunManifest(
         command="mine",
         params={
             "input": edge_path, "attrs": attr_path, "directed": directed,
             "comune": comune, "support": sigma, "max_size": max_nodes,
-            "budget": budget, "workers": workers, "format": fmt,
+            "budget": budget, "format": fmt,
             "out": out_path,
         },
     )
@@ -261,7 +264,7 @@ def mine_cmd(edge_path, attr_path, directed, comune, sigma, max_nodes,
         manifest.params["support"] = sigma
     with stage("mine"):
         cfg = _miner_config(sigma, max_nodes, budget)
-        patterns = mine(g, cfg, workers=workers)
+        patterns = mine(g, cfg)
     with stage("write"):
         _write_patterns(patterns, out_path, fmt)
     manifest.add_output(out_path)
@@ -340,7 +343,8 @@ def rules_cmd(edge_path, attr_path, directed, comune, patterns_path,
 @click.option("--old-new", "old_new", is_flag=True, default=False,
               help="Score (node, layer, direction) slots for links to "
                    "unseen nodes instead of node pairs.")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
+              help=BUDGET_HELP)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def predict_cmd(edge_path, attr_path, directed, comune, rules_path, weighting,
                 per_embedding, old_new, budget, out_path):
@@ -426,12 +430,11 @@ def _fold_tables(
     sigma: int,
     max_nodes: int,
     budget: int,
-    workers: int,
 ):
     """Build the score table(s) a predictor needs on one training graph."""
     if predictor == "rules":
         cfg = _miner_config(sigma, max_nodes, budget)
-        patterns = mine(g, cfg, workers=workers)
+        patterns = mine(g, cfg)
         rs = build_rules(patterns, g)
         return score_links(g, rs, weighting, budget=budget)
     if predictor == "sharma":
@@ -473,12 +476,12 @@ def _parse_negatives(spec: str) -> Tuple[str, Optional[int]]:
               default="conf", show_default=True)
 @click.option("--old-new", "old_new", is_flag=True, default=False,
               help="Evaluate old-new slot prediction instead of links.")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
+              help=BUDGET_HELP)
 @click.option("--out-dir", "out_dir", required=True, type=click.Path())
 def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
                  folds, seed, negatives, sigma, max_nodes, weighting, old_new,
-                 budget, workers, out_dir):
+                 budget, out_dir):
     """Cross-validate a predictor; write per-fold ROC CSVs and a summary."""
     manifest = RunManifest(
         command="evaluate",
@@ -488,8 +491,7 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
             "comune": comune, "test_input": test_path, "predictor": predictor,
             "folds": folds, "seed": seed, "negatives": negatives,
             "support": sigma, "max_size": max_nodes, "weighting": weighting,
-            "old_new": old_new, "budget": budget, "workers": workers,
-            "out_dir": out_dir,
+            "old_new": old_new, "budget": budget, "out_dir": out_dir,
         },
     )
     manifest.add_input(edge_path)
@@ -517,7 +519,7 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
             reports.append(
                 _evaluate_fold(
                     split, predictor, weighting, sigma, max_nodes,
-                    budget, workers, neg_mode, neg_k, seed, old_new,
+                    budget, neg_mode, neg_k, seed, old_new,
                 )
             )
     with stage("write"):
@@ -544,7 +546,6 @@ def _evaluate_fold(
     sigma: int,
     max_nodes: int,
     budget: int,
-    workers: int,
     neg_mode: str,
     neg_k: Optional[int],
     seed: int,
@@ -555,7 +556,7 @@ def _evaluate_fold(
         if predictor != "rules":
             raise MrkError("old-new evaluation only applies to --predictor rules")
         cfg = _miner_config(sigma, max_nodes, budget)
-        patterns = mine(train, cfg, workers=workers)
+        patterns = mine(train, cfg)
         rs = build_rules(patterns, train)
         table = score_old_new(train, rs, weighting, budget=budget)
         return evaluate_old_new(table, split, predictor=predictor)
@@ -563,7 +564,7 @@ def _evaluate_fold(
     if predictor.startswith("ensemble-"):
         mode = predictor.split("-", 1)[1]
         parts = [
-            _fold_tables(train, p, weighting, sigma, max_nodes, budget, workers)
+            _fold_tables(train, p, weighting, sigma, max_nodes, budget)
             for p in ("rules", "sharma") + CLASSICAL_METHODS
         ]
         pos = split.positives_of("old-old")
@@ -571,7 +572,7 @@ def _evaluate_fold(
         table = ensemble(parts, keys, pos, mode=mode, seed=seed)
     else:
         table = _fold_tables(
-            train, predictor, weighting, sigma, max_nodes, budget, workers
+            train, predictor, weighting, sigma, max_nodes, budget
         )
     return roc_auc(table, split, predictor=predictor)
 

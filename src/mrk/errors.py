@@ -14,15 +14,15 @@ class CoupledGraphError(MrkError):
 
 
 class MiningBudgetError(MrkError):
-    """Embedding enumeration exceeded its partial-state budget for one pattern."""
+    """One pattern's embedding join would exceed its budget of embedding rows."""
 
     def __init__(self, pattern_code: str, budget: int):
         self.pattern_code = pattern_code
         self.budget = budget
         super().__init__(
-            f"embedding enumeration exceeded the budget of {budget} partial "
-            f"states for pattern {pattern_code!r}; raise the budget or tighten "
-            f"the mining parameters"
+            f"embedding join exceeded the budget of {budget} embedding rows "
+            f"for pattern {pattern_code!r}; raise the budget or tighten the "
+            f"mining parameters"
         )
 
 

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from .errors import CoupledGraphError, GraphFormatError
 
@@ -40,8 +43,54 @@ class LoadReport:
     unknown_attr_nodes: int = 0
 
 
+@dataclass(frozen=True)
+class GraphArrays:
+    """Integer-array index of a graph for vectorised joins.
+
+    Rows of the flat per-layer CSR arrays are ``l * n + u``: the out-
+    neighbours of node ``u`` on layer ``l`` are
+    ``out_nbr[out_ptr[l * n + u]:out_ptr[l * n + u + 1]]``, sorted, and
+    ``in_ptr``/``in_nbr`` hold the in-neighbours the same way.  ``keys``
+    holds every stored edge as ``(l * n + u) * n + v``, sorted.  ``attr``
+    holds each node's attribute id; ``attr_ids`` maps names to ids.
+    """
+
+    n: int
+    attr: np.ndarray
+    attr_ids: Dict[str, int]
+    out_ptr: np.ndarray
+    out_nbr: np.ndarray
+    in_ptr: np.ndarray
+    in_nbr: np.ndarray
+    keys: np.ndarray
+
+    def edge_key(self, l: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Keys of the edges ``u[i] -> v[i]`` on layer ``l``."""
+        return (l * self.n + u) * self.n + v
+
+    def edge_of(self, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layers, sources and targets of the keys ``q``."""
+        lu, v = np.divmod(q, self.n)
+        l, u = np.divmod(lu, self.n)
+        return l, u, v
+
+    def is_edge(self, q: np.ndarray) -> np.ndarray:
+        """Elementwise: is key ``q[i]`` a stored edge?"""
+        if not self.keys.size:
+            return np.zeros(q.shape, dtype=bool)
+        return self.keys.take(self.keys.searchsorted(q), mode="clip") == q
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int):
+    """Row pointers and row-sorted columns of the (row, col) pairs."""
+    order = np.lexsort((cols, rows))
+    ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
+    return ptr, cols[order]
+
+
 class MultiplexGraph:
-    """Immutable multiplex graph with per-layer adjacency indexes."""
+    """Immutable multiplex graph; :attr:`arrays` holds its adjacency index."""
 
     def __init__(
         self,
@@ -95,24 +144,13 @@ class MultiplexGraph:
                 edge_ids.add((v, u, l))
         self.edges: FrozenSet[Tuple[int, int, int]] = frozenset(edge_ids)
 
-        n, nl = len(self.node_names), len(self.layer_names)
-        self._out: List[Dict[int, Set[int]]] = [dict() for _ in range(n)]
-        self._in: List[Dict[int, Set[int]]] = [dict() for _ in range(n)]
+        nl = len(self.layer_names)
         self.layer_edge_counts: List[int] = [0] * nl
         self.layer_nodes: List[Set[int]] = [set() for _ in range(nl)]
         for u, v, l in edge_ids:
-            self._out[u].setdefault(l, set()).add(v)
-            self._in[v].setdefault(l, set()).add(u)
             self.layer_edge_counts[l] += 1
             self.layer_nodes[l].add(u)
             self.layer_nodes[l].add(v)
-
-        by_attr: Dict[str, List[int]] = {}
-        for i, a in enumerate(self.attrs):
-            by_attr.setdefault(a, []).append(i)
-        self.nodes_by_attr: Dict[str, Tuple[int, ...]] = {
-            a: tuple(ids) for a, ids in by_attr.items()
-        }
 
     # -- basic accessors ---------------------------------------------------
 
@@ -141,18 +179,29 @@ class MultiplexGraph:
     def has_edge(self, u: int, v: int, l: int) -> bool:
         return (u, v, l) in self.edges
 
-    def out_neighbors(self, u: int, l: int) -> Set[int]:
-        return self._out[u].get(l, _EMPTY)
-
-    def in_neighbors(self, v: int, l: int) -> Set[int]:
-        return self._in[v].get(l, _EMPTY)
-
-    def attr_of(self, u: int) -> str:
-        return self.attrs[u]
+    @cached_property
+    def arrays(self) -> GraphArrays:
+        """The integer-array index, built on first use."""
+        n, nl = self.n_nodes, self.n_layers
+        e = np.fromiter(
+            (x for edge in self.edges for x in edge), dtype=np.int64,
+            count=3 * len(self.edges),
+        ).reshape(-1, 3)
+        u, v, l = e[:, 0], e[:, 1], e[:, 2]
+        attr_ids = {a: i for i, a in enumerate(sorted(set(self.attrs)))}
+        out_ptr, out_nbr = _csr(l * n + u, v, nl * n)
+        in_ptr, in_nbr = _csr(l * n + v, u, nl * n)
+        return GraphArrays(
+            n=n,
+            attr=np.array([attr_ids[a] for a in self.attrs], dtype=np.int64),
+            attr_ids=attr_ids,
+            out_ptr=out_ptr, out_nbr=out_nbr, in_ptr=in_ptr, in_nbr=in_nbr,
+            keys=np.sort((l * n + u) * n + v),
+        )
 
     def node_layers(self, u: int) -> Tuple[int, ...]:
         """Layers on which node ``u`` has at least one incident edge."""
-        return tuple(sorted(set(self._out[u]) | set(self._in[u])))
+        return tuple(l for l, nodes in enumerate(self.layer_nodes) if u in nodes)
 
     def smallest_layer_size(self) -> int:
         """Node count of the layer with fewest participating nodes."""
@@ -201,9 +250,6 @@ class MultiplexGraph:
             f"MultiplexGraph({kind}, {self.n_nodes} nodes, "
             f"{self.n_layers} layers, {self.n_edges} stored edges)"
         )
-
-
-_EMPTY: FrozenSet[int] = frozenset()
 
 
 # -- file I/O ---------------------------------------------------------------

@@ -6,15 +6,26 @@ by minimum image support: over all embeddings of the pattern, count the
 distinct host nodes each slot maps to and take the minimum over slots.  This
 support never grows when a pattern is extended, which lets the miner prune
 level by level.
+
+Embeddings come from one engine, :func:`embedding_table`, a numpy join over
+the host's per-layer CSR adjacency in the manner of FSG's embedding lists
+(Kuramochi & Karypis 2001).  The table of a pattern grows one slot per step:
+the host nodes of an already placed neighbour slot are expanded through the
+CSR, and the candidate rows are filtered by attribute, by the pattern's
+other edges back to placed slots (a binary search among sorted edge keys)
+and by injectivity.  Support counting and rule scoring both read these
+tables.  The budget caps the candidate rows one pattern's join generates,
+which bounds its memory.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .errors import MiningBudgetError, MiningInvariantError
 from .graph import MultiplexGraph
@@ -156,108 +167,108 @@ class Embedding:
     nodes: Tuple[int, ...]
 
 
-class _Matcher:
-    """Backtracking subgraph matcher for one pattern on one host graph.
+def _join_plan(
+    k: int, edges: Sequence[Tuple[int, int, int]]
+) -> Tuple[List[int], List[List[Tuple[int, int, bool]]]]:
+    """Slot order and, per position, the edges back to earlier positions.
+
+    Well-connected slots come first and the placed prefix stays connected
+    where the pattern allows.  An anchor ``(pos, layer, out)`` says the
+    slot is joined to the slot at ``pos`` by an edge on ``layer`` that
+    leaves the new slot when ``out`` is true.
+    """
+    nbr: List[List[Tuple[int, int, bool]]] = [[] for _ in range(k)]
+    for a, b, l in edges:
+        nbr[a].append((b, l, True))   # slot is the source
+        nbr[b].append((a, l, False))  # slot is the target
+    # By edge count, ties to the smaller slot; a slot joined to a placed
+    # one goes before any slot that is not.
+    rest = sorted(range(k), key=lambda x: (-len(nbr[x]), x))
+    order: List[int] = []
+    pos_of: Dict[int, int] = {}
+    anchors: List[List[Tuple[int, int, bool]]] = []
+    while rest:
+        nxt = next(
+            (x for x in rest if any(o in pos_of for o, _, _ in nbr[x])), rest[0]
+        )
+        rest.remove(nxt)
+        anchors.append(
+            [(pos_of[o], l, out) for o, l, out in nbr[nxt] if o in pos_of]
+        )
+        pos_of[nxt] = len(order)
+        order.append(nxt)
+    return order, anchors
+
+
+def embedding_table(
+    p: Pattern, g: MultiplexGraph, budget: int = DEFAULT_BUDGET
+) -> np.ndarray:
+    """Every embedding of ``p`` in ``g``: row r maps slot i to ``[r, i]``.
 
     Matching is homomorphic on edges (extra host edges are allowed) and
-    injective on nodes; attributes, directions and layers must agree.  Every
-    candidate node considered counts as one partial state against the
-    budget.
+    injective on nodes; attributes, directions and layers must agree.  The
+    table grows one slot per join step: the host column of the slot's first
+    anchor is expanded through the layer's CSR, and the candidate rows are
+    filtered by attribute, by the remaining anchors (a lookup among the
+    sorted edge keys) and by injectivity.  A slot without anchors joins
+    every node of its attribute.  Every candidate row generated counts
+    against ``budget``, before any filter, so the budget bounds memory.
+
+    Rows are sorted.  A pattern attribute or layer the host lacks gives an
+    empty table.
     """
-
-    def __init__(self, p: Pattern, g: MultiplexGraph, budget: int):
-        self.g = g
-        self.budget = budget
-        self.states = 0
-        self.code = p.code
-        k = p.n_slots
-        self.k = k
-        self.attrs = p.attrs
-        self.ok = True
-        try:
-            edges = [(a, b, g.layer_id(l)) for a, b, l in p.edges]
-        except KeyError:
-            # A pattern layer the host lacks: no embeddings.
-            self.ok = False
-            return
-        nbr: List[List[Tuple[int, int, bool]]] = [[] for _ in range(k)]
-        for a, b, l in edges:
-            nbr[a].append((b, l, True))   # slot is the source
-            nbr[b].append((a, l, False))  # slot is the target
-        # Place well-connected slots first, keeping the prefix connected.
-        order: List[int] = []
-        placed: Set[int] = set()
-        while len(order) < k:
-            def score(x: int) -> Tuple[int, int, int]:
-                back = sum(1 for o, _, _ in nbr[x] if o in placed)
-                return (1 if placed and back else 0, len(nbr[x]), -x)
-            rest = [x for x in range(k) if x not in placed]
-            nxt = max(rest, key=score)
-            order.append(nxt)
-            placed.add(nxt)
-        self.order = order
-        # For each position: constraints against already placed slots.
-        pos_of = {s: i for i, s in enumerate(order)}
-        self.anchors: List[List[Tuple[int, int, bool]]] = []
-        for i, s in enumerate(order):
-            self.anchors.append(
-                [(pos_of[o], l, out) for o, l, out in nbr[s] if pos_of[o] < i]
-            )
-
-    def _spend(self, n: int) -> None:
-        self.states += n
-        if self.states > self.budget:
-            raise MiningBudgetError(self.code, self.budget)
-
-    def _candidates(self, pos: int, image: List[int]) -> List[int]:
-        g = self.g
-        slot = self.order[pos]
-        want = self.attrs[slot]
-        anchors = self.anchors[pos]
-        if not anchors:
-            base: Sequence[int] = g.nodes_by_attr.get(want, ())
-            self._spend(len(base))
-            return [n for n in base if n not in image]
-        sets = []
-        for opos, l, out in anchors:
-            host = image[opos]
-            s = g.in_neighbors(host, l) if out else g.out_neighbors(host, l)
-            sets.append(s)
-        sets.sort(key=len)
-        cand = sets[0]
-        for s in sets[1:]:
-            cand = cand & s
-            if not cand:
-                break
-        self._spend(len(cand))
-        used = set(image)
-        return sorted(
-            n for n in cand if g.attrs[n] == want and n not in used
-        )
-
-    def run(self) -> Iterator[Tuple[int, ...]]:
-        if not self.ok:
-            return
-        yield from self._extend(0, [])
-
-    def _extend(self, pos: int, image: List[int]) -> Iterator[Tuple[int, ...]]:
-        if pos == self.k:
-            out = [0] * self.k
-            for i, s in enumerate(self.order):
-                out[s] = image[i]
-            yield tuple(out)
-            return
-        for n in self._candidates(pos, image):
-            image.append(n)
-            yield from self._extend(pos + 1, image)
-            image.pop()
-
-
-def iter_embeddings(
-    p: Pattern, g: MultiplexGraph, budget: int = DEFAULT_BUDGET
-) -> Iterator[Tuple[int, ...]]:
-    """Stream raw slot-to-node tuples without materializing the list."""
-    return _Matcher(p, g, budget).run()
+    k = p.n_slots
+    ix = g.arrays
+    n = ix.n
+    try:
+        want = [ix.attr_ids[a] for a in p.attrs]
+        edges = sorted((a, b, g.layer_id(l)) for a, b, l in p.edges)
+    except KeyError:
+        return np.empty((0, k), dtype=np.int64)
+    order, anchors = _join_plan(k, edges)
+    table = np.empty((1, 0), dtype=np.int64)
+    rows = 0
+    for pos, slot in enumerate(order):
+        m = len(table)
+        if not m:
+            return np.empty((0, k), dtype=np.int64)
+        if anchors[pos]:
+            (opos, l, out), rest = anchors[pos][0], anchors[pos][1:]
+            ptr, nbr = (ix.in_ptr, ix.in_nbr) if out else (ix.out_ptr, ix.out_nbr)
+            row = l * n + table[:, opos]
+            lo, hi = ptr[row], ptr[row + 1]
+            # Hosts have no self loops: a neighbour is never the anchor's node.
+            others = [j for j in range(pos) if j != opos]
+        else:
+            # Every node with the slot's attribute extends every row.
+            rest, others = [], range(pos)
+            nbr = np.flatnonzero(ix.attr == want[slot])
+            lo, hi = np.zeros(m, dtype=np.int64), np.full(m, len(nbr))
+        cnt = hi - lo
+        total = int(cnt.sum())
+        rows += total
+        if rows > budget:
+            raise MiningBudgetError(p.code, budget)
+        src = np.arange(m).repeat(cnt)
+        new = nbr[np.arange(total) + (lo - cnt.cumsum() + cnt).repeat(cnt)]
+        prev = table[src]
+        masks = []
+        if len(ix.attr_ids) > 1:  # else every node has the wanted attribute
+            masks.append(ix.attr[new] == want[slot])
+        for opos, l, out in rest:
+            host = prev[:, opos]
+            masks.append(ix.is_edge(
+                ix.edge_key(l, new, host) if out else ix.edge_key(l, host, new)
+            ))
+        masks += [prev[:, j] != new for j in others]
+        if masks:
+            keep = np.logical_and.reduce(masks)
+            prev, new = prev[keep], new[keep]
+        table = np.concatenate((prev, new[:, None]), axis=1)
+    table = table[:, [order.index(s) for s in range(k)]]
+    if k and len(table) > 1:
+        table = table[np.lexsort(table.T[::-1])]
+    return table
 
 
 def embeddings(
@@ -265,24 +276,20 @@ def embeddings(
 ) -> List[Embedding]:
     """All embeddings of ``p`` in ``g``, sorted by mapped node tuple."""
     code = p.code
-    found = sorted(iter_embeddings(p, g, budget))
-    return [Embedding(code, nodes) for nodes in found]
+    return [
+        Embedding(code, tuple(nodes))
+        for nodes in embedding_table(p, g, budget).tolist()
+    ]
 
 
 def min_image_support(
     p: Pattern, g: MultiplexGraph, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """Minimum over slots of the number of distinct host images.
-
-    Embeddings are streamed; only the per-slot image sets are kept.
-    """
-    images: List[Set[int]] = [set() for _ in range(p.n_slots)]
-    for nodes in iter_embeddings(p, g, budget):
-        for i, n in enumerate(nodes):
-            images[i].add(n)
-    if not images or not images[0]:
+    """Minimum over slots of the number of distinct host images."""
+    table = embedding_table(p, g, budget)
+    if not table.size:
         return 0
-    return min(len(s) for s in images)
+    return min(int(np.count_nonzero(np.bincount(col))) for col in table.T)
 
 
 # -- level-wise mining ------------------------------------------------------
@@ -290,7 +297,8 @@ def min_image_support(
 
 @dataclass
 class MinerConfig:
-    """Mining parameters: support threshold, size cap, state budget."""
+    """Mining parameters: support threshold, size cap, and the budget of
+    candidate embedding rows each pattern's join may generate."""
 
     min_support: int
     max_nodes: int = 4
@@ -376,26 +384,9 @@ def _grow(
     return out
 
 
-# Pool workers inherit the host graph through fork.
-_POOL_GRAPH: Optional[MultiplexGraph] = None
-_POOL_BUDGET: int = DEFAULT_BUDGET
-
-
-def _pool_init(g: MultiplexGraph, budget: int) -> None:
-    global _POOL_GRAPH, _POOL_BUDGET
-    _POOL_GRAPH = g
-    _POOL_BUDGET = budget
-
-
-def _pool_support(p: Pattern) -> int:
-    assert _POOL_GRAPH is not None
-    return min_image_support(p, _POOL_GRAPH, _POOL_BUDGET)
-
-
 def mine(
     g: MultiplexGraph,
     cfg: MinerConfig,
-    workers: int = 1,
     stats: Optional[MiningStats] = None,
 ) -> List[Pattern]:
     """Enumerate all frequent patterns up to ``cfg.max_nodes`` slots.
@@ -430,52 +421,39 @@ def mine(
         stats.frequent_per_level.append(len(frontier))
         stats.candidates_tested += len(singles)
 
-    pool = None
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        pool = ctx.Pool(workers, initializer=_pool_init, initargs=(g, cfg.budget))
-    try:
-        while frontier:
-            children: Dict[str, Pattern] = {}
-            parents_of: Dict[str, List[int]] = {}
-            for p in frontier:
-                for child in _grow(p, cfg.max_nodes, by_pair, by_src, by_dst):
-                    code = child.code
-                    if code not in children:
-                        children[code] = child
-                        parents_of[code] = []
-                    parents_of[code].append(p.support)
-            ordered = sorted(children)
-            cands = [children[c] for c in ordered]
-            if pool is not None:
-                sups = pool.map(_pool_support, cands)
-            else:
-                sups = [min_image_support(p, g, cfg.budget) for p in cands]
-            nxt: List[Pattern] = []
-            for code, child, sup in zip(ordered, cands, sups):
-                if stats is not None:
-                    stats.candidates_tested += 1
-                    for psup in parents_of[code]:
-                        stats.antimonotone_checks += 1
-                        stats.support_pairs.append((psup, sup))
-                        if sup > psup:
-                            stats.antimonotone_violations += 1
-                bad = [ps for ps in parents_of[code] if sup > ps]
-                if bad:
-                    raise MiningInvariantError(
-                        f"support of {code!r} ({sup}) exceeds parent support "
-                        f"({min(bad)}): anti-monotonicity violated"
-                    )
-                if sup >= sigma:
-                    nxt.append(Pattern(child.attrs, child.edges, sup))
+    while frontier:
+        children: Dict[str, Pattern] = {}
+        parents_of: Dict[str, List[int]] = {}
+        for p in frontier:
+            for child in _grow(p, cfg.max_nodes, by_pair, by_src, by_dst):
+                code = child.code
+                if code not in children:
+                    children[code] = child
+                    parents_of[code] = []
+                parents_of[code].append(p.support)
+        nxt: List[Pattern] = []
+        for code in sorted(children):
+            child = children[code]
+            sup = min_image_support(child, g, cfg.budget)
             if stats is not None:
-                stats.frequent_per_level.append(len(nxt))
-            result.extend(nxt)
-            frontier = nxt
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+                stats.candidates_tested += 1
+                for psup in parents_of[code]:
+                    stats.antimonotone_checks += 1
+                    stats.support_pairs.append((psup, sup))
+                    if sup > psup:
+                        stats.antimonotone_violations += 1
+            bad = [ps for ps in parents_of[code] if sup > ps]
+            if bad:
+                raise MiningInvariantError(
+                    f"support of {code!r} ({sup}) exceeds parent support "
+                    f"({min(bad)}): anti-monotonicity violated"
+                )
+            if sup >= sigma:
+                nxt.append(Pattern(child.attrs, child.edges, sup))
+        if stats is not None:
+            stats.frequent_per_level.append(len(nxt))
+        result.extend(nxt)
+        frontier = nxt
 
     result.sort(key=lambda p: p.code)
     return result

@@ -10,13 +10,14 @@ many embeddings propose it.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import MrkError
 from .graph import ATTR_DEFAULT, MultiplexGraph
-from .miner import DEFAULT_BUDGET, iter_embeddings
+from .miner import DEFAULT_BUDGET, embedding_table
 from .rules import Rule
 
 WEIGHTING_SCHEMES = ("count", "conf", "lift", "conf-mean", "lift-mean")
@@ -63,66 +64,78 @@ class OldNewScoreTable:
     new_attrs: Dict[OldNewKey, Tuple[str, ...]] = field(default_factory=dict)
 
 
-class _Accumulator:
-    """Shared aggregation for both prediction targets."""
-
-    def __init__(self, scheme: str):
-        if scheme not in WEIGHTING_SCHEMES:
-            raise MrkError(
-                f"unknown weighting scheme {scheme!r}; "
-                f"expected one of {', '.join(WEIGHTING_SCHEMES)}"
-            )
-        self.scheme = scheme
-        self.n: Dict[Tuple, int] = {}
-        self.conf: Dict[Tuple, float] = {}
-        self.lift: Dict[Tuple, float] = {}
-        self.lift_n: Dict[Tuple, int] = {}
-        self.rids: Dict[Tuple, List[str]] = {}
-
-    def add(self, key: Tuple, rule: Rule, times: int = 1) -> None:
-        self.n[key] = self.n.get(key, 0) + times
-        self.conf[key] = self.conf.get(key, 0.0) + rule.confidence * times
-        if not math.isnan(rule.lift):
-            self.lift[key] = self.lift.get(key, 0.0) + rule.lift * times
-            self.lift_n[key] = self.lift_n.get(key, 0) + times
-        self.rids.setdefault(key, []).append(rule.rid)
-
-    def finalize(self) -> Tuple[Dict[Tuple, float], Dict[Tuple, Tuple[str, ...]]]:
-        s = self.scheme
-        out: Dict[Tuple, float] = {}
-        for key, n in self.n.items():
-            if s == "count":
-                out[key] = float(n)
-            elif s == "conf":
-                out[key] = self.conf[key]
-            elif s == "conf-mean":
-                out[key] = self.conf[key] / n
-            elif s == "lift":
-                # Rules without a finite lift contribute nothing here.
-                if key in self.lift:
-                    out[key] = self.lift[key]
-            elif s == "lift-mean":
-                if key in self.lift:
-                    out[key] = self.lift[key] / self.lift_n[key]
-        prov = {k: tuple(v) for k, v in self.rids.items() if k in out}
-        return out, prov
+def _check_scheme(scheme: str) -> None:
+    if scheme not in WEIGHTING_SCHEMES:
+        raise MrkError(
+            f"unknown weighting scheme {scheme!r}; "
+            f"expected one of {', '.join(WEIGHTING_SCHEMES)}"
+        )
 
 
-def _antecedent_cache(
-    g: MultiplexGraph, rules: Sequence[Rule], budget: int
-) -> Dict[str, List[Tuple[int, ...]]]:
-    """Embeddings per distinct antecedent code, computed once."""
-    cache: Dict[str, List[Tuple[int, ...]]] = {}
-    for r in rules:
-        code = r.antecedent.code
-        if code not in cache:
-            cache[code] = sorted(iter_embeddings(r.antecedent, g, budget))
-    return cache
+def _antecedent_table(
+    tables: Dict[str, np.ndarray], rule: Rule, g: MultiplexGraph, budget: int
+) -> np.ndarray:
+    """Embedding table of the rule's antecedent, built once per code."""
+    code = rule.antecedent.code
+    if code not in tables:
+        tables[code] = embedding_table(rule.antecedent, g, budget)
+    return tables[code]
 
 
 def _inverse_map(rule: Rule) -> Dict[int, int]:
     """Consequent slot -> antecedent slot, for slots in the map's image."""
     return {c: a for a, c in enumerate(rule.antecedent_map)}
+
+
+def _aggregate(
+    scheme: str,
+    rules: Sequence[Rule],
+    keys: Sequence[np.ndarray],
+    hits: Sequence[np.ndarray],
+    per_embedding: bool,
+) -> Tuple[np.ndarray, List[float], List[Tuple[str, ...]]]:
+    """Combine the rules' proposals under one weighting scheme.
+
+    ``keys[i]`` holds the distinct integer keys that ``rules[i]`` proposes
+    and ``hits[i]`` how many embeddings propose each.  A rule adds its
+    weight once per key, or once per proposing embedding with
+    ``per_embedding``.  ``np.bincount`` adds in array order, which is rule
+    order, so every sum is the one taken rule by rule.
+
+    Returns the scored keys (sorted), their scores, and for each the ids
+    of its contributing rules in rule order.  Lift schemes skip rules
+    whose lift is NaN, and drop keys that only such rules propose.
+    """
+    if not keys:
+        return np.empty(0, dtype=np.int64), [], []
+    key = np.concatenate(keys)
+    rule_of = np.repeat(np.arange(len(rules)), [len(k) for k in keys])
+    times = np.concatenate(hits) if per_embedding else np.ones(len(key), np.int64)
+    ukeys, at = np.unique(key, return_inverse=True)
+    m = len(ukeys)
+    if scheme.startswith("lift"):
+        weight = np.array([r.lift for r in rules])[rule_of]
+        use = ~np.isnan(weight)
+    else:
+        weight = np.array([r.confidence for r in rules])[rule_of]
+        use = slice(None)
+    n_hits = np.bincount(at[use], weights=times[use], minlength=m)
+    if scheme == "count":
+        score = n_hits
+    else:
+        score = np.bincount(at[use], weights=(weight * times)[use], minlength=m)
+    kept = n_hits > 0
+    score, n_hits = score[kept], n_hits[kept]
+    if scheme.endswith("-mean"):
+        score = score / n_hits
+    rids = [r.rid for r in rules]
+    flat = [rids[i] for i in rule_of[np.argsort(at, kind="stable")].tolist()]
+    ends = np.cumsum(np.bincount(at, minlength=m)).tolist()
+    prov = [
+        tuple(flat[a:b])
+        for a, b, k in zip([0] + ends, ends, kept.tolist()) if k
+    ]
+    return ukeys[kept], score.tolist(), prov
 
 
 def score_links(
@@ -139,35 +152,41 @@ def score_links(
     Existing edges are skipped.  In undirected graphs proposals are
     canonicalized to one orientation.  With ``per_embedding`` every
     proposing embedding contributes instead of each rule once.
+
+    Each rule's proposals are one column pair of its antecedent's
+    embedding table, reduced to distinct ``(layer, src, dst)`` keys.
     """
-    acc = _Accumulator(scheme)
-    cache = _antecedent_cache(
-        g, [r for r in rules if not r.new_node], budget
-    )
+    _check_scheme(scheme)
+    ix = g.arrays
+    tables: Dict[str, np.ndarray] = {}
+    used: List[Rule] = []
+    keys: List[np.ndarray] = []
+    hits: List[np.ndarray] = []
     for rule in rules:
         if rule.new_node:
             continue
         inv = _inverse_map(rule)
         ds, dd, dl = rule.delta_edge
-        sa, da = inv[ds], inv[dd]
         try:
             lid = g.layer_id(dl)
         except KeyError:
             continue
-        hits: Dict[Tuple[int, int], int] = {}
-        for emb in cache[rule.antecedent.code]:
-            u, v = emb[sa], emb[da]
-            if g.has_edge(u, v, lid):
-                continue
-            if not g.directed and u > v:
-                u, v = v, u
-            hits[(u, v)] = hits.get((u, v), 0) + 1
-        nn, ln = g.node_names, dl
-        for (u, v), times in hits.items():
-            key = (nn[u], nn[v], ln)
-            acc.add(key, rule, times if per_embedding else 1)
-    scores, prov = acc.finalize()
-    return ScoreTable(scheme, scores, prov)
+        emb = _antecedent_table(tables, rule, g, budget)
+        u, v = emb[:, inv[ds]], emb[:, inv[dd]]
+        if not g.directed:
+            # Symmetric storage: (u, v) is an edge iff (v, u) is.
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        key, times = np.unique(ix.edge_key(lid, u, v), return_counts=True)
+        missing = ~ix.is_edge(key)
+        if missing.any():
+            used.append(rule)
+            keys.append(key[missing])
+            hits.append(times[missing])
+    ukeys, scores, prov = _aggregate(scheme, used, keys, hits, per_embedding)
+    lay, src, dst = (a.tolist() for a in ix.edge_of(ukeys))
+    nn, ln = g.node_names, g.layer_names
+    names = [(nn[u], nn[v], ln[l]) for l, u, v in zip(lay, src, dst)]
+    return ScoreTable(scheme, dict(zip(names, scores)), dict(zip(names, prov)))
 
 
 def score_old_new(
@@ -186,9 +205,14 @@ def score_old_new(
     orientation at the anchor ("out" when the anchor is the source);
     undirected graphs collapse both orientations to "out".
     """
-    acc = _Accumulator(scheme)
-    cache = _antecedent_cache(g, [r for r in rules if r.new_node], budget)
-    wanted_attrs: Dict[OldNewKey, Set[str]] = {}
+    _check_scheme(scheme)
+    n = g.n_nodes
+    tables: Dict[str, np.ndarray] = {}
+    targets: Dict[Tuple[str, str], int] = {}  # (layer, direction) -> id
+    used: List[Rule] = []
+    keys: List[np.ndarray] = []
+    hits: List[np.ndarray] = []
+    fresh_attr: Dict[str, str] = {}  # rule id -> attribute of the fresh slot
     for rule in rules:
         if not rule.new_node:
             continue
@@ -204,22 +228,26 @@ def score_old_new(
             continue
         if not g.directed:
             direction = "out"
-        fresh_attr = rule.consequent.attrs[fresh]
-        hits: Dict[int, int] = {}
-        for emb in cache[rule.antecedent.code]:
-            u = emb[anchor]
-            hits[u] = hits.get(u, 0) + 1
-        nn = g.node_names
-        for u, times in hits.items():
-            key = (nn[u], dl, direction)
-            acc.add(key, rule, times if per_embedding else 1)
-            if fresh_attr != ATTR_DEFAULT:
-                wanted_attrs.setdefault(key, set()).add(fresh_attr)
-    scores, prov = acc.finalize()
-    new_attrs = {
-        k: tuple(sorted(v)) for k, v in wanted_attrs.items() if k in scores
-    }
-    return OldNewScoreTable(scheme, scores, prov, new_attrs)
+        emb = _antecedent_table(tables, rule, g, budget)
+        node, times = np.unique(emb[:, anchor], return_counts=True)
+        if node.size:
+            tid = targets.setdefault((dl, direction), len(targets))
+            used.append(rule)
+            keys.append(tid * n + node)
+            hits.append(times)
+            fresh_attr[rule.rid] = rule.consequent.attrs[fresh]
+    ukeys, scores, prov = _aggregate(scheme, used, keys, hits, per_embedding)
+    tid, node = np.divmod(ukeys, n)
+    nn, tnames = g.node_names, list(targets)
+    names = [(nn[u], *tnames[t]) for u, t in zip(node.tolist(), tid.tolist())]
+    new_attrs: Dict[OldNewKey, Tuple[str, ...]] = {}
+    for k, rids in zip(names, prov):
+        wanted = {fresh_attr[r] for r in rids} - {ATTR_DEFAULT}
+        if wanted:
+            new_attrs[k] = tuple(sorted(wanted))
+    return OldNewScoreTable(
+        scheme, dict(zip(names, scores)), dict(zip(names, prov)), new_attrs
+    )
 
 
 # -- serialization ----------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 from .graph import MultiplexGraph
@@ -36,7 +37,7 @@ class Rule:
     confidence: float
     lift: float
 
-    @property
+    @cached_property
     def rid(self) -> str:
         """Stable short identifier derived from the rule's identity."""
         ident = f"{self.antecedent.code}=>{self.consequent.code}@{self.delta_edge}"

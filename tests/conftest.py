@@ -76,6 +76,41 @@ def oracle_embeddings(p: Pattern, g: MultiplexGraph) -> List[Tuple[int, ...]]:
     return sorted(out)
 
 
+def nx_embeddings(p: Pattern, g: MultiplexGraph) -> List[Tuple[int, ...]]:
+    """Every embedding by networkx's VF2 monomorphism search.
+
+    Host and pattern become DiGraphs whose edges carry the set of layers
+    joining their endpoints; a pattern edge maps onto a host edge whose
+    layer set contains its own, and a slot onto a node with its attribute.
+    Runs on hosts far too large for the permutation scan.
+    """
+    import networkx as nx
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    def digraph(attrs, triples):
+        d = nx.DiGraph()
+        d.add_nodes_from((i, {"attr": a}) for i, a in enumerate(attrs))
+        for u, v, lay in triples:
+            if not d.has_edge(u, v):
+                d.add_edge(u, v, layers=set())
+            d[u][v]["layers"].add(lay)
+        return d
+
+    ln = g.layer_names
+    host = digraph(g.attrs, ((u, v, ln[l]) for u, v, l in g.edges))
+    pat = digraph(p.attrs, p.edges)
+    matcher = DiGraphMatcher(
+        host, pat,
+        node_match=lambda h, q: h["attr"] == q["attr"],
+        edge_match=lambda h, q: q["layers"] <= h["layers"],
+    )
+    out = []
+    for mapping in matcher.subgraph_monomorphisms_iter():
+        slot_to_node = {q: h for h, q in mapping.items()}
+        out.append(tuple(slot_to_node[i] for i in range(p.n_slots)))
+    return sorted(out)
+
+
 def oracle_mis(p: Pattern, g: MultiplexGraph) -> int:
     embs = oracle_embeddings(p, g)
     if not embs:

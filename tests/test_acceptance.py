@@ -220,9 +220,7 @@ def test_04_auc_dips_when_threshold_crosses_layer_size():
             g = generate(_dip_config(seed))
             split = split_random(g, 10, seed=seed)[0]
             tg = split.train
-            pats = mine(
-                tg, MinerConfig(min_support=38, max_nodes=3), workers=2
-            )
+            pats = mine(tg, MinerConfig(min_support=38, max_nodes=3))
             rules = build_rules(pats, tg, min_conf=0.0)
             aucs = {}
             for threshold in DIP_GRID:
@@ -287,13 +285,10 @@ def test_05_pattern_size_four_beats_three():
 # -- criteria 6-9: real-data checks ----------------------------------------
 
 
-def _rules_fold_auc(split, max_nodes=4, workers=1):
+def _rules_fold_auc(split, max_nodes=4):
     tg = split.train
     sigma = max(tg.smallest_layer_size(), 1)
-    pats = mine(
-        tg, MinerConfig(min_support=sigma, max_nodes=max_nodes),
-        workers=workers,
-    )
+    pats = mine(tg, MinerConfig(min_support=sigma, max_nodes=max_nodes))
     rules = build_rules(pats, tg, min_conf=0.0)
     close = [r for r in rules if not r.new_node]
     table = score_links(tg, close, scheme="conf")
@@ -307,7 +302,7 @@ def test_06_rule_predictor_auc_on_aarhus():
         g = load_real("aarhus")
         t0 = time.time()
         aucs = [
-            _rules_fold_auc(split, max_nodes=4, workers=2)
+            _rules_fold_auc(split, max_nodes=4)
             for split in split_random(g, 10, seed=0)
         ]
         elapsed = time.time() - t0
@@ -454,8 +449,7 @@ def test_10_new_node_attachment():
             test_g = load_graph(str(test_p), None, directed=True)
             split = split_from_graphs(train_g, test_g)
             sigma = max(train_g.smallest_layer_size(), 1)
-            pats = mine(train_g, MinerConfig(min_support=sigma, max_nodes=3),
-                        workers=2)
+            pats = mine(train_g, MinerConfig(min_support=sigma, max_nodes=3))
             rules = build_rules(pats, train_g, min_conf=0.0)
             nn = [r for r in rules if r.new_node]
             rep_eval = evaluate_old_new(

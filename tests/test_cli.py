@@ -119,7 +119,7 @@ def test_mine_output_and_manifest(tmp_path, capsys, host_file):
     assert m["params"] == {
         "input": host_file, "attrs": None, "directed": False,
         "comune": False, "support": 2, "max_size": 3,
-        "budget": DEFAULT_BUDGET, "workers": 1, "format": "json",
+        "budget": DEFAULT_BUDGET, "format": "json",
         "out": out,
     }
     assert m["inputs"] == {host_file: sha256_of(host_file)}
@@ -334,6 +334,17 @@ def test_predict_per_embedding_flag(tmp_path, host_file, rules_file):
                        per_embedding=True)
     assert read_scores_csv(out).scores == want.scores
     assert manifest_of(out)["params"]["per_embedding"] is True
+
+
+def test_predict_bad_rules_file_exits_2(tmp_path, capsys, host_file,
+                                       patterns_file):
+    # A pattern file is JSON, but its entries are not rules.
+    out = str(tmp_path / "scores.csv")
+    assert run(["predict", "--graph", host_file, "--rules", patterns_file,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a JSON rules file" in err
+    assert not (tmp_path / "scores.csv").exists()
 
 
 # -- baseline ----------------------------------------------------------------
@@ -590,3 +601,15 @@ def test_inspect_nan_lift_sorts_last(tmp_path, capsys, rules_file):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("lift=nan ")
     assert all(not line.startswith("lift=nan") for line in lines[:-1])
+
+
+def test_inspect_non_json_rules_exits_2(tmp_path, capsys, host_file):
+    lg = str(tmp_path / "p.lg")
+    assert run(["mine", "--input", host_file, "--support", "2",
+                "--max-size", "3", "--format", "lg", "--out", lg]) == 0
+    capsys.readouterr()
+    assert run(["inspect", "--rules", lg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "not a JSON rules file" in captured.err
+    assert captured.out == ""

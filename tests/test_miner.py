@@ -23,6 +23,7 @@ from mrk.miner import (
     single_edge_pattern,
 )
 from tests.conftest import (
+    nx_embeddings,
     oracle_embeddings,
     oracle_frequent,
     oracle_isomorphic,
@@ -139,6 +140,85 @@ def test_undirected_host_matches_both_directions(rng):
     got = {e.nodes for e in embeddings(p, g)}
     assert got == {t[::-1] for t in got}
     assert got == set(oracle_embeddings(p, g))
+
+
+def sample_pattern(g, rng, k):
+    """A connected k-slot pattern read off the host, so it embeds.
+
+    Grows a connected set of k host nodes along random edges, keeps those
+    tree edges and each other edge among the nodes with probability 1/2.
+    Returns None when the start node's component has fewer than k nodes.
+    """
+    edges = sorted(g.edges)
+    start = edges[rng.integers(len(edges))][0]
+    nodes, tree = [start], []
+    while len(nodes) < k:
+        out = [e for e in edges if (e[0] in nodes) != (e[1] in nodes)]
+        if not out:
+            return None
+        e = out[rng.integers(len(out))]
+        nodes.append(e[1] if e[0] in nodes else e[0])
+        tree.append(e)
+    slot = {u: i for i, u in enumerate(nodes)}
+    kept = [
+        e for e in edges
+        if e[0] in slot and e[1] in slot and (e in tree or rng.random() < 0.5)
+    ]
+    return Pattern(
+        tuple(g.attrs[u] for u in nodes),
+        frozenset((slot[u], slot[v], g.layer_names[l]) for u, v, l in kept),
+    )
+
+
+def parallel_host(rng, n, directed, attr_values=""):
+    """Random host where a quarter of the edge units repeat on a second layer."""
+    base = rand_host(rng, n, 3, int(2.5 * n), directed, attr_values)
+    units = base.unit_triples()
+    layers = base.layer_names
+    extra = [
+        (u, v, layers[(layers.index(lay) + 1) % len(layers)])
+        for u, v, lay in units if rng.random() < 0.25
+    ]
+    return MultiplexGraph(
+        units + extra, attrs=base.attr_map(), directed=directed,
+        extra_nodes=base.node_names,
+    )
+
+
+def test_networkx_oracle_agrees_with_permutation_scan(rng):
+    pytest.importorskip("networkx")
+    for directed in (True, False):
+        g = parallel_host(rng, 9, directed, "ab")
+        for k in (2, 3, 4):
+            p = sample_pattern(g, rng, k)
+            if p is not None:
+                assert nx_embeddings(p, g) == oracle_embeddings(p, g)
+
+
+@pytest.mark.parametrize("n,directed,attr_values", [
+    (60, True, "ab"), (100, False, ""), (150, True, ""), (150, False, "abc"),
+])
+def test_embeddings_match_networkx_on_large_hosts(rng, n, directed,
+                                                  attr_values):
+    pytest.importorskip("networkx")
+    g = parallel_host(rng, n, directed, attr_values)
+    pats = [sample_pattern(g, rng, k) for k in (3, 4) for _ in range(6)]
+    pats = [p for p in pats if p is not None]
+    assert len(pats) >= 10
+    assert any(
+        (a, b, l1) in p.edges and l1 != l2
+        for p in pats for a, b, l2 in p.edges for l1 in g.layer_names
+    ), "no sampled pattern has parallel edges on two layers"
+    lay, attr = g.layer_names[0], g.attrs[0]
+    pats += [
+        Pattern((attr, attr, attr), frozenset({(0, 1, lay), (1, 2, "absent")})),
+        Pattern((attr, "absent", attr), frozenset({(0, 1, lay), (1, 2, lay)})),
+    ]
+    for p in pats:
+        want = nx_embeddings(p, g)
+        assert [e.nodes for e in embeddings(p, g)] == want
+        mis = min(len(set(col)) for col in zip(*want)) if want else 0
+        assert min_image_support(p, g) == mis
 
 
 def test_single_edge_support_is_min_of_source_target_counts(rng):
@@ -339,14 +419,6 @@ def test_mine_recount_is_sound(rng):
         assert min_image_support(p, g) == p.support >= 2
 
 
-def test_mine_workers_agree(rng):
-    g = rand_host(rng, 20, 2, 50, directed=True)
-    cfg = MinerConfig(min_support=2, max_nodes=3)
-    one = [(p.code, p.support) for p in mine(g, cfg, workers=1)]
-    two = [(p.code, p.support) for p in mine(g, cfg, workers=2)]
-    assert one == two
-
-
 def test_mine_codes_pairwise_distinct_and_nonisomorphic(rng):
     g = rand_host(rng, 16, 2, 36, directed=True)
     out = mine(g, MinerConfig(min_support=1, max_nodes=3))
@@ -376,6 +448,24 @@ def test_budget_error_carries_pattern_code(rng):
         embeddings(p, g, budget=3)
     assert err.value.pattern_code == p.code
     assert err.value.budget == 3
+
+
+def test_mine_budget_error_names_the_pattern():
+    # A hub with ten spokes: the two-spoke star has 90 embeddings, so its
+    # join needs more than 50 rows, while every other candidate stays far
+    # below that.
+    triples = [("hub", f"s{i}", "a") for i in range(10)] + [("y", "z", "b")]
+    attrs = {"hub": "h", "y": "y", "z": "z"}
+    attrs.update({f"s{i}": "x" for i in range(10)})
+    g = MultiplexGraph(triples, attrs=attrs, directed=True)
+    star = Pattern(("h", "x", "x"), frozenset({(0, 1, "a"), (0, 2, "a")}))
+    assert len(embeddings(star, g)) == 90
+    with pytest.raises(MiningBudgetError) as err:
+        mine(g, MinerConfig(min_support=1, max_nodes=3, budget=50))
+    assert err.value.pattern_code == star.code
+    assert err.value.budget == 50
+    assert "50 embedding rows" in str(err.value)
+    assert star in mine(g, MinerConfig(min_support=1, max_nodes=3))
 
 
 def test_config_validation():
