@@ -2,8 +2,12 @@
 
 Every writing subcommand produces its output atomically and drops a JSON
 manifest next to it recording the command, resolved parameters, input file
-digests, seed, tool version, and stage timings.  All flags can be supplied
-through MRK_-prefixed environment variables.
+digests, seed, tool version, and stage timings.  Every option can also be
+set through an environment variable named ``MRK_`` plus its parameter name
+in upper case, the name in the subcommand's signature: ``MRK_SIGMA`` sets
+``--support`` and ``MRK_OUT_PATH`` sets ``--out``.  The names carry no
+subcommand, so one variable applies to every subcommand with that
+parameter.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
 
@@ -29,7 +35,6 @@ from .baselines import (
 from .errors import MrkError
 from .evaluation import (
     EvalReport,
-    EvalSplit,
     candidates,
     evaluate_old_new,
     load_temporal,
@@ -72,7 +77,9 @@ PREDICTORS = (
 
 CTX = {"auto_envvar_prefix": "MRK", "help_option_names": ["-h", "--help"]}
 
-BUDGET_HELP = "Cap on the candidate embedding rows one pattern's join generates."
+_budget_option = click.option(
+    "--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
+    help="Cap on the candidate embedding rows one pattern's join generates.")
 
 
 # -- manifest and atomic output ---------------------------------------------
@@ -86,6 +93,30 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _atomic_write(path: str, fill: Callable[[str], None]) -> None:
+    """Let ``fill`` write a sibling temp path, then move it over ``path``,
+    so failures never leave partial output."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    os.close(fd)
+    try:
+        fill(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_text(path: str, text: str) -> None:
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
+
+
+def _write_json(path: str, doc) -> None:
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record written alongside every output artifact."""
@@ -94,80 +125,40 @@ class RunManifest:
     params: Dict[str, object]
     seed: Optional[int] = None
     inputs: Dict[str, str] = field(default_factory=dict)
-    outputs: Dict[str, str] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
-    version: str = __version__
 
-    def add_input(self, path: str) -> None:
-        self.inputs[path] = _sha256(path)
+    @classmethod
+    def of_command(cls) -> "RunManifest":
+        """The running command's manifest: its parameters keyed by long
+        option name, and digests of the files its options must name."""
+        ctx = click.get_current_context()
+        params, inputs = {}, {}
+        for p in ctx.command.params:
+            value = ctx.params[p.name]
+            params[p.opts[0].lstrip("-").replace("-", "_")] = value
+            if isinstance(p.type, click.Path) and p.type.exists and value:
+                inputs[value] = _sha256(value)
+        return cls(ctx.info_name, params, ctx.params.get("seed"), inputs)
 
-    def add_output(self, path: str) -> None:
-        self.outputs[path] = _sha256(path)
+    @contextmanager
+    def stage(self, name: str):
+        """Record the wall-clock time of the enclosed block as ``name``."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - t0
 
-    def write(self, path: str) -> None:
-        doc = {
+    def write(self, path: str, *outputs: str) -> None:
+        """Write the manifest to ``path`` with digests of the finished
+        ``outputs``."""
+        _write_json(path, {
             "command": self.command,
             "params": self.params,
             "seed": self.seed,
             "inputs": self.inputs,
-            "outputs": self.outputs,
+            "outputs": {o: _sha256(o) for o in outputs},
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
-            "version": self.version,
-        }
-        _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file so failures never leave partial output."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-class _Stage:
-    """Context helper collecting wall-clock stage timings."""
-
-    def __init__(self, manifest: RunManifest):
-        self.manifest = manifest
-
-    def __call__(self, name: str):
-        return _StageTimer(self.manifest, name)
-
-
-class _StageTimer:
-    def __init__(self, manifest: RunManifest, name: str):
-        self.manifest = manifest
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.timings[self.name] = time.perf_counter() - self.t0
-        return False
-
-
-def _load(
-    edge_path: str, attr_path: Optional[str], directed: bool, comune: bool
-) -> MultiplexGraph:
-    return load_graph(edge_path, attr_path, directed=directed, comune=comune)
-
-
-def _write_patterns(patterns, path: str, fmt: str) -> None:
-    if fmt == "lg":
-        _atomic_write_text(path, patterns_to_lg(patterns))
-    else:
-        doc = [pattern_to_dict(p) for p in patterns]
-        _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            "version": __version__,
+        })
 
 
 def _read_rules(path: str) -> List[Rule]:
@@ -185,38 +176,31 @@ def _miner_config(sigma: int, max_nodes: int, budget: int) -> MinerConfig:
         raise MrkError(str(exc))
 
 
-def _atomic_csv(path: str, writer_fn) -> None:
-    """Run a CSV-writing function against a temp path, then move it in."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    os.close(fd)
-    try:
-        writer_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # -- shared options ---------------------------------------------------------
 
 
-def _graph_options(fn):
-    fn = click.option(
-        "--attrs", "attr_path", type=click.Path(exists=True, dir_okay=False),
-        default=None, help="Optional node attribute file.",
-    )(fn)
-    fn = click.option(
-        "--directed/--undirected", "directed", default=False,
-        help="Edge semantics of the input (default undirected).",
-    )(fn)
-    fn = click.option(
-        "--comune", is_flag=True, default=False,
-        help="Input lines are 'layer src dst [weight]'.",
-    )(fn)
-    return fn
+def _graph_options(flag: str):
+    """The graph file option ``flag`` plus how to read it."""
+
+    def decorate(fn):
+        fn = click.option(
+            "--attrs", "attr_path", type=click.Path(exists=True, dir_okay=False),
+            default=None, help="Optional node attribute file.",
+        )(fn)
+        fn = click.option(
+            "--directed/--undirected", "directed", default=False,
+            help="Edge semantics of the input (default undirected).",
+        )(fn)
+        fn = click.option(
+            "--comune", is_flag=True, default=False,
+            help="Input lines are 'layer src dst [weight]'.",
+        )(fn)
+        return click.option(
+            flag, "edge_path", required=True,
+            type=click.Path(exists=True, dir_okay=False),
+        )(fn)
+
+    return decorate
 
 
 @click.group(context_settings=CTX)
@@ -229,46 +213,31 @@ def main():
 
 
 @main.command("mine", context_settings=CTX)
-@click.option("--input", "edge_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@_graph_options
+@_graph_options("--input")
 @click.option("--support", "sigma", type=int, default=None,
               help="Support threshold; default: smallest layer's node count.")
 @click.option("--max-size", "max_nodes", type=int, default=4, show_default=True,
               help="Pattern size cap in nodes.")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help=BUDGET_HELP)
+@_budget_option
 @click.option("--format", "fmt", type=click.Choice(["json", "lg"]),
               default="json", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def mine_cmd(edge_path, attr_path, directed, comune, sigma, max_nodes,
              budget, fmt, out_path):
     """Mine frequent multiplex patterns from an edge file."""
-    manifest = RunManifest(
-        command="mine",
-        params={
-            "input": edge_path, "attrs": attr_path, "directed": directed,
-            "comune": comune, "support": sigma, "max_size": max_nodes,
-            "budget": budget, "format": fmt,
-            "out": out_path,
-        },
-    )
-    manifest.add_input(edge_path)
-    if attr_path:
-        manifest.add_input(attr_path)
-    stage = _Stage(manifest)
-    with stage("load"):
-        g = _load(edge_path, attr_path, directed, comune)
+    manifest = RunManifest.of_command()
+    with manifest.stage("load"):
+        g = load_graph(edge_path, attr_path, directed=directed, comune=comune)
     if sigma is None:
-        sigma = max(g.smallest_layer_size(), 1)
-        manifest.params["support"] = sigma
-    with stage("mine"):
-        cfg = _miner_config(sigma, max_nodes, budget)
-        patterns = mine(g, cfg)
-    with stage("write"):
-        _write_patterns(patterns, out_path, fmt)
-    manifest.add_output(out_path)
-    manifest.write(out_path + ".manifest.json")
+        sigma = manifest.params["support"] = max(g.smallest_layer_size(), 1)
+    with manifest.stage("mine"):
+        patterns = mine(g, _miner_config(sigma, max_nodes, budget))
+    with manifest.stage("write"):
+        if fmt == "lg":
+            _write_text(out_path, patterns_to_lg(patterns))
+        else:
+            _write_json(out_path, [pattern_to_dict(p) for p in patterns])
+    manifest.write(out_path + ".manifest.json", out_path)
     click.echo(f"{len(patterns)} frequent patterns (support >= {sigma})")
 
 
@@ -276,9 +245,7 @@ def mine_cmd(edge_path, attr_path, directed, comune, sigma, max_nodes,
 
 
 @main.command("rules", context_settings=CTX)
-@click.option("--input", "edge_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@_graph_options
+@_graph_options("--input")
 @click.option("--patterns", "patterns_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--min-conf", type=float, default=0.0, show_default=True)
@@ -289,41 +256,24 @@ def mine_cmd(edge_path, attr_path, directed, comune, sigma, max_nodes,
 def rules_cmd(edge_path, attr_path, directed, comune, patterns_path,
               min_conf, min_lift, layer_filter, out_path):
     """Build association rules from a mined pattern file."""
-    manifest = RunManifest(
-        command="rules",
-        params={
-            "input": edge_path, "attrs": attr_path, "directed": directed,
-            "comune": comune, "patterns": patterns_path,
-            "min_conf": min_conf, "min_lift": min_lift,
-            "layer": layer_filter, "out": out_path,
-        },
-    )
-    manifest.add_input(edge_path)
-    manifest.add_input(patterns_path)
-    if attr_path:
-        manifest.add_input(attr_path)
-    stage = _Stage(manifest)
-    with stage("load"):
-        g = _load(edge_path, attr_path, directed, comune)
+    manifest = RunManifest.of_command()
+    with manifest.stage("load"):
+        g = load_graph(edge_path, attr_path, directed=directed, comune=comune)
         try:
             with open(patterns_path, "r", encoding="utf-8") as fh:
                 patterns = [pattern_from_dict(d) for d in json.load(fh)]
         except (ValueError, KeyError, TypeError) as exc:
             raise MrkError(f"{patterns_path}: not a JSON pattern file: {exc}")
-    with stage("rules"):
+    with manifest.stage("rules"):
         try:
             rs = build_rules(patterns, g, min_conf=min_conf, min_lift=min_lift)
         except ValueError as exc:  # a pattern without its support
             raise MrkError(f"{patterns_path}: {exc}")
         if layer_filter is not None:
             rs = [r for r in rs if r.delta_edge[2] == layer_filter]
-    with stage("write"):
-        doc = [rule_to_dict(r) for r in rs]
-        _atomic_write_text(
-            out_path, json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-    manifest.add_output(out_path)
-    manifest.write(out_path + ".manifest.json")
+    with manifest.stage("write"):
+        _write_json(out_path, [rule_to_dict(r) for r in rs])
+    manifest.write(out_path + ".manifest.json", out_path)
     click.echo(f"{len(rs)} rules")
 
 
@@ -331,9 +281,7 @@ def rules_cmd(edge_path, attr_path, directed, comune, patterns_path,
 
 
 @main.command("predict", context_settings=CTX)
-@click.option("--graph", "edge_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@_graph_options
+@_graph_options("--graph")
 @click.option("--rules", "rules_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--weighting", type=click.Choice(WEIGHTING_SCHEMES),
@@ -343,43 +291,23 @@ def rules_cmd(edge_path, attr_path, directed, comune, patterns_path,
 @click.option("--old-new", "old_new", is_flag=True, default=False,
               help="Score (node, layer, direction) slots for links to "
                    "unseen nodes instead of node pairs.")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help=BUDGET_HELP)
+@_budget_option
 @click.option("--out", "out_path", required=True, type=click.Path())
 def predict_cmd(edge_path, attr_path, directed, comune, rules_path, weighting,
                 per_embedding, old_new, budget, out_path):
     """Apply rules to a graph and write a score table."""
-    manifest = RunManifest(
-        command="predict",
-        params={
-            "graph": edge_path, "attrs": attr_path, "directed": directed,
-            "comune": comune, "rules": rules_path, "weighting": weighting,
-            "per_embedding": per_embedding, "old_new": old_new,
-            "budget": budget, "out": out_path,
-        },
-    )
-    manifest.add_input(edge_path)
-    manifest.add_input(rules_path)
-    if attr_path:
-        manifest.add_input(attr_path)
-    stage = _Stage(manifest)
-    with stage("load"):
-        g = _load(edge_path, attr_path, directed, comune)
+    manifest = RunManifest.of_command()
+    with manifest.stage("load"):
+        g = load_graph(edge_path, attr_path, directed=directed, comune=comune)
         rs = _read_rules(rules_path)
-    with stage("score"):
-        if old_new:
-            table = score_old_new(
-                g, rs, weighting, per_embedding=per_embedding, budget=budget
-            )
-        else:
-            table = score_links(
-                g, rs, weighting, per_embedding=per_embedding, budget=budget
-            )
-    with stage("write"):
-        writer = write_old_new_csv if old_new else write_scores_csv
-        _atomic_csv(out_path, lambda tmp: writer(table, tmp))
-    manifest.add_output(out_path)
-    manifest.write(out_path + ".manifest.json")
+    score, writer = ((score_old_new, write_old_new_csv) if old_new
+                     else (score_links, write_scores_csv))
+    with manifest.stage("score"):
+        table = score(g, rs, weighting, per_embedding=per_embedding,
+                      budget=budget)
+    with manifest.stage("write"):
+        _atomic_write(out_path, lambda tmp: writer(table, tmp))
+    manifest.write(out_path + ".manifest.json", out_path)
     click.echo(f"{len(table.scores)} scored candidates")
 
 
@@ -387,61 +315,27 @@ def predict_cmd(edge_path, attr_path, directed, comune, rules_path, weighting,
 
 
 @main.command("baseline", context_settings=CTX)
-@click.option("--graph", "edge_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@_graph_options
+@_graph_options("--graph")
 @click.option("--method", required=True,
               type=click.Choice(("sharma",) + CLASSICAL_METHODS))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def baseline_cmd(edge_path, attr_path, directed, comune, method, out_path):
     """Run a baseline predictor (classical methods collapse the layers)."""
-    manifest = RunManifest(
-        command="baseline",
-        params={
-            "graph": edge_path, "attrs": attr_path, "directed": directed,
-            "comune": comune, "method": method, "out": out_path,
-        },
-    )
-    manifest.add_input(edge_path)
-    if attr_path:
-        manifest.add_input(attr_path)
-    stage = _Stage(manifest)
-    with stage("load"):
-        g = _load(edge_path, attr_path, directed, comune)
-    with stage("score"):
+    manifest = RunManifest.of_command()
+    with manifest.stage("load"):
+        g = load_graph(edge_path, attr_path, directed=directed, comune=comune)
+    with manifest.stage("score"):
         if method == "sharma":
             table = sharma_scores(g)
         else:
             table = classical_on_multiplex(g, method)
-    with stage("write"):
-        _atomic_csv(out_path, lambda tmp: write_scores_csv(table, tmp))
-    manifest.add_output(out_path)
-    manifest.write(out_path + ".manifest.json")
+    with manifest.stage("write"):
+        _atomic_write(out_path, lambda tmp: write_scores_csv(table, tmp))
+    manifest.write(out_path + ".manifest.json", out_path)
     click.echo(f"{len(table.scores)} scored candidates")
 
 
 # -- evaluate ---------------------------------------------------------------
-
-
-def _fold_tables(
-    g: MultiplexGraph,
-    predictor: str,
-    weighting: str,
-    sigma: int,
-    max_nodes: int,
-    budget: int,
-):
-    """Build the score table(s) a predictor needs on one training graph."""
-    if predictor == "rules":
-        cfg = _miner_config(sigma, max_nodes, budget)
-        patterns = mine(g, cfg)
-        rs = build_rules(patterns, g)
-        return score_links(g, rs, weighting, budget=budget)
-    if predictor == "sharma":
-        return sharma_scores(g)
-    if predictor in CLASSICAL_METHODS:
-        return classical_on_multiplex(g, predictor)
-    raise MrkError(f"unknown predictor {predictor!r}")
 
 
 def _parse_negatives(spec: str) -> Tuple[str, Optional[int]]:
@@ -457,9 +351,7 @@ def _parse_negatives(spec: str) -> Tuple[str, Optional[int]]:
 
 
 @main.command("evaluate", context_settings=CTX)
-@click.option("--input", "edge_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@_graph_options
+@_graph_options("--input")
 @click.option("--test-input", "test_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Later snapshot: temporal split instead of random folds.")
@@ -476,105 +368,70 @@ def _parse_negatives(spec: str) -> Tuple[str, Optional[int]]:
               default="conf", show_default=True)
 @click.option("--old-new", "old_new", is_flag=True, default=False,
               help="Evaluate old-new slot prediction instead of links.")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help=BUDGET_HELP)
+@_budget_option
 @click.option("--out-dir", "out_dir", required=True, type=click.Path())
 def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
                  folds, seed, negatives, sigma, max_nodes, weighting, old_new,
                  budget, out_dir):
     """Cross-validate a predictor; write per-fold ROC CSVs and a summary."""
-    manifest = RunManifest(
-        command="evaluate",
-        seed=seed,
-        params={
-            "input": edge_path, "attrs": attr_path, "directed": directed,
-            "comune": comune, "test_input": test_path, "predictor": predictor,
-            "folds": folds, "seed": seed, "negatives": negatives,
-            "support": sigma, "max_size": max_nodes, "weighting": weighting,
-            "old_new": old_new, "budget": budget, "out_dir": out_dir,
-        },
-    )
-    manifest.add_input(edge_path)
-    if attr_path:
-        manifest.add_input(attr_path)
-    if test_path:
-        manifest.add_input(test_path)
+    if old_new and predictor != "rules":
+        raise MrkError("old-new evaluation only applies to --predictor rules")
     neg_mode, neg_k = _parse_negatives(negatives)
-    stage = _Stage(manifest)
-    with stage("load"):
+    manifest = RunManifest.of_command()
+    with manifest.stage("load"):
         if test_path:
             splits = [load_temporal(edge_path, test_path,
                                     directed=directed, comune=comune,
                                     attr_path=attr_path)]
             g = splits[0].train
         else:
-            g = _load(edge_path, attr_path, directed, comune)
+            g = load_graph(edge_path, attr_path, directed=directed,
+                           comune=comune)
             splits = split_random(g, folds=folds, seed=seed)
     if sigma is None:
-        sigma = max(g.smallest_layer_size(), 1)
-        manifest.params["support"] = sigma
+        sigma = manifest.params["support"] = max(g.smallest_layer_size(), 1)
+
+    def fold_table(train: MultiplexGraph, name: str):
+        """A baseline's score table on ``train``, or mine -> build rules ->
+        score (slots for old-new, else links)."""
+        if name == "sharma":
+            return sharma_scores(train)
+        if name in CLASSICAL_METHODS:
+            return classical_on_multiplex(train, name)
+        patterns = mine(train, _miner_config(sigma, max_nodes, budget))
+        score = score_old_new if old_new else score_links
+        return score(train, build_rules(patterns, train), weighting,
+                     budget=budget)
+
     reports: List[EvalReport] = []
-    with stage("evaluate"):
+    with manifest.stage("evaluate"):
         for split in splits:
-            reports.append(
-                _evaluate_fold(
-                    split, predictor, weighting, sigma, max_nodes,
-                    budget, neg_mode, neg_k, seed, old_new,
-                )
-            )
-    with stage("write"):
-        os.makedirs(out_dir, exist_ok=True)
+            if old_new:
+                table = fold_table(split.train, predictor)
+                reports.append(evaluate_old_new(table, split, predictor=predictor))
+                continue
+            neg = candidates(split, neg_mode, k=neg_k, seed=seed)
+            if predictor.startswith("ensemble-"):
+                parts = ("rules", "sharma") + CLASSICAL_METHODS
+                pos = split.positives_of("old-old")
+                table = ensemble([fold_table(split.train, p) for p in parts],
+                                 pos + sorted(neg), pos,
+                                 mode=predictor.split("-", 1)[1], seed=seed)
+            else:
+                table = fold_table(split.train, predictor)
+            reports.append(roc_auc(table, split, neg, predictor=predictor))
+            del neg, table  # before the next fold builds its own
+    with manifest.stage("write"):
+        outputs = []
         for r in reports:
-            roc_path = os.path.join(out_dir, f"roc_fold{r.fold:02d}.csv")
-            _atomic_write_text(roc_path, r.roc_csv())
-            manifest.add_output(roc_path)
+            outputs.append(os.path.join(out_dir, f"roc_fold{r.fold:02d}.csv"))
+            _write_text(outputs[-1], r.roc_csv())
         summary = summary_dict(reports)
-        sum_path = os.path.join(out_dir, "summary.json")
-        _atomic_write_text(
-            sum_path, json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        )
-        manifest.add_output(sum_path)
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+        outputs.append(os.path.join(out_dir, "summary.json"))
+        _write_json(outputs[-1], summary)
+    manifest.write(os.path.join(out_dir, "manifest.json"), *outputs)
     mean = summary["auc_mean"]
     click.echo(f"{predictor}: mean AUC {mean:.4f} over {len(reports)} fold(s)")
-
-
-def _evaluate_fold(
-    split: EvalSplit,
-    predictor: str,
-    weighting: str,
-    sigma: int,
-    max_nodes: int,
-    budget: int,
-    neg_mode: str,
-    neg_k: Optional[int],
-    seed: int,
-    old_new: bool,
-) -> EvalReport:
-    train = split.train
-    if old_new:
-        if predictor != "rules":
-            raise MrkError("old-new evaluation only applies to --predictor rules")
-        cfg = _miner_config(sigma, max_nodes, budget)
-        patterns = mine(train, cfg)
-        rs = build_rules(patterns, train)
-        table = score_old_new(train, rs, weighting, budget=budget)
-        return evaluate_old_new(table, split, predictor=predictor)
-    split.negatives = candidates(split, neg_mode, k=neg_k, seed=seed)
-    if predictor.startswith("ensemble-"):
-        mode = predictor.split("-", 1)[1]
-        parts = [
-            _fold_tables(train, p, weighting, sigma, max_nodes, budget)
-            for p in ("rules", "sharma") + CLASSICAL_METHODS
-        ]
-        pos = split.positives_of("old-old")
-        keys = list(pos) + sorted(split.negatives)
-        table = ensemble(parts, keys, pos, mode=mode, seed=seed)
-    else:
-        table = _fold_tables(
-            train, predictor, weighting, sigma, max_nodes, budget
-        )
-    return roc_auc(table, split, predictor=predictor)
 
 
 # -- gen-synth --------------------------------------------------------------
@@ -611,17 +468,8 @@ def _parse_backbone(text: str) -> tuple:
 @click.option("--out", "out_path", required=True, type=click.Path())
 def gen_synth_cmd(sizes, communities, pin, pout, seed, backbone, out_path):
     """Generate a planted-partition multiplex benchmark."""
-    manifest = RunManifest(
-        command="gen-synth",
-        seed=seed,
-        params={
-            "sizes": sizes, "communities": communities, "pin": pin,
-            "pout": pout, "seed": seed, "backbone": backbone,
-            "out": out_path,
-        },
-    )
-    stage = _Stage(manifest)
-    with stage("generate"):
+    manifest = RunManifest.of_command()
+    with manifest.stage("generate"):
         try:
             cfg = SynthConfig(
                 layer_sizes=tuple(int(s) for s in sizes.split(",") if s),
@@ -634,10 +482,9 @@ def gen_synth_cmd(sizes, communities, pin, pout, seed, backbone, out_path):
         except ValueError as exc:
             raise MrkError(str(exc))
         g = generate(cfg)
-    with stage("write"):
-        _atomic_csv(out_path, lambda tmp: write_edge_file(g, tmp))
-    manifest.add_output(out_path)
-    manifest.write(out_path + ".manifest.json")
+    with manifest.stage("write"):
+        _atomic_write(out_path, lambda tmp: write_edge_file(g, tmp))
+    manifest.write(out_path + ".manifest.json", out_path)
     click.echo(
         f"{g.n_nodes} nodes, {len(g.unit_triples())} edges, "
         f"{g.n_layers} layers"
@@ -648,9 +495,7 @@ def gen_synth_cmd(sizes, communities, pin, pout, seed, backbone, out_path):
 
 
 @main.command("transform", context_settings=CTX)
-@click.option("--input", "edge_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@_graph_options
+@_graph_options("--input")
 @click.option("--to", "target", required=True,
               type=click.Choice(["coupled", "multiplex"]),
               help="coupled: encode; multiplex: decode a coupled pair.")
@@ -658,21 +503,12 @@ def gen_synth_cmd(sizes, communities, pin, pout, seed, backbone, out_path):
               help="Edge file target; attributes land at <out>.attrs.")
 def transform_cmd(edge_path, attr_path, directed, comune, target, out_path):
     """Convert between a multiplex graph and its coupled encoding."""
-    manifest = RunManifest(
-        command="transform",
-        params={
-            "input": edge_path, "attrs": attr_path, "directed": directed,
-            "comune": comune, "to": target, "out": out_path,
-        },
-    )
-    manifest.add_input(edge_path)
-    if attr_path:
-        manifest.add_input(attr_path)
-    stage = _Stage(manifest)
+    manifest = RunManifest.of_command()
     attrs_out = out_path + ".attrs"
-    with stage("transform"):
+    with manifest.stage("transform"):
         if target == "coupled":
-            g = _load(edge_path, attr_path, directed, comune)
+            g = load_graph(edge_path, attr_path, directed=directed,
+                           comune=comune)
             if any(a != ATTR_DEFAULT for a in g.attrs):
                 click.echo(
                     "note: node attributes do not survive the coupled "
@@ -687,12 +523,10 @@ def transform_cmd(edge_path, attr_path, directed, comune, target, out_path):
             out_g = from_coupled(
                 CoupledMultigraph(inner, source_directed=directed)
             )
-    with stage("write"):
-        _atomic_csv(out_path, lambda tmp: write_edge_file(out_g, tmp))
-        _atomic_csv(attrs_out, lambda tmp: write_attr_file(out_g, tmp))
-    manifest.add_output(out_path)
-    manifest.add_output(attrs_out)
-    manifest.write(out_path + ".manifest.json")
+    with manifest.stage("write"):
+        _atomic_write(out_path, lambda tmp: write_edge_file(out_g, tmp))
+        _atomic_write(attrs_out, lambda tmp: write_attr_file(out_g, tmp))
+    manifest.write(out_path + ".manifest.json", out_path, attrs_out)
     click.echo(
         f"{out_g.n_nodes} nodes, {len(out_g.unit_triples())} edges, "
         f"{out_g.n_layers} layers"
@@ -710,7 +544,7 @@ def transform_cmd(edge_path, attr_path, directed, comune, target, out_path):
 @click.option("--layer", "layer_filter", default=None)
 @click.option("--new-node/--no-new-node", "new_node", default=None,
               help="Keep only rules with (or without) a fresh node slot.")
-@click.option("--limit", type=int, default=None,
+@click.option("--limit", type=click.IntRange(min=0), default=None,
               help="Print at most this many rules.")
 def inspect_cmd(rules_path, min_lift, min_conf, layer_filter, new_node, limit):
     """List rules sorted by lift, highest first."""

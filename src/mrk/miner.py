@@ -110,7 +110,9 @@ class Pattern:
 
 
 # Separators of the serialized code; names escape them (and the escape
-# character itself) so that distinct names can never run together.
+# character itself) so that distinct names can never run together.  An empty
+# name is a bare "%", which no escaped name can be, so that one empty-named
+# slot does not serialize like no slot at all.
 _ESCAPE = str.maketrans({c: f"%{ord(c):02X}" for c in "%|,>:;="})
 
 
@@ -134,8 +136,8 @@ def _canonical_form(p: Pattern) -> Tuple[str, Tuple[SlotMap, ...]]:
     automorphism of the pattern exactly once.
     """
     k = len(p.attrs)
-    names = [a.translate(_ESCAPE) for a in p.attrs]
-    edges = [(a, b, l.translate(_ESCAPE)) for a, b, l in p.edges]
+    names = [a.translate(_ESCAPE) or "%" for a in p.attrs]
+    edges = [(a, b, l.translate(_ESCAPE) or "%") for a, b, l in p.edges]
     best = None
     perms: List[SlotMap] = []
     attrs = [""] * k

@@ -235,6 +235,75 @@ def test_bad_choice_exits_2(tmp_path, capsys, host_file):
     assert "bogus" in capsys.readouterr().err
 
 
+# Every writing command: its long options, which key the manifest's params,
+# and the stages its manifest times.
+GRAPH_KEYS = {"attrs", "directed", "comune"}
+WRITING_COMMANDS = {
+    "mine": (GRAPH_KEYS | {"input", "support", "max_size", "budget",
+                           "format", "out"}, {"load", "mine", "write"}),
+    "rules": (GRAPH_KEYS | {"input", "patterns", "min_conf", "min_lift",
+                            "layer", "out"}, {"load", "rules", "write"}),
+    "predict": (GRAPH_KEYS | {"graph", "rules", "weighting", "per_embedding",
+                              "old_new", "budget", "out"},
+                {"load", "score", "write"}),
+    "baseline": (GRAPH_KEYS | {"graph", "method", "out"},
+                 {"load", "score", "write"}),
+    "evaluate": (GRAPH_KEYS | {"input", "test_input", "predictor", "folds",
+                               "seed", "negatives", "support", "max_size",
+                               "weighting", "old_new", "budget", "out_dir"},
+                 {"load", "evaluate", "write"}),
+    "gen-synth": ({"sizes", "communities", "pin", "pout", "seed", "backbone",
+                   "out"}, {"generate", "write"}),
+    "transform": (GRAPH_KEYS | {"input", "to", "out"}, {"transform", "write"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+def test_manifest_records_the_command(tmp_path, command, host_file,
+                                      patterns_file, rules_file, band_file):
+    out = str(tmp_path / "out")
+    attrs = tmp_path / "attrs.txt"
+    attrs.write_text("1 p\n2 q\n3 p\n4 q\n")
+    attrs = str(attrs)
+    manifest, seed, inputs, outputs = out + ".manifest.json", None, [], [out]
+    if command == "mine":
+        argv = ["--input", host_file, "--attrs", attrs, "--support", "2"]
+        inputs = [host_file, attrs]
+    elif command == "rules":
+        argv = ["--input", host_file, "--patterns", patterns_file]
+        inputs = [host_file, patterns_file]
+    elif command == "predict":
+        argv = ["--graph", host_file, "--rules", rules_file]
+        inputs = [host_file, rules_file]
+    elif command == "baseline":
+        argv = ["--graph", host_file, "--method", "aa"]
+        inputs = [host_file]
+    elif command == "evaluate":
+        argv = ["--input", band_file, "--folds", "2", "--seed", "7",
+                "--support", "2", "--max-size", "3"]
+        manifest, seed, inputs = str(tmp_path / "manifest.json"), 7, [band_file]
+        outputs = [str(tmp_path / f) for f in
+                   ("roc_fold00.csv", "roc_fold01.csv", "summary.json")]
+    elif command == "gen-synth":
+        argv, seed = ["--sizes", "12,8", "--seed", "3"], 3
+    else:
+        argv = ["--input", host_file, "--attrs", attrs, "--to", "coupled"]
+        inputs, outputs = [host_file, attrs], [out, out + ".attrs"]
+    out_flag = (["--out-dir", str(tmp_path)] if command == "evaluate"
+                else ["--out", out])
+    assert run([command] + argv + out_flag) == 0
+
+    m = json.load(open(manifest))
+    keys, stages = WRITING_COMMANDS[command]
+    assert m["command"] == command
+    assert set(m["params"]) == keys
+    assert m["seed"] == seed
+    assert m["inputs"] == {p: sha256_of(p) for p in inputs}
+    assert m["outputs"] == {p: sha256_of(p) for p in outputs}
+    assert set(m["timings"]) == stages
+    assert m["version"] == __version__
+
+
 # -- rules -------------------------------------------------------------------
 
 
@@ -435,6 +504,27 @@ def test_evaluate_old_new_requires_rules(tmp_path, capsys, band_file):
     assert "old-new" in capsys.readouterr().err
 
 
+def test_evaluate_old_new_other_predictor_fails_before_loading(
+        tmp_path, capsys, band_file, monkeypatch):
+    import mrk.cli
+    import mrk.evaluation
+
+    loaded = []
+
+    def counting_load(path, *args, **kwargs):
+        loaded.append(path)
+        return load_graph(path, *args, **kwargs)
+
+    monkeypatch.setattr(mrk.cli, "load_graph", counting_load)
+    monkeypatch.setattr(mrk.evaluation, "load_graph", counting_load)
+    assert run(["evaluate", "--input", band_file, "--old-new",
+                "--predictor", "sharma", "--out-dir", str(tmp_path / "ev")]) == 2
+    assert loaded == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "only applies to --predictor rules" in err
+
+
 def test_evaluate_temporal_split(tmp_path, temporal_files):
     train, test = temporal_files
     out_dir = tmp_path / "ev"
@@ -575,6 +665,13 @@ def test_inspect_sorted_and_limited(capsys, rules_file):
 
     assert run(["inspect", "--rules", rules_file, "--limit", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_inspect_negative_limit_exits_2(capsys, rules_file):
+    assert run(["inspect", "--rules", rules_file, "--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--limit" in captured.err
+    assert captured.out == ""
 
 
 def test_inspect_filters(capsys, rules_file):

@@ -303,6 +303,7 @@ def test_code_separates_names_containing_separators():
         (D, D), frozenset({(0, 1, "L"), (1, 0, "M")})
     )
     assert Pattern(("%7C",), frozenset()) != Pattern(("|",), frozenset())
+    assert Pattern((), frozenset()) != Pattern(("",), frozenset())
     # Names free of separators keep their plain codes.
     assert single_edge_pattern("p", "q", "a").code == "v=p|q;e=0>1:a"
 
