@@ -162,9 +162,7 @@ def ensemble(
     if len(tables) < 2:
         raise MrkError("ensemble needs at least two score tables")
     keys = list(candidate_keys)
-    x = np.array(
-        [[t.score_of(k) for t in tables] for k in keys], dtype=float
-    )
+    x = np.stack([t.scores_for(keys) for t in tables], axis=1)
     z = _zscore_columns(x)
     nm = len(tables)
 

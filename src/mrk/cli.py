@@ -34,6 +34,7 @@ from .baselines import (
 )
 from .errors import MrkError
 from .evaluation import (
+    CAT_OLD_OLD,
     EvalReport,
     candidates,
     evaluate_old_new,
@@ -410,12 +411,12 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
                 table = fold_table(split.train, predictor)
                 reports.append(evaluate_old_new(table, split, predictor=predictor))
                 continue
-            neg = candidates(split, neg_mode, k=neg_k, seed=seed)
+            neg = sorted(candidates(split, neg_mode, k=neg_k, seed=seed))
             if predictor.startswith("ensemble-"):
                 parts = ("rules", "sharma") + CLASSICAL_METHODS
-                pos = split.positives_of("old-old")
+                pos = split.positives_of(CAT_OLD_OLD)
                 table = ensemble([fold_table(split.train, p) for p in parts],
-                                 pos + sorted(neg), pos,
+                                 pos + neg, pos,
                                  mode=predictor.split("-", 1)[1], seed=seed)
             else:
                 table = fold_table(split.train, predictor)

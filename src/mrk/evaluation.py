@@ -35,8 +35,7 @@ class EvalSplit:
 
     ``train`` is a full graph over the training edges; ``positives`` are
     the held-out edge units, categorized by whether their endpoints exist
-    in the training graph.  ``negatives`` is filled by :func:`candidates`
-    (or lazily by :func:`roc_auc`, which enumerates everything).
+    in the training graph.
     """
 
     train: MultiplexGraph
@@ -46,7 +45,6 @@ class EvalSplit:
     directed: bool
     fold: int = 0
     seed: Optional[int] = None
-    negatives: Optional[FrozenSet[Triple]] = None
 
     @property
     def old_nodes(self) -> Tuple[str, ...]:
@@ -306,14 +304,32 @@ def _roc_points(
     return pts
 
 
-def _score_arrays(
-    get_score, positives: Sequence, negatives: Sequence
-) -> Tuple[np.ndarray, np.ndarray]:
-    keys = list(positives) + list(negatives)
-    scores = np.array([get_score(k) for k in keys], dtype=float)
-    labels = np.zeros(len(keys), dtype=bool)
-    labels[: len(positives)] = True
-    return scores, labels
+def _report(
+    table: ScoreTable,
+    pos: List[Tuple],
+    neg: List[Tuple],
+    fold: int,
+    predictor: str,
+    old_new: bool = False,
+) -> EvalReport:
+    """Score positives and negatives through the table; tie-grouped ROC and
+    its trapezoid area, identical to the rank-statistic AUC."""
+    scores = table.scores_for(pos + neg)
+    labels = np.zeros(len(scores), dtype=bool)
+    labels[: len(pos)] = True
+    pts = _roc_points(scores, labels)
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    return EvalReport(
+        predictor=predictor,
+        auc=float(_trapezoid(ys, xs)),
+        n_pos=len(pos),
+        n_neg=len(neg),
+        roc=pts,
+        fold=fold,
+        old_new=old_new,
+        raw=(scores, labels),
+    )
 
 
 def roc_auc(
@@ -325,13 +341,9 @@ def roc_auc(
     """Evaluate a link score table on one split.
 
     Positives are the split's held-out old-old edges (both endpoints known
-    to the predictor); negatives default to the split's candidate set,
-    enumerating it in full if absent.  The area is the trapezoid rule over
-    the tie-grouped ROC, identical to the rank-statistic AUC.
+    to the predictor); negatives default to the full candidate set.
     """
     pos = split.positives_of(CAT_OLD_OLD)
-    if negatives is None:
-        negatives = split.negatives
     if negatives is None:
         negatives = candidates(split, "full")
     neg = sorted(negatives)
@@ -340,20 +352,7 @@ def roc_auc(
             f"fold {split.fold}: need positives and negatives "
             f"(got {len(pos)} / {len(neg)})"
         )
-    scores, labels = _score_arrays(table.score_of, pos, neg)
-    pts = _roc_points(scores, labels)
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    auc = float(_trapezoid(ys, xs))
-    return EvalReport(
-        predictor=predictor or table.scheme,
-        auc=auc,
-        n_pos=len(pos),
-        n_neg=len(neg),
-        roc=pts,
-        fold=split.fold,
-        raw=(scores, labels),
-    )
+    return _report(table, pos, neg, split.fold, predictor or table.scheme)
 
 
 def evaluate_old_new(
@@ -388,24 +387,8 @@ def evaluate_old_new(
         for d in dirs
         if (u, lay, d) not in pos_keys
     ]
-    pos = sorted(pos_keys)
-    scores, labels = _score_arrays(
-        lambda k: table.scores.get(k, 0.0), pos, neg_keys
-    )
-    pts = _roc_points(scores, labels)
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    auc = float(_trapezoid(ys, xs))
-    return EvalReport(
-        predictor=predictor or table.scheme,
-        auc=auc,
-        n_pos=len(pos),
-        n_neg=len(neg_keys),
-        roc=pts,
-        fold=split.fold,
-        old_new=True,
-        raw=(scores, labels),
-    )
+    return _report(table, sorted(pos_keys), neg_keys, split.fold,
+                   predictor or table.scheme, old_new=True)
 
 
 def pooled_auc(reports: Sequence[EvalReport]) -> Optional[float]:

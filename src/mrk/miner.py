@@ -328,9 +328,7 @@ class MiningStats:
     support_pairs: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _frequent_single_edges(
-    g: MultiplexGraph, sigma: int
-) -> Dict[Tuple[str, str, str], int]:
+def _single_edge_supports(g: MultiplexGraph) -> Dict[Tuple[str, str, str], int]:
     """Support of every single-edge pattern present in the host, in one scan.
 
     For a one-edge pattern the slot images are exactly the distinct sources
@@ -344,11 +342,7 @@ def _frequent_single_edges(
         key = (g.attrs[u], g.attrs[v], ln[l])
         srcs.setdefault(key, set()).add(u)
         dsts.setdefault(key, set()).add(v)
-    return {
-        key: min(len(srcs[key]), len(dsts[key]))
-        for key in srcs
-        if min(len(srcs[key]), len(dsts[key])) >= sigma
-    }
+    return {key: min(len(srcs[key]), len(dsts[key])) for key in srcs}
 
 
 def _grow(
@@ -403,7 +397,8 @@ def mine(
     Returns the frequent patterns with supports attached, sorted by code.
     """
     sigma = cfg.min_support
-    singles = _frequent_single_edges(g, sigma)
+    seen = _single_edge_supports(g)
+    singles = {key: sup for key, sup in seen.items() if sup >= sigma}
 
     by_pair: Dict[Tuple[str, str], List[str]] = {}
     by_src: Dict[str, List[Tuple[str, str]]] = {}
@@ -421,7 +416,7 @@ def mine(
     result: List[Pattern] = list(frontier)
     if stats is not None:
         stats.frequent_per_level.append(len(frontier))
-        stats.candidates_tested += len(singles)
+        stats.candidates_tested += len(seen)
 
     while frontier:
         children: Dict[str, Pattern] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -34,33 +35,36 @@ class ScoreTable:
     scores: Dict[Tuple, float]
     provenance: Dict[Tuple, Tuple[str, ...]] = field(default_factory=dict)
 
-    def score_of(self, key: Tuple) -> float:
-        """Score for a key, falling back to the layer-less pair.
+    def scores_for(self, keys: Sequence[Tuple]) -> np.ndarray:
+        """Scores of ``keys`` as a float array aligned with them.
 
-        Lets single-layer tables (2-tuple keys) answer multiplex-style
-        (src, dst, layer) queries.  Unknown keys score 0.
+        A (src, dst, layer) key the table lacks falls back to its layer-less
+        pair in canonical (min, max) order, so single-layer tables answer
+        multiplex queries.  Keys found neither way score 0.
         """
-        if key in self.scores:
-            return self.scores[key]
-        if len(key) == 3:
-            u, v = key[0], key[1]
-            pair = (u, v) if u < v else (v, u)
-            if pair in self.scores:
-                return self.scores[pair]
-        return 0.0
+        get = self.scores.get
+        if not any(len(k) == 2 for k in self.scores):
+            # No pair keys: the fallback can never hit.
+            return np.fromiter(map(get, keys, repeat(0.0)), float, len(keys))
+
+        def one(key: Tuple) -> float:
+            s = get(key)
+            if s is None and len(key) == 3:
+                u, v = key[0], key[1]
+                s = get((u, v) if u < v else (v, u))
+            return 0.0 if s is None else s
+
+        return np.fromiter(map(one, keys), float, len(keys))
 
 
 @dataclass
-class OldNewScoreTable:
+class OldNewScoreTable(ScoreTable):
     """Scores keyed by (node, layer, direction) for new-neighbor prediction.
 
     ``new_attrs`` keeps, per key, the non-default attributes that the
     contributing rules expect of the incoming node; scoring ignores them.
     """
 
-    scheme: str
-    scores: Dict[OldNewKey, float]
-    provenance: Dict[OldNewKey, Tuple[str, ...]] = field(default_factory=dict)
     new_attrs: Dict[OldNewKey, Tuple[str, ...]] = field(default_factory=dict)
 
 

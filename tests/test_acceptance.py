@@ -358,8 +358,7 @@ def _ensemble_ordering(g, sigma=None, max_nodes=3):
     labels = np.array([True] * len(pos) + [False] * (len(keys) - len(pos)))
 
     def auc_of(table):
-        scores = np.array([table.score_of(k) for k in keys], dtype=float)
-        return mann_whitney_auc(scores, labels)
+        return mann_whitney_auc(table.scores_for(keys), labels)
 
     individual = max(auc_of(t) for t in tables)
     base = auc_of(ensemble(tables, keys, pos, mode="base"))
@@ -402,8 +401,8 @@ def _weighting_concordance(g, sigma, max_nodes=3):
     t_conf = score_links(tg, close, scheme="conf")
     t_count = score_links(tg, close, scheme="count")
     keys = sorted(set(t_conf.scores) | set(t_count.scores))
-    x = [t_conf.score_of(k) for k in keys]
-    y = [t_count.score_of(k) for k in keys]
+    x = t_conf.scores_for(keys)
+    y = t_count.scores_for(keys)
     return float(kendalltau(x, y).statistic), len(keys)
 
 

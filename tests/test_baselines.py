@@ -269,7 +269,7 @@ def synthetic_tables(seed=7, n=80, n_pos=25):
 def test_ensemble_base_preserves_single_table_ranking():
     keys, truth, labels, good, _ = synthetic_tables()
     comb = ensemble([good, good], keys, truth, mode="base")
-    raw = [good.score_of(k) for k in keys]
+    raw = good.scores_for(keys).tolist()
     got = [comb.scores[k] for k in keys]
     assert np.argsort(raw).tolist() == np.argsort(got).tolist()
     assert comb.scheme == "ensemble-base"
@@ -298,9 +298,7 @@ def test_ensemble_over_beats_parts():
     individuals = []
     for t in (good, noise):
         individuals.append(
-            mann_whitney_auc(
-                np.array([t.score_of(k) for k in keys]), labels
-            )
+            mann_whitney_auc(t.scores_for(keys), labels)
         )
     assert auc(over) >= max(individuals) - 1e-12
     assert auc(over) >= auc(base) - 1e-12
@@ -323,6 +321,48 @@ def test_ensemble_validation():
         ensemble([good, noise], keys, set(), mode="over")
     with pytest.raises(MrkError):
         ensemble([good, noise], keys, set(keys), mode="over")
+
+
+def _lookup(table, key):
+    """Per-key score: the exact key, else its canonical pair, else 0."""
+    if key in table.scores:
+        return table.scores[key]
+    return table.scores.get(tuple(sorted(key[:2])), 0.0)
+
+
+def test_ensemble_matches_per_key_oracle():
+    rng = np.random.default_rng(5)
+    nodes = [f"n{i}" for i in range(9)]
+    keys = [(u, v, lay) for lay in ("a", "b") for u in nodes for v in nodes
+            if u != v]
+    pairs = sorted({tuple(sorted(k[:2])) for k in keys})
+
+    def some(items, frac):
+        picked = rng.random(len(items)) < frac
+        return {k: float(rng.integers(0, 4)) for k, p in zip(items, picked)
+                if p}
+
+    extra = {("n0", "zz", "a"): 9.0}  # a key outside the list
+    tables = [
+        ScoreTable("pairs", some(pairs, 0.6)),
+        ScoreTable("triples", {**some(keys, 0.3), **extra}),
+        ScoreTable("mixed", {**some(pairs, 0.4), **some(keys, 0.2)}),
+        ScoreTable("empty", {}),
+    ]
+    truth = {k for k in keys if rng.random() < 0.2}
+    x = np.array([[_lookup(t, k) for t in tables] for k in keys], dtype=float)
+    mu, sd = x.mean(axis=0), x.std(axis=0)
+    z = np.zeros_like(x)
+    nz = sd > 0
+    z[:, nz] = (x[:, nz] - mu[nz]) / sd[nz]
+    base = ensemble(tables, keys, truth, mode="base")
+    assert [base.scores[k] for k in keys] == (z @ np.ones(len(tables))).tolist()
+    # The oracle matrix as exact-key tables must give the same annealing.
+    dense = [ScoreTable(t.scheme, dict(zip(keys, x[:, j].tolist())))
+             for j, t in enumerate(tables)]
+    over = ensemble(tables, keys, truth, mode="over", seed=2)
+    want = ensemble(dense, keys, truth, mode="over", seed=2)
+    assert over.scores == want.scores
 
 
 def test_ensemble_imputes_missing_scores():

@@ -220,28 +220,25 @@ def test_mann_whitney_needs_both_classes():
 def scored_split(rng):
     g = rand_host(rng, 14, 2, 40, directed=True)
     split = split_random(g, folds=4, seed=7)[0]
-    split.negatives = candidates(split, "full")
-    return split
+    return split, sorted(candidates(split, "full"))
 
 
 def test_roc_auc_equals_rank_statistic(scored_split, rng):
-    split = scored_split
-    keys = sorted(split.positives_of(CAT_OLD_OLD)) + sorted(split.negatives)
+    split, neg = scored_split
+    keys = sorted(split.positives_of(CAT_OLD_OLD)) + neg
     table = ScoreTable(
         "rand", {k: float(rng.integers(0, 5)) for k in keys}
     )
-    rep = roc_auc(table, split)
+    rep = roc_auc(table, split, neg)
     scores, labels = rep.raw
     assert abs(rep.auc - mann_whitney_auc(scores, labels)) <= 1e-12
     assert abs(rep.auc - oracle_auc(scores[labels], scores[~labels])) <= 1e-12
 
 
 def test_roc_curve_shape(scored_split, rng):
-    table = ScoreTable(
-        "rand",
-        {k: float(rng.random()) for k in scored_split.negatives},
-    )
-    rep = roc_auc(table, scored_split)
+    split, neg = scored_split
+    table = ScoreTable("rand", {k: float(rng.random()) for k in neg})
+    rep = roc_auc(table, split, neg)
     pts = rep.roc
     assert pts[0] == (0.0, 0.0, float("inf"))
     assert pts[-1][:2] == (1.0, 1.0)
@@ -253,24 +250,28 @@ def test_roc_curve_shape(scored_split, rng):
 
 
 def test_empty_table_scores_half(scored_split):
-    rep = roc_auc(ScoreTable("none", {}), scored_split)
+    split, neg = scored_split
+    rep = roc_auc(ScoreTable("none", {}), split, neg)
     assert rep.auc == pytest.approx(0.5)
 
 
 def test_perfect_table_scores_one(scored_split):
+    split, neg = scored_split
     table = ScoreTable(
-        "oracle", {k: 1.0 for k in scored_split.positives_of(CAT_OLD_OLD)}
+        "oracle", {k: 1.0 for k in split.positives_of(CAT_OLD_OLD)}
     )
-    rep = roc_auc(table, scored_split)
+    rep = roc_auc(table, split, neg)
     assert rep.auc == pytest.approx(1.0)
-    assert rep.n_pos == len(scored_split.positives_of(CAT_OLD_OLD))
-    assert rep.n_neg == len(scored_split.negatives)
+    assert rep.n_pos == len(split.positives_of(CAT_OLD_OLD))
+    assert rep.n_neg == len(neg)
 
 
 def test_roc_auc_explicit_negatives(scored_split):
-    subset = sorted(scored_split.negatives)[:10]
-    rep = roc_auc(ScoreTable("none", {}), scored_split, negatives=subset)
+    split, neg = scored_split
+    rep = roc_auc(ScoreTable("none", {}), split, negatives=neg[:10])
     assert rep.n_neg == 10
+    # Without negatives, roc_auc enumerates the full candidate set.
+    assert roc_auc(ScoreTable("none", {}), split).n_neg == len(neg)
 
 
 def test_roc_auc_needs_old_old(temporal_split):
@@ -282,7 +283,8 @@ def test_roc_auc_needs_old_old(temporal_split):
 
 
 def test_roc_csv_format(scored_split):
-    rep = roc_auc(ScoreTable("none", {}), scored_split)
+    split, neg = scored_split
+    rep = roc_auc(ScoreTable("none", {}), split, neg)
     lines = rep.roc_csv().splitlines()
     assert lines[0] == "fpr,tpr,threshold"
     assert len(lines) == len(rep.roc) + 1
@@ -345,11 +347,12 @@ def test_summary_and_pooling(rng):
     splits = split_random(g, folds=3, seed=4)
     reports = []
     for s in splits:
-        s.negatives = candidates(s, "sampled", k=40, seed=s.fold)
+        neg = candidates(s, "sampled", k=40, seed=s.fold)
         table = ScoreTable(
             "toy", {k: 1.0 for k in s.positives_of(CAT_OLD_OLD)}
         )
-        reports.append(roc_auc(table, s))
+        reports.append(roc_auc(table, s, neg))
+        assert reports[-1].n_neg == 40
     out = summary_dict(reports)
     assert out["folds"] == 3
     assert out["auc_mean"] == pytest.approx(

@@ -440,6 +440,17 @@ def test_mine_stats(rng):
     assert stats.antimonotone_checks > 0
     assert stats.antimonotone_violations == 0
     assert all(child <= parent for parent, child in stats.support_pairs)
+    # Level 1 tests every single-edge type in the host, the infrequent one
+    # on layer y too; level 2 tests the one 2-slot child, the x 2-cycle.
+    tri = MultiplexGraph(
+        [("a", "b", "x"), ("b", "c", "x"), ("c", "a", "x"), ("a", "c", "y")],
+        directed=True,
+    )
+    stats = MiningStats()
+    out = mine(tri, MinerConfig(min_support=2, max_nodes=2), stats=stats)
+    assert [p.code for p in out] == [path_pattern(["x"]).code]
+    assert stats.frequent_per_level == [1, 0]
+    assert stats.candidates_tested == 2 + 1
 
 
 def test_budget_error_carries_pattern_code(rng):

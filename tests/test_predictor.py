@@ -405,12 +405,26 @@ def test_old_new_on_mined_rules(mined_directed):
 # -- score table access and CSV ---------------------------------------------
 
 
-def test_score_of_pair_fallback():
+def test_scores_for_pair_fallback():
     t = ScoreTable("count", {("1", "2"): 3.0})
-    assert t.score_of(("1", "2")) == 3.0
-    assert t.score_of(("2", "1", "x")) == 3.0
-    assert t.score_of(("1", "2", "q")) == 3.0
-    assert t.score_of(("9", "9", "q")) == 0.0
+    keys = [("1", "2"), ("2", "1", "x"), ("1", "2", "q"), ("9", "9", "q")]
+    got = t.scores_for(keys)
+    assert got.dtype == np.float64
+    assert got.tolist() == [3.0, 3.0, 3.0, 0.0]
+    assert t.scores_for([]).shape == (0,)
+    # Mixed keys: an exact triple wins over its pair, even at 0.
+    mixed = ScoreTable(
+        "count", {("1", "2"): 1.5, ("a", "b", "x"): 2.0, ("2", "1", "y"): 0.0}
+    )
+    keys = [("a", "b", "x"), ("b", "a", "x"), ("a", "b"), ("2", "1", "x"),
+            ("2", "1", "y"), ("2", "1")]
+    assert mixed.scores_for(keys).tolist() == [2.0, 0.0, 0.0, 1.5, 0.0, 0.0]
+    # Old-new tables are score tables; their keys never fall back.
+    on = OldNewScoreTable("count", {("7", "a", "out"): 2.0}, {},
+                          {("7", "a", "out"): ("q",)})
+    assert isinstance(on, ScoreTable)
+    keys = [("7", "a", "out"), ("7", "a", "in"), ("8", "a", "out")]
+    assert on.scores_for(keys).tolist() == [2.0, 0.0, 0.0]
 
 
 def test_scores_csv_round_trip(tmp_path, mined_directed):
