@@ -11,6 +11,7 @@ from .errors import (
 )
 from .graph import (
     CoupledMultigraph,
+    KeySpace,
     MultiplexGraph,
     SimpleGraph,
     collapse,
@@ -56,7 +57,7 @@ __all__ = [
     "__version__",
     "MrkError", "GraphFormatError", "CoupledGraphError",
     "MiningBudgetError", "EvaluationError",
-    "MultiplexGraph", "SimpleGraph", "CoupledMultigraph",
+    "MultiplexGraph", "SimpleGraph", "CoupledMultigraph", "KeySpace",
     "load_graph", "collapse", "to_coupled", "from_coupled",
     "MinerConfig", "Pattern", "Embedding",
     "embeddings", "min_image_support", "canonical_code", "mine",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MrkError
 from .evaluation import mann_whitney_auc
-from .graph import MultiplexGraph, SimpleGraph, collapse
+from .graph import KeySpace, MultiplexGraph, SimpleGraph, collapse
 from .predictor import ScoreTable
 
 CLASSICAL_METHODS = ("cn", "aa", "ra", "pa", "ja")
@@ -70,14 +70,33 @@ def sharma_scores(g: MultiplexGraph) -> ScoreTable:
     for l, pset in enumerate(co.pair_sets):
         for pair in pset:
             linked.setdefault(pair, []).append(l)
-    nn, ln = g.node_names, g.layer_names
-    scores: Dict[Tuple, float] = {}
+    keys: List[int] = []
+    values: List[float] = []
     for (u, v), present in linked.items():
         absent = [l for l in range(g.n_layers) if l not in present]
         for tgt in absent:
             s = sum(co.prob[src, tgt] for src in present)
-            scores[(nn[u], nn[v], ln[tgt])] = float(s)
-    return ScoreTable("sharma", scores)
+            keys.append(g.space.key(u, v, tgt))
+            values.append(float(s))
+    return ScoreTable("sharma", g.space, keys, values)
+
+
+def _two_hop_pairs(edges: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair (a, b), a < b, of two neighbours of one node, once per
+    common neighbour.
+
+    Each node's sorted neighbour list is expanded into its pairs, as the
+    miner's join expands a CSR row.
+    """
+    u = np.concatenate([edges[:, 0], edges[:, 1]])
+    v = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((v, u))
+    nbr = v[order]
+    row_end = np.cumsum(np.bincount(u, minlength=n))[u[order]]
+    cnt = row_end - np.arange(len(nbr)) - 1  # later neighbours in the row
+    first = np.repeat(np.arange(len(nbr)), cnt)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return nbr[first], nbr[second]
 
 
 def classical_scores(sg: SimpleGraph, method: str) -> ScoreTable:
@@ -85,37 +104,51 @@ def classical_scores(sg: SimpleGraph, method: str) -> ScoreTable:
 
     cn: common neighbors.  aa: sum of 1/ln(degree) over common neighbors,
     skipping degree-1 neighbors.  ra: sum of 1/degree.  pa: degree product.
-    ja: Jaccard overlap of neighborhoods (empty union scores 0).
+    ja: Jaccard overlap of neighborhoods (empty union scores 0).  The
+    table holds one pair key (u < v) per non-adjacent pair.
+
+    cn, pa and ja are integer counts and one division, so they are
+    computed over arrays.  aa and ra add floats in the iteration order of
+    the adjacency-set intersection, which fixes their rounding, so they
+    keep that Python sum, over the pairs with a common neighbour only.
     """
     if method not in CLASSICAL_METHODS:
         raise MrkError(
             f"unknown classical method {method!r}; "
             f"expected one of {', '.join(CLASSICAL_METHODS)}"
         )
-    n = sg.n_nodes
-    nn = sg.node_names
-    adj = sg.adj
-    scores: Dict[Tuple, float] = {}
-    for u in range(n):
-        au = adj[u]
-        for v in range(u + 1, n):
-            if v in au:
-                continue
-            av = adj[v]
-            if method == "cn":
-                s = float(len(au & av))
-            elif method == "aa":
-                s = sum(1.0 / math.log(len(adj[z])) for z in au & av
-                        if len(adj[z]) > 1)
-            elif method == "ra":
-                s = sum(1.0 / len(adj[z]) for z in au & av)
-            elif method == "pa":
-                s = float(len(au) * len(av))
-            else:  # ja
-                union = len(au | av)
-                s = len(au & av) / union if union else 0.0
-            scores[(nn[u], nn[v])] = float(s)
-    return ScoreTable(method, scores)
+    n, space = sg.n_nodes, KeySpace.links(sg.node_names, ())
+    edges = np.array(sorted(sg.edges), dtype=np.int64).reshape(-1, 2)
+    deg = np.bincount(edges.ravel(), minlength=n)
+    u, v = np.triu_indices(n, 1)
+    pairs = space.pair(u, v)
+    apart = ~np.isin(pairs, space.pair(edges[:, 0], edges[:, 1]))
+    pairs, u, v = pairs[apart], u[apart], v[apart]
+    hop, counts = np.unique(space.pair(*_two_hop_pairs(edges, n)),
+                            return_counts=True)
+    at = pairs.searchsorted(hop)
+    near = pairs.take(at, mode="clip") == hop  # drops adjacent pairs
+    at = at[near]
+    if method in ("aa", "ra"):
+        adj = sg.adj
+        if method == "aa":
+            w = [1.0 / math.log(d) if d > 1 else 0.0 for d in deg.tolist()]
+        else:
+            w = [1.0 / d if d else 0.0 for d in deg.tolist()]
+        s = np.zeros(len(pairs))
+        s[at] = [sum(w[z] for z in adj[a] & adj[b])
+                 for a, b in zip(u[at].tolist(), v[at].tolist())]
+    elif method == "pa":
+        s = (deg[u] * deg[v]).astype(float)
+    else:
+        cn = np.zeros(len(pairs))
+        cn[at] = counts[near]
+        if method == "cn":
+            s = cn
+        else:  # ja
+            union = deg[u] + deg[v] - cn
+            s = np.divide(cn, union, out=np.zeros(len(pairs)), where=union > 0)
+    return ScoreTable(method, space, pair_keys=pairs, pair_values=s)
 
 
 def classical_on_multiplex(g: MultiplexGraph, method: str) -> ScoreTable:
@@ -131,46 +164,55 @@ _COOLING = 0.95
 _STEP = 0.1
 
 
-def _zscore_columns(x: np.ndarray) -> np.ndarray:
+def _zscore_columns(x: np.ndarray) -> None:
+    """Z-normalise each column of ``x`` in place; constant columns become 0."""
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
-    out = np.zeros_like(x)
-    nz = sd > 0
-    out[:, nz] = (x[:, nz] - mu[nz]) / sd[nz]
-    return out
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        if sd[j] > 0:
+            col -= mu[j]
+            col /= sd[j]
+        else:
+            col[:] = 0.0
 
 
 def ensemble(
     tables: Sequence[ScoreTable],
-    candidate_keys: Sequence[Tuple],
-    truth: Iterable[Tuple],
+    candidate_keys: Sequence[int],
+    truth: Iterable[int],
+    space: KeySpace,
     mode: str = "base",
     seed: int = 0,
 ) -> ScoreTable:
     """Combine predictors by weighted sums of z-normalized scores.
 
-    Missing candidate scores are imputed as 0 before normalization, so
-    every table covers the same key list.  ``base`` sums with equal
-    weights.  ``over`` anneals the weight vector against AUC on the given
-    truth labels: geometric cooling, single-weight Gaussian proposals,
-    Metropolis acceptance, best weights kept; each single-predictor basis
-    vector and the equal-weight vector are also evaluated, so the result
-    never falls below them on the training labels.
+    ``candidate_keys`` and ``truth`` are keys of ``space``.  Missing
+    candidate scores are imputed as 0 before normalization, so every table
+    covers the same key list.  ``base`` sums with equal weights.  ``over``
+    anneals the weight vector against AUC on the given truth labels:
+    geometric cooling, single-weight Gaussian proposals, Metropolis
+    acceptance, best weights kept; each single-predictor basis vector and
+    the equal-weight vector are also evaluated, so the result never falls
+    below them on the training labels.
     """
     if mode not in ("base", "over"):
         raise MrkError(f"unknown ensemble mode {mode!r}")
     if len(tables) < 2:
         raise MrkError("ensemble needs at least two score tables")
-    keys = list(candidate_keys)
-    x = np.stack([t.scores_for(keys) for t in tables], axis=1)
-    z = _zscore_columns(x)
+    keys = np.asarray(candidate_keys, dtype=np.int64)
+    # One C-ordered (keys, tables) matrix, filled and normalised in place.
+    # The column reductions, and so their rounding, depend on that layout.
+    z = np.empty((len(keys), len(tables)))
+    for j, t in enumerate(tables):
+        z[:, j] = t.scores_for(keys, space)
+    _zscore_columns(z)
     nm = len(tables)
 
     if mode == "base":
         weights = np.ones(nm)
     else:
-        truth_set = set(truth)
-        labels = np.array([k in truth_set for k in keys], dtype=bool)
+        labels = np.isin(keys, np.fromiter(truth, dtype=np.int64))
         if not labels.any() or labels.all():
             raise MrkError(
                 "ensemble optimization needs both positive and negative keys"
@@ -203,6 +245,4 @@ def ensemble(
                 best, best_auc = basis, a
         weights = best
 
-    combined = z @ weights
-    scores = {k: float(s) for k, s in zip(keys, combined)}
-    return ScoreTable(f"ensemble-{mode}", scores)
+    return ScoreTable(f"ensemble-{mode}", space, keys, z @ weights)

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
+import numpy as np
 
 from . import __version__
 from .baselines import (
@@ -34,7 +35,6 @@ from .baselines import (
 )
 from .errors import MrkError
 from .evaluation import (
-    CAT_OLD_OLD,
     EvalReport,
     candidates,
     evaluate_old_new,
@@ -309,7 +309,7 @@ def predict_cmd(edge_path, attr_path, directed, comune, rules_path, weighting,
     with manifest.stage("write"):
         _atomic_write(out_path, lambda tmp: writer(table, tmp))
     manifest.write(out_path + ".manifest.json", out_path)
-    click.echo(f"{len(table.scores)} scored candidates")
+    click.echo(f"{len(table)} scored candidates")
 
 
 # -- baseline ---------------------------------------------------------------
@@ -333,7 +333,7 @@ def baseline_cmd(edge_path, attr_path, directed, comune, method, out_path):
     with manifest.stage("write"):
         _atomic_write(out_path, lambda tmp: write_scores_csv(table, tmp))
     manifest.write(out_path + ".manifest.json", out_path)
-    click.echo(f"{len(table.scores)} scored candidates")
+    click.echo(f"{len(table)} scored candidates")
 
 
 # -- evaluate ---------------------------------------------------------------
@@ -411,12 +411,12 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
                 table = fold_table(split.train, predictor)
                 reports.append(evaluate_old_new(table, split, predictor=predictor))
                 continue
-            neg = sorted(candidates(split, neg_mode, k=neg_k, seed=seed))
+            neg = candidates(split, neg_mode, k=neg_k, seed=seed)
             if predictor.startswith("ensemble-"):
                 parts = ("rules", "sharma") + CLASSICAL_METHODS
-                pos = split.positives_of(CAT_OLD_OLD)
+                pos = split.positive_keys()
                 table = ensemble([fold_table(split.train, p) for p in parts],
-                                 pos + neg, pos,
+                                 np.concatenate([pos, neg]), pos, split.space,
                                  mode=predictor.split("-", 1)[1], seed=seed)
             else:
                 table = fold_table(split.train, predictor)

@@ -1,8 +1,12 @@
 """Link-prediction evaluation: splits, negative candidates, ROC and AUC.
 
-All keys are name triples (src, dst, layer); undirected graphs use the
-canonical orientation with src < dst.  Scores for candidates a predictor
-never mentions are imputed as 0.
+Splits keep their edges as name triples (src, dst, layer); undirected
+graphs use the canonical orientation with src < dst.  Candidates and
+scores are int64 keys of the split's link space (``EvalSplit.space``):
+``candidates`` returns the negatives as a sorted key array, and
+``roc_auc`` reads a table for positive and negative keys with
+``ScoreTable.scores_for``.  Scores for candidates a predictor never
+mentions are imputed as 0.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from .errors import EvaluationError
-from .graph import MultiplexGraph, load_graph
+from .graph import DIRECTIONS, KeySpace, MultiplexGraph, load_graph
 from .predictor import OldNewScoreTable, ScoreTable
 
 log = logging.getLogger(__name__)
@@ -50,10 +54,19 @@ class EvalSplit:
     def old_nodes(self) -> Tuple[str, ...]:
         return self.train.node_names
 
+    @property
+    def space(self) -> KeySpace:
+        """Link space over the old nodes and the layer universe."""
+        return KeySpace.links(self.old_nodes, self.layer_universe)
+
     def positives_of(self, category: str) -> List[Triple]:
         return sorted(
             t for t, c in self.categories.items() if c == category
         )
+
+    def positive_keys(self) -> np.ndarray:
+        """The old-old positives as sorted keys of :attr:`space`."""
+        return self.space.encode(self.positives_of(CAT_OLD_OLD))
 
 
 def _canon(u: str, v: str, lay: str, directed: bool) -> Triple:
@@ -149,72 +162,64 @@ def load_temporal(
 # -- negative candidates ----------------------------------------------------
 
 
-def _pair_count(n: int, directed: bool) -> int:
-    return n * (n - 1) if directed else n * (n - 1) // 2
-
-
 def candidates(
     split: EvalSplit,
     mode: str = "full",
     k: Optional[int] = None,
     seed: Optional[int] = None,
-) -> FrozenSet[Triple]:
+) -> np.ndarray:
     """Negative candidates: old-node pairs on any layer, known absent.
 
     ``full`` enumerates every (pair, layer) combination over the training
     node set that is neither a training edge nor a held-out positive.
     ``sampled`` draws ``k`` distinct such combinations uniformly; ``k``
     larger than the population falls back to full enumeration with a
-    warning.
+    warning.  Either way the result is a sorted array of keys of
+    ``split.space``.
     """
-    nodes = split.old_nodes
-    layers = split.layer_universe
-    n = len(nodes)
-    train_units = set(split.train.unit_triples())
-    pos = split.positives
-    population = (
-        _pair_count(n, split.directed) * len(layers)
-        - len(train_units)
-        - sum(1 for t, c in split.categories.items() if c == CAT_OLD_OLD)
-    )
-
-    def all_triples() -> Iterable[Triple]:
-        for lay in layers:
-            for i in range(n):
-                for j in range(n):
-                    if i == j or (not split.directed and i > j):
-                        continue
-                    t = (nodes[i], nodes[j], lay)
-                    if t not in train_units and t not in pos:
-                        yield t
-
-    if mode == "full":
-        return frozenset(all_triples())
-    if mode != "sampled":
+    if mode not in ("full", "sampled"):
         raise EvaluationError(f"unknown candidate mode {mode!r}")
-    if k is None or k < 1:
+    if mode == "sampled" and (k is None or k < 1):
         raise EvaluationError("sampled mode needs a positive sample size k")
-    if k >= population:
+    space, train = split.space, split.train
+    n, _, nl = space.shape
+    u, v, l = space.ids_from(train.arrays.keys, train.space)
+    if not split.directed:
+        unit = u < v  # one key per edge unit
+        u, v, l = u[unit], v[unit], l[unit]
+    excluded = np.concatenate([space.key(u, v, l), split.positive_keys()])
+    pairs = n * (n - 1) if split.directed else n * (n - 1) // 2
+    population = pairs * nl - len(excluded)
+    if mode == "sampled" and k >= population:
         log.warning(
             "sample size %d covers the whole population of %d negatives; "
             "falling back to full enumeration", k, population,
         )
-        return frozenset(all_triples())
-    rng = np.random.default_rng(seed)
-    out: Set[Triple] = set()
-    while len(out) < k:
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        l = int(rng.integers(len(layers)))
-        if i == j:
-            continue
-        if not split.directed and i > j:
-            i, j = j, i
-        t = (nodes[i], nodes[j], layers[l])
-        if t in train_units or t in pos or t in out:
-            continue
-        out.add(t)
-    return frozenset(out)
+    elif mode == "sampled":
+        rng = np.random.default_rng(seed)
+        taken = set(excluded.tolist())
+        out: List[int] = []
+        while len(out) < k:
+            i = int(rng.integers(n))
+            j = int(rng.integers(n))
+            c = int(rng.integers(nl))
+            if i == j:
+                continue
+            if not split.directed and i > j:
+                i, j = j, i
+            key = space.key(i, j, c)
+            if key not in taken:
+                taken.add(key)
+                out.append(key)
+        return np.sort(np.array(out, dtype=np.int64))
+    allowed = np.ones(space.shape, dtype=bool)
+    if split.directed:
+        allowed[np.arange(n), np.arange(n)] = False
+    else:
+        allowed[np.tril_indices(n)] = False
+    allowed = allowed.reshape(-1)
+    allowed[excluded] = False
+    return np.flatnonzero(allowed)
 
 
 # -- ROC and AUC ------------------------------------------------------------
@@ -306,15 +311,17 @@ def _roc_points(
 
 def _report(
     table: ScoreTable,
-    pos: List[Tuple],
-    neg: List[Tuple],
+    pos: np.ndarray,
+    neg: np.ndarray,
+    space: KeySpace,
     fold: int,
     predictor: str,
     old_new: bool = False,
 ) -> EvalReport:
-    """Score positives and negatives through the table; tie-grouped ROC and
-    its trapezoid area, identical to the rank-statistic AUC."""
-    scores = table.scores_for(pos + neg)
+    """Score positive and negative keys of ``space`` through the table;
+    tie-grouped ROC and its trapezoid area, identical to the rank-statistic
+    AUC."""
+    scores = table.scores_for(np.concatenate([pos, neg]), space)
     labels = np.zeros(len(scores), dtype=bool)
     labels[: len(pos)] = True
     pts = _roc_points(scores, labels)
@@ -335,24 +342,26 @@ def _report(
 def roc_auc(
     table: ScoreTable,
     split: EvalSplit,
-    negatives: Optional[Iterable[Triple]] = None,
+    negatives: Optional[np.ndarray] = None,
     predictor: Optional[str] = None,
 ) -> EvalReport:
     """Evaluate a link score table on one split.
 
     Positives are the split's held-out old-old edges (both endpoints known
-    to the predictor); negatives default to the full candidate set.
+    to the predictor); negatives are keys of ``split.space`` and default
+    to the full candidate set.
     """
-    pos = split.positives_of(CAT_OLD_OLD)
+    pos = split.positive_keys()
     if negatives is None:
         negatives = candidates(split, "full")
-    neg = sorted(negatives)
-    if not pos or not neg:
+    neg = np.asarray(negatives, dtype=np.int64)
+    if not len(pos) or not len(neg):
         raise EvaluationError(
             f"fold {split.fold}: need positives and negatives "
             f"(got {len(pos)} / {len(neg)})"
         )
-    return _report(table, pos, neg, split.fold, predictor or table.scheme)
+    return _report(table, pos, neg, split.space, split.fold,
+                   predictor or table.scheme)
 
 
 def evaluate_old_new(
@@ -365,9 +374,11 @@ def evaluate_old_new(
     Each old-new positive reduces to its known endpoint: the slot
     (node, layer, direction) gains an edge to a node unseen in training.
     Negatives are all other slots over old nodes, layers, and directions.
+    Slots are keys of the slot space over the old nodes and the layer
+    universe.
     """
-    dirs = ("out", "in") if split.directed else ("out",)
-    pos_keys: Set[Tuple[str, str, str]] = set()
+    space = KeySpace.slots(split.old_nodes, split.layer_universe)
+    slots: Set[Tuple[str, str, str]] = set()
     for u, v, lay in split.positives_of(CAT_OLD_NEW):
         if split.train.has_node(u):
             old, direction = u, "out"
@@ -375,19 +386,19 @@ def evaluate_old_new(
             old, direction = v, "in"
         if not split.directed:
             direction = "out"
-        pos_keys.add((old, lay, direction))
-    if not pos_keys:
+        slots.add((old, lay, direction))
+    if not slots:
         raise EvaluationError(
             f"fold {split.fold}: no old-new positives to evaluate"
         )
-    neg_keys = [
-        (u, lay, d)
-        for u in split.old_nodes
-        for lay in split.layer_universe
-        for d in dirs
-        if (u, lay, d) not in pos_keys
-    ]
-    return _report(table, sorted(pos_keys), neg_keys, split.fold,
+    pos = space.encode(sorted(slots))
+    allowed = np.zeros(space.shape, dtype=bool)
+    allowed[:, :, DIRECTIONS.index("out")] = True
+    if split.directed:
+        allowed[:, :, DIRECTIONS.index("in")] = True
+    allowed = allowed.reshape(-1)
+    allowed[pos] = False
+    return _report(table, pos, np.flatnonzero(allowed), space, split.fold,
                    predictor or table.scheme, old_new=True)
 
 

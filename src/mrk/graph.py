@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,6 +43,87 @@ class LoadReport:
     unknown_attr_nodes: int = 0
 
 
+# Direction ids of slot keys, in name order.
+DIRECTIONS = ("in", "out")
+
+
+def _positions(names: Tuple[str, ...], query: Tuple[str, ...]) -> np.ndarray:
+    """Index of each ``query`` name in the sorted ``names``, -1 where absent."""
+    if not names:
+        return np.full(len(query), -1, dtype=np.int64)
+    ref = np.array(names, dtype=object)
+    q = np.array(query, dtype=object)
+    pos = ref.searchsorted(q)
+    return np.where(ref.take(pos, mode="clip") == q, pos, -1)
+
+
+@dataclass(frozen=True)
+class KeySpace:
+    """One int64 key per name triple over three sorted name axes.
+
+    The key of ids ``(a, b, c)`` is ``(a * len(axes[1]) + b) * len(axes[2])
+    + c``, and ids index sorted names, so ascending keys list the triples
+    in sorted name order.  A link space has axes (nodes, nodes, layers):
+    link (u, v, l) has key ``(u * n + v) * L + l`` and a layer-less pair
+    has key ``u * n + v``.  A slot space has axes (nodes, layers,
+    ``DIRECTIONS``) for (node, layer, direction) keys.
+    """
+
+    axes: Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]
+
+    @classmethod
+    def links(cls, nodes: Tuple[str, ...], layers: Tuple[str, ...]) -> "KeySpace":
+        return cls((nodes, nodes, layers))
+
+    @classmethod
+    def slots(cls, nodes: Tuple[str, ...], layers: Tuple[str, ...]) -> "KeySpace":
+        return cls((nodes, layers, DIRECTIONS))
+
+    @property
+    def shape(self) -> Tuple[int, int, int]:
+        """Axis lengths; a key is the row-major flat index into this shape."""
+        return len(self.axes[0]), len(self.axes[1]), len(self.axes[2])
+
+    def key(self, a, b, c):
+        """Keys of the id triples ``(a, b, c)``, elementwise."""
+        return (a * len(self.axes[1]) + b) * len(self.axes[2]) + c
+
+    def pair(self, a, b):
+        """Keys of the layer-less pairs ``(a, b)``, elementwise."""
+        return a * len(self.axes[1]) + b
+
+    def ids(self, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The id triples of the keys ``q``."""
+        ab, c = np.divmod(q, len(self.axes[2]))
+        a, b = np.divmod(ab, len(self.axes[1]))
+        return a, b, c
+
+    def ids_from(
+        self, q: np.ndarray, other: "KeySpace"
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids here of the names behind ``other``'s keys ``q``, -1 where a
+        name is not on this space's axis."""
+        return tuple(
+            i if mine == theirs else _positions(mine, theirs)[i]
+            for mine, theirs, i in zip(self.axes, other.axes, other.ids(q))
+        )
+
+    def encode(self, triples: Sequence[Tuple[str, str, str]]) -> np.ndarray:
+        """Keys of name triples; a name off its axis raises KeyError."""
+        cols = list(zip(*triples)) or [(), (), ()]
+        ids = []
+        for ax, col in zip(self.axes, cols):
+            at = {x: i for i, x in enumerate(ax)}
+            ids.append(np.fromiter((at[x] for x in col), np.int64, len(col)))
+        return self.key(*ids)
+
+    def decode(self, q: np.ndarray) -> List[Tuple[str, str, str]]:
+        """Name triples of the keys ``q``."""
+        cols = [np.array(ax, dtype=object)[i].tolist()
+                for ax, i in zip(self.axes, self.ids(q))]
+        return list(zip(*cols))
+
+
 @dataclass(frozen=True)
 class GraphArrays:
     """Integer-array index of a graph for vectorised joins.
@@ -51,8 +132,9 @@ class GraphArrays:
     neighbours of node ``u`` on layer ``l`` are
     ``out_nbr[out_ptr[l * n + u]:out_ptr[l * n + u + 1]]``, sorted, and
     ``in_ptr``/``in_nbr`` hold the in-neighbours the same way.  ``keys``
-    holds every stored edge as ``(l * n + u) * n + v``, sorted.  ``attr``
-    holds each node's attribute id; ``attr_ids`` maps names to ids.
+    holds every stored edge as its key in the graph's link space,
+    sorted.  ``attr`` holds each node's attribute id; ``attr_ids`` maps
+    names to ids.
     """
 
     n: int
@@ -63,16 +145,6 @@ class GraphArrays:
     in_ptr: np.ndarray
     in_nbr: np.ndarray
     keys: np.ndarray
-
-    def edge_key(self, l: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Keys of the edges ``u[i] -> v[i]`` on layer ``l``."""
-        return (l * self.n + u) * self.n + v
-
-    def edge_of(self, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Layers, sources and targets of the keys ``q``."""
-        lu, v = np.divmod(q, self.n)
-        l, u = np.divmod(lu, self.n)
-        return l, u, v
 
     def is_edge(self, q: np.ndarray) -> np.ndarray:
         """Elementwise: is key ``q[i]`` a stored edge?"""
@@ -180,6 +252,11 @@ class MultiplexGraph:
         return (u, v, l) in self.edges
 
     @cached_property
+    def space(self) -> KeySpace:
+        """The link key space over this graph's node and layer names."""
+        return KeySpace.links(self.node_names, self.layer_names)
+
+    @cached_property
     def arrays(self) -> GraphArrays:
         """The integer-array index, built on first use."""
         n, nl = self.n_nodes, self.n_layers
@@ -196,7 +273,7 @@ class MultiplexGraph:
             attr=np.array([attr_ids[a] for a in self.attrs], dtype=np.int64),
             attr_ids=attr_ids,
             out_ptr=out_ptr, out_nbr=out_nbr, in_ptr=in_ptr, in_nbr=in_nbr,
-            keys=np.sort((l * n + u) * n + v),
+            keys=np.sort(self.space.key(u, v, l)),
         )
 
     def node_layers(self, u: int) -> Tuple[int, ...]:
@@ -506,8 +583,15 @@ def from_coupled(cg: CoupledMultigraph) -> MultiplexGraph:
 
     names: Dict[int, str] = {}
     for i in range(g.n_nodes):
+        # A replica is named after its entity plus its attribute, the layer
+        # (or the default for an isolated entity); names may contain "::".
+        name, suffix = g.node_names[i], _REPLICA_SEP + g.attrs[i]
+        if not name.endswith(suffix):
+            raise CoupledGraphError(
+                f"replica {name!r} does not end with its attribute {suffix!r}"
+            )
+        stem = name[: -len(suffix)]
         r = find(i)
-        stem = g.node_names[i].rsplit(_REPLICA_SEP, 1)[0]
         if r not in names or stem < names[r]:
             names[r] = stem
 

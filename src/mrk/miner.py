@@ -260,7 +260,7 @@ def embedding_table(
         for opos, l, out in rest:
             host = prev[:, opos]
             masks.append(ix.is_edge(
-                ix.edge_key(l, new, host) if out else ix.edge_key(l, host, new)
+                g.space.key(new, host, l) if out else g.space.key(host, new, l)
             ))
         masks += [prev[:, j] != new for j in others]
         if masks:

@@ -10,62 +10,182 @@ many embeddings propose it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import MrkError
-from .graph import ATTR_DEFAULT, MultiplexGraph
+from .graph import ATTR_DEFAULT, DIRECTIONS, KeySpace, MultiplexGraph
 from .miner import DEFAULT_BUDGET, embedding_table
 from .rules import Rule
 
 WEIGHTING_SCHEMES = ("count", "conf", "lift", "conf-mean", "lift-mean")
 
-LinkKey = Tuple[str, str, str]      # (src, dst, layer) names
-OldNewKey = Tuple[str, str, str]    # (node, layer, direction)
+
+def _by_key(keys, values) -> Tuple[np.ndarray, np.ndarray]:
+    """Keys as int64 and values as float64, both in ascending key order."""
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+    return keys, values
 
 
-@dataclass
+def _look_up(keys: np.ndarray, values: np.ndarray, q: np.ndarray,
+             ask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the values of the asked ``q`` found among the
+    sorted ``keys``; return where they were found."""
+    pos = keys.searchsorted(q)
+    found = ask & (keys.take(pos, mode="clip") == q)
+    out[found] = values[pos[found]]
+    return found
+
+
+@dataclass(frozen=True)
+class Contributors:
+    """Contributing rules per scored key, in CSR form.
+
+    The rules of key ``i`` are ``rids[j]`` for ``j`` in
+    ``index[ptr[i]:ptr[i + 1]]``, in rule order.
+    """
+
+    rids: Tuple[str, ...]
+    ptr: np.ndarray
+    index: np.ndarray
+
+    def groups(self) -> List[List[int]]:
+        """Rule indices per key."""
+        flat, ptr = self.index.tolist(), self.ptr.tolist()
+        return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+@dataclass(eq=False)
 class ScoreTable:
-    """Candidate links with scores and contributing rule ids."""
+    """Scores of candidate links as sorted int64 keys of ``space``.
+
+    ``keys`` holds (src, dst, layer) links as their keys in ``space`` and
+    ``values`` their scores; ``pair_keys`` holds layer-less node pairs as
+    ``space.pair`` keys with ``pair_values``.  Either part may be empty.  Keys
+    and values may be given as any sequences; construction makes them
+    int64 and float64 arrays in ascending key order.
+    ``scores`` and ``provenance`` are name-keyed views built on first
+    read.
+    """
 
     scheme: str
-    scores: Dict[Tuple, float]
-    provenance: Dict[Tuple, Tuple[str, ...]] = field(default_factory=dict)
+    space: KeySpace
+    keys: np.ndarray = ()
+    values: np.ndarray = ()
+    pair_keys: np.ndarray = ()
+    pair_values: np.ndarray = ()
+    contributors: Optional[Contributors] = None
 
-    def scores_for(self, keys: Sequence[Tuple]) -> np.ndarray:
-        """Scores of ``keys`` as a float array aligned with them.
+    def __post_init__(self):
+        self.keys, self.values = _by_key(self.keys, self.values)
+        self.pair_keys, self.pair_values = _by_key(self.pair_keys,
+                                                   self.pair_values)
 
-        A (src, dst, layer) key the table lacks falls back to its layer-less
-        pair in canonical (min, max) order, so single-layer tables answer
-        multiplex queries.  Keys found neither way score 0.
+    @classmethod
+    def from_scores(cls, scheme: str, scores: Mapping[Tuple, float]):
+        """A table of name-keyed scores: name triples of the table's space,
+        and for link tables (src, dst) pairs."""
+        triples = [k for k in scores if len(k) == 3]
+        pairs = [k for k in scores if len(k) == 2]
+        space = cls._space_of(triples, pairs)
+        at = {x: i for i, x in enumerate(space.axes[0])}
+        return cls(
+            scheme, space,
+            space.encode(triples), [scores[k] for k in triples],
+            [space.pair(at[u], at[v]) for u, v in pairs],
+            [scores[k] for k in pairs],
+        )
+
+    @staticmethod
+    def _space_of(triples, pairs) -> KeySpace:
+        nodes = {x for k in triples for x in k[:2]}
+        nodes.update(x for k in pairs for x in k)
+        return KeySpace.links(tuple(sorted(nodes)),
+                              tuple(sorted({k[2] for k in triples})))
+
+    def __len__(self) -> int:
+        return len(self.keys) + len(self.pair_keys)
+
+    @cached_property
+    def scores(self) -> Dict[Tuple, float]:
+        """Scores by name: (src, dst, layer) triples and (src, dst) pairs."""
+        out = dict(zip(self.space.decode(self.keys), self.values.tolist()))
+        if self.pair_keys.size:
+            nodes = np.array(self.space.axes[0], dtype=object)
+            u, v = np.divmod(self.pair_keys, len(nodes))
+            pairs = zip(nodes[u].tolist(), nodes[v].tolist())
+            out.update(zip(pairs, self.pair_values.tolist()))
+        return out
+
+    @cached_property
+    def provenance(self) -> Dict[Tuple, Tuple[str, ...]]:
+        """Ids of each scored key's contributing rules, in rule order."""
+        if self.contributors is None:
+            return {}
+        rids = self.contributors.rids
+        return {
+            k: tuple(rids[i] for i in g)
+            for k, g in zip(self.space.decode(self.keys),
+                            self.contributors.groups())
+        }
+
+    def scores_for(self, keys, space: KeySpace) -> np.ndarray:
+        """Scores of ``space``'s ``keys`` as a float array aligned with them.
+
+        Each key is looked up by its names.  A link the table lacks falls
+        back to its layer-less pair in canonical (min, max) order, so
+        single-layer tables answer multiplex queries.  Keys found neither
+        way score 0.
         """
-        get = self.scores.get
-        if not any(len(k) == 2 for k in self.scores):
-            # No pair keys: the fallback can never hit.
-            return np.fromiter(map(get, keys, repeat(0.0)), float, len(keys))
+        q = np.asarray(keys, dtype=np.int64)
+        a, b, c = self.space.ids_from(q, space)
+        known = (a >= 0) & (b >= 0)
+        out = np.zeros(len(q))
+        found = np.zeros(len(q), dtype=bool)
+        if self.keys.size:
+            found = _look_up(self.keys, self.values, self.space.key(a, b, c),
+                             known & (c >= 0), out)
+        if self.pair_keys.size:
+            pairs = self.space.pair(np.minimum(a, b), np.maximum(a, b))
+            _look_up(self.pair_keys, self.pair_values, pairs, known & ~found,
+                     out)
+        return out
 
-        def one(key: Tuple) -> float:
-            s = get(key)
-            if s is None and len(key) == 3:
-                u, v = key[0], key[1]
-                s = get((u, v) if u < v else (v, u))
-            return 0.0 if s is None else s
 
-        return np.fromiter(map(one, keys), float, len(keys))
-
-
-@dataclass
+@dataclass(eq=False)
 class OldNewScoreTable(ScoreTable):
     """Scores keyed by (node, layer, direction) for new-neighbor prediction.
 
-    ``new_attrs`` keeps, per key, the non-default attributes that the
-    contributing rules expect of the incoming node; scoring ignores them.
+    ``space`` is a slot space.  ``fresh`` holds, per contributing rule,
+    the attribute its consequent gives the incoming node; ``new_attrs``
+    keeps, per key, the non-default ones of its rules.  Scoring ignores
+    them.
     """
 
-    new_attrs: Dict[OldNewKey, Tuple[str, ...]] = field(default_factory=dict)
+    fresh: Tuple[str, ...] = ()
+
+    @staticmethod
+    def _space_of(triples, pairs) -> KeySpace:
+        return KeySpace.slots(tuple(sorted({k[0] for k in triples})),
+                              tuple(sorted({k[1] for k in triples})))
+
+    @cached_property
+    def new_attrs(self) -> Dict[Tuple[str, str, str], Tuple[str, ...]]:
+        if self.contributors is None:
+            return {}
+        out = {}
+        for k, g in zip(self.space.decode(self.keys), self.contributors.groups()):
+            wanted = {self.fresh[i] for i in g} - {ATTR_DEFAULT}
+            if wanted:
+                out[k] = tuple(sorted(wanted))
+        return out
 
 
 def _check_scheme(scheme: str) -> None:
@@ -97,7 +217,7 @@ def _aggregate(
     keys: Sequence[np.ndarray],
     hits: Sequence[np.ndarray],
     per_embedding: bool,
-) -> Tuple[np.ndarray, List[float], List[Tuple[str, ...]]]:
+) -> Tuple[np.ndarray, np.ndarray, Contributors]:
     """Combine the rules' proposals under one weighting scheme.
 
     ``keys[i]`` holds the distinct integer keys that ``rules[i]`` proposes
@@ -106,17 +226,18 @@ def _aggregate(
     ``per_embedding``.  ``np.bincount`` adds in array order, which is rule
     order, so every sum is the one taken rule by rule.
 
-    Returns the scored keys (sorted), their scores, and for each the ids
-    of its contributing rules in rule order.  Lift schemes skip rules
-    whose lift is NaN, and drop keys that only such rules propose.
+    Returns the scored keys (sorted), their scores, and their contributing
+    rules.  Lift schemes skip rules whose lift is NaN, and drop keys that
+    only such rules propose.
     """
+    rids = tuple(r.rid for r in rules)
     if not keys:
-        return np.empty(0, dtype=np.int64), [], []
-    key = np.concatenate(keys)
-    rule_of = np.repeat(np.arange(len(rules)), [len(k) for k in keys])
-    times = np.concatenate(hits) if per_embedding else np.ones(len(key), np.int64)
-    ukeys, at = np.unique(key, return_inverse=True)
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.empty(0), Contributors(rids, np.zeros(1, np.int64), empty)
+    ukeys, at = np.unique(np.concatenate(keys), return_inverse=True)
     m = len(ukeys)
+    rule_of = np.repeat(np.arange(len(rules)), [len(k) for k in keys])
+    times = np.concatenate(hits) if per_embedding else np.ones(len(at), np.int64)
     if scheme.startswith("lift"):
         weight = np.array([r.lift for r in rules])[rule_of]
         use = ~np.isnan(weight)
@@ -132,14 +253,14 @@ def _aggregate(
     score, n_hits = score[kept], n_hits[kept]
     if scheme.endswith("-mean"):
         score = score / n_hits
-    rids = [r.rid for r in rules]
-    flat = [rids[i] for i in rule_of[np.argsort(at, kind="stable")].tolist()]
-    ends = np.cumsum(np.bincount(at, minlength=m)).tolist()
-    prov = [
-        tuple(flat[a:b])
-        for a, b, k in zip([0] + ends, ends, kept.tolist()) if k
-    ]
-    return ukeys[kept], score.tolist(), prov
+    del weight, times  # the contributors need neither; frees them first
+    # Contributors of the kept keys: entries grouped by key, in rule order.
+    order = np.argsort(at, kind="stable")
+    if not kept.all():
+        order = order[kept[at[order]]]
+    ptr = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(at, minlength=m)[kept], out=ptr[1:])
+    return ukeys[kept], score, Contributors(rids, ptr, rule_of[order])
 
 
 def score_links(
@@ -158,7 +279,7 @@ def score_links(
     proposing embedding contributes instead of each rule once.
 
     Each rule's proposals are one column pair of its antecedent's
-    embedding table, reduced to distinct ``(layer, src, dst)`` keys.
+    embedding table, reduced to distinct keys of the graph's link space.
     """
     _check_scheme(scheme)
     ix = g.arrays
@@ -180,17 +301,14 @@ def score_links(
         if not g.directed:
             # Symmetric storage: (u, v) is an edge iff (v, u) is.
             u, v = np.minimum(u, v), np.maximum(u, v)
-        key, times = np.unique(ix.edge_key(lid, u, v), return_counts=True)
+        key, times = np.unique(g.space.key(u, v, lid), return_counts=True)
         missing = ~ix.is_edge(key)
         if missing.any():
             used.append(rule)
             keys.append(key[missing])
             hits.append(times[missing])
-    ukeys, scores, prov = _aggregate(scheme, used, keys, hits, per_embedding)
-    lay, src, dst = (a.tolist() for a in ix.edge_of(ukeys))
-    nn, ln = g.node_names, g.layer_names
-    names = [(nn[u], nn[v], ln[l]) for l, u, v in zip(lay, src, dst)]
-    return ScoreTable(scheme, dict(zip(names, scores)), dict(zip(names, prov)))
+    ukeys, scores, contrib = _aggregate(scheme, used, keys, hits, per_embedding)
+    return ScoreTable(scheme, g.space, ukeys, scores, contributors=contrib)
 
 
 def score_old_new(
@@ -207,27 +325,26 @@ def score_old_new(
     embedding proposes that the anchor's host node will gain an edge on the
     delta layer toward some new node.  Direction is the delta edge's
     orientation at the anchor ("out" when the anchor is the source);
-    undirected graphs collapse both orientations to "out".
+    undirected graphs collapse both orientations to "out".  Slots are keys
+    of a slot space over the graph's nodes and the layers of the graph and
+    of the rules.
     """
     _check_scheme(scheme)
-    n = g.n_nodes
+    growth = [r for r in rules if r.new_node]
+    layers = sorted(set(g.layer_names) | {r.delta_edge[2] for r in growth})
+    space = KeySpace.slots(g.node_names, tuple(layers))
     tables: Dict[str, np.ndarray] = {}
-    targets: Dict[Tuple[str, str], int] = {}  # (layer, direction) -> id
     used: List[Rule] = []
     keys: List[np.ndarray] = []
     hits: List[np.ndarray] = []
-    fresh_attr: Dict[str, str] = {}  # rule id -> attribute of the fresh slot
-    for rule in rules:
-        if not rule.new_node:
-            continue
+    fresh: List[str] = []  # attribute of each used rule's fresh slot
+    for rule in growth:
         inv = _inverse_map(rule)
         ds, dd, dl = rule.delta_edge
         if ds in inv:
-            anchor, direction = inv[ds], "out"
-            fresh = dd
+            anchor, direction, new = inv[ds], "out", dd
         elif dd in inv:
-            anchor, direction = inv[dd], "in"
-            fresh = ds
+            anchor, direction, new = inv[dd], "in", ds
         else:
             continue
         if not g.directed:
@@ -235,23 +352,14 @@ def score_old_new(
         emb = _antecedent_table(tables, rule, g, budget)
         node, times = np.unique(emb[:, anchor], return_counts=True)
         if node.size:
-            tid = targets.setdefault((dl, direction), len(targets))
             used.append(rule)
-            keys.append(tid * n + node)
+            keys.append(space.key(node, layers.index(dl),
+                                  DIRECTIONS.index(direction)))
             hits.append(times)
-            fresh_attr[rule.rid] = rule.consequent.attrs[fresh]
-    ukeys, scores, prov = _aggregate(scheme, used, keys, hits, per_embedding)
-    tid, node = np.divmod(ukeys, n)
-    nn, tnames = g.node_names, list(targets)
-    names = [(nn[u], *tnames[t]) for u, t in zip(node.tolist(), tid.tolist())]
-    new_attrs: Dict[OldNewKey, Tuple[str, ...]] = {}
-    for k, rids in zip(names, prov):
-        wanted = {fresh_attr[r] for r in rids} - {ATTR_DEFAULT}
-        if wanted:
-            new_attrs[k] = tuple(sorted(wanted))
-    return OldNewScoreTable(
-        scheme, dict(zip(names, scores)), dict(zip(names, prov)), new_attrs
-    )
+            fresh.append(rule.consequent.attrs[new])
+    ukeys, scores, contrib = _aggregate(scheme, used, keys, hits, per_embedding)
+    return OldNewScoreTable(scheme, space, ukeys, scores, contributors=contrib,
+                            fresh=tuple(fresh))
 
 
 # -- serialization ----------------------------------------------------------
@@ -293,4 +401,4 @@ def read_scores_csv(path: str) -> ScoreTable:
             src, dst, lay, score = row
             key = (src, dst, lay) if lay else (src, dst)
             scores[key] = float(score)
-    return ScoreTable("file", scores)
+    return ScoreTable.from_scores("file", scores)

@@ -7,8 +7,9 @@ checked against these, never the other way round.
 """
 
 import itertools
+import math
 import sys
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
@@ -192,6 +193,88 @@ def oracle_auc(pos: Sequence[float], neg: Sequence[float]) -> float:
         wins += (block > neg_a[None, :]).sum()
         wins += 0.5 * (block == neg_a[None, :]).sum()
     return wins / (pos_a.size * neg_a.size)
+
+
+# -- negative-candidate and classical-index oracles -------------------------
+
+
+def oracle_candidates(split, mode: str = "full", k: Optional[int] = None,
+                      seed: Optional[int] = None) -> FrozenSet[Tuple[str, str, str]]:
+    """Negative candidates as name triples: a loop over every (pair, layer)
+    of the old nodes, and for ``sampled`` rejection sampling with the
+    library's RNG call sequence (i, j, layer per draw)."""
+    nodes, layers = split.old_nodes, split.layer_universe
+    n = len(nodes)
+    train_units = set(split.train.unit_triples())
+    pos = split.positives
+    pairs = n * (n - 1) if split.directed else n * (n - 1) // 2
+    population = (pairs * len(layers) - len(train_units)
+                  - sum(1 for c in split.categories.values() if c == "old-old"))
+
+    def every() -> FrozenSet[Tuple[str, str, str]]:
+        out = set()
+        for lay in layers:
+            for i in range(n):
+                for j in range(n):
+                    if i == j or (not split.directed and i > j):
+                        continue
+                    t = (nodes[i], nodes[j], lay)
+                    if t not in train_units and t not in pos:
+                        out.add(t)
+        return frozenset(out)
+
+    if mode == "full" or k >= population:
+        return every()
+    rng = np.random.default_rng(seed)
+    out: Set[Tuple[str, str, str]] = set()
+    while len(out) < k:
+        i = int(rng.integers(n))
+        j = int(rng.integers(n))
+        l = int(rng.integers(len(layers)))
+        if i == j:
+            continue
+        if not split.directed and i > j:
+            i, j = j, i
+        t = (nodes[i], nodes[j], layers[l])
+        if t in train_units or t in pos or t in out:
+            continue
+        out.add(t)
+    return frozenset(out)
+
+
+def oracle_lookup(table, key: Tuple) -> float:
+    """Per-key score by name: the exact key, else its canonical pair, else 0."""
+    if key in table.scores:
+        return table.scores[key]
+    return table.scores.get(tuple(sorted(key[:2])), 0.0)
+
+
+def oracle_classical(sg, method: str) -> Dict[Tuple[str, str], float]:
+    """Classical index of every non-adjacent pair by set arithmetic on the
+    collapsed graph's own adjacency sets, so float sums add in the sets'
+    iteration order."""
+    n, nn, adj = sg.n_nodes, sg.node_names, sg.adj
+    scores: Dict[Tuple[str, str], float] = {}
+    for u in range(n):
+        au = adj[u]
+        for v in range(u + 1, n):
+            if v in au:
+                continue
+            av = adj[v]
+            if method == "cn":
+                s = float(len(au & av))
+            elif method == "aa":
+                s = sum(1.0 / math.log(len(adj[z])) for z in au & av
+                        if len(adj[z]) > 1)
+            elif method == "ra":
+                s = sum(1.0 / len(adj[z]) for z in au & av)
+            elif method == "pa":
+                s = float(len(au) * len(av))
+            else:  # ja
+                union = len(au | av)
+                s = len(au & av) / union if union else 0.0
+            scores[(nn[u], nn[v])] = float(s)
+    return scores
 
 
 # -- acceptance reporting ---------------------------------------------------

@@ -353,16 +353,16 @@ def _ensemble_ordering(g, sigma=None, max_nodes=3):
     ]
     tables = [score_links(tg, close, scheme="conf"), sharma_scores(tg)]
     tables += [classical_on_multiplex(tg, m) for m in CLASSICAL_METHODS]
-    pos = split.positives_of(CAT_OLD_OLD)
-    keys = list(pos) + sorted(candidates(split, "full"))
+    pos = split.positive_keys()
+    keys = np.concatenate([pos, candidates(split, "full")])
     labels = np.array([True] * len(pos) + [False] * (len(keys) - len(pos)))
 
     def auc_of(table):
-        return mann_whitney_auc(table.scores_for(keys), labels)
+        return mann_whitney_auc(table.scores_for(keys, split.space), labels)
 
     individual = max(auc_of(t) for t in tables)
-    base = auc_of(ensemble(tables, keys, pos, mode="base"))
-    over = auc_of(ensemble(tables, keys, pos, mode="over", seed=0))
+    base = auc_of(ensemble(tables, keys, pos, split.space, mode="base"))
+    over = auc_of(ensemble(tables, keys, pos, split.space, mode="over", seed=0))
     return individual, base, over
 
 
@@ -400,9 +400,9 @@ def _weighting_concordance(g, sigma, max_nodes=3):
     ]
     t_conf = score_links(tg, close, scheme="conf")
     t_count = score_links(tg, close, scheme="count")
-    keys = sorted(set(t_conf.scores) | set(t_count.scores))
-    x = t_conf.scores_for(keys)
-    y = t_count.scores_for(keys)
+    keys = tg.space.encode(sorted(set(t_conf.scores) | set(t_count.scores)))
+    x = t_conf.scores_for(keys, tg.space)
+    y = t_count.scores_for(keys, tg.space)
     return float(kendalltau(x, y).statistic), len(keys)
 
 

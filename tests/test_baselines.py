@@ -16,9 +16,10 @@ from mrk.baselines import (
 )
 from mrk.errors import MrkError
 from mrk.evaluation import mann_whitney_auc
-from mrk.graph import MultiplexGraph, collapse
+from mrk.graph import KeySpace, MultiplexGraph, collapse
 from mrk.predictor import ScoreTable
-from tests.conftest import rand_host
+from mrk.synth import SynthConfig, generate
+from tests.conftest import oracle_classical, oracle_lookup, rand_host
 
 
 # -- layer co-occurrence ----------------------------------------------------
@@ -244,90 +245,106 @@ def test_classical_covers_every_nonadjacent_pair(rng):
         assert u < v
 
 
+def test_classical_matches_set_oracle_bit_for_bit(rng):
+    # aa and ra add floats in the adjacency sets' iteration order; a
+    # 400-node host has enough multi-neighbour pairs for any other order
+    # to round some sum differently.
+    wide = generate(SynthConfig(
+        layer_sizes=(400, 300, 200, 100), communities=4,
+        p_in=(0.012, 0.020, 0.040, 0.15), p_out=0.0005,
+        backbone=((1, 2), (3, 6), (5, 10), (4, 8, 12, 16)), seed=0,
+    ))
+    odd = MultiplexGraph(
+        [("a%b", "c|d", "x::y"), ("c|d", "e,f", "x::y"), ("e,f", "g>h", "q"),
+         ("g>h", "a%b", "q"), ("i:j", "k;l", "q"), ("m=n", "o::p", "x::y"),
+         ("o::p", "a%b", "q"), ("k;l", "c|d", "x::y")],
+        directed=True, extra_nodes=["iso::1", "iso2"],
+    )
+    for g in (wide, odd, rand_host(rng, 30, 3, 120, directed=False)):
+        sg = collapse(g)
+        for method in CLASSICAL_METHODS:
+            assert classical_scores(sg, method).scores == oracle_classical(
+                sg, method), method
+
+
 # -- ensemble ---------------------------------------------------------------
 
 
 def synthetic_tables(seed=7, n=80, n_pos=25):
     rng = np.random.default_rng(seed)
-    keys = [(f"u{i:02d}", f"v{i:02d}") for i in range(n)]
+    links = [(f"u{i:02d}", f"v{i:02d}", "x") for i in range(n)]
     order = rng.permutation(n)
-    truth = {keys[i] for i in order[:n_pos]}
-    labels = np.array([k in truth for k in keys])
-    good = ScoreTable(
+    truth = {links[i] for i in order[:n_pos]}
+    labels = np.array([k in truth for k in links])
+    good = ScoreTable.from_scores(
         "good",
         {
             k: float(lab) * 2.0 + rng.normal(0, 0.8)
-            for k, lab in zip(keys, labels)
+            for k, lab in zip(links, labels)
         },
     )
-    noise = ScoreTable(
-        "noise", {k: float(rng.normal()) for k in keys}
+    noise = ScoreTable.from_scores(
+        "noise", {k: float(rng.normal()) for k in links}
     )
-    return keys, truth, labels, good, noise
+    space = good.space
+    keys = space.encode(links)
+    return keys, space.encode(sorted(truth)), labels, good, noise, space
 
 
 def test_ensemble_base_preserves_single_table_ranking():
-    keys, truth, labels, good, _ = synthetic_tables()
-    comb = ensemble([good, good], keys, truth, mode="base")
-    raw = good.scores_for(keys).tolist()
-    got = [comb.scores[k] for k in keys]
+    keys, truth, labels, good, _, space = synthetic_tables()
+    comb = ensemble([good, good], keys, truth, space, mode="base")
+    raw = good.scores_for(keys, space).tolist()
+    got = comb.scores_for(keys, space).tolist()
     assert np.argsort(raw).tolist() == np.argsort(got).tolist()
     assert comb.scheme == "ensemble-base"
 
 
 def test_ensemble_zero_variance_table_contributes_nothing():
-    keys, truth, labels, good, _ = synthetic_tables()
-    flat = ScoreTable("flat", {k: 3.25 for k in keys})
-    with_flat = ensemble([good, flat], keys, truth, mode="base")
-    alone = ensemble([good, good], keys, truth, mode="base")
-    a = np.array([with_flat.scores[k] for k in keys])
-    b = np.array([alone.scores[k] for k in keys]) / 2.0
+    keys, truth, labels, good, _, space = synthetic_tables()
+    flat = ScoreTable.from_scores(
+        "flat", {k: 3.25 for k in space.decode(keys)})
+    with_flat = ensemble([good, flat], keys, truth, space, mode="base")
+    alone = ensemble([good, good], keys, truth, space, mode="base")
+    a = with_flat.scores_for(keys, space)
+    b = alone.scores_for(keys, space) / 2.0
     assert np.allclose(a, b)
 
 
 def test_ensemble_over_beats_parts():
-    keys, truth, labels, good, noise = synthetic_tables()
-    base = ensemble([good, noise], keys, truth, mode="base")
-    over = ensemble([good, noise], keys, truth, mode="over", seed=3)
+    keys, truth, labels, good, noise, space = synthetic_tables()
+    base = ensemble([good, noise], keys, truth, space, mode="base")
+    over = ensemble([good, noise], keys, truth, space, mode="over", seed=3)
 
     def auc(table):
-        return mann_whitney_auc(
-            np.array([table.scores[k] for k in keys]), labels
-        )
+        return mann_whitney_auc(table.scores_for(keys, space), labels)
 
     individuals = []
     for t in (good, noise):
         individuals.append(
-            mann_whitney_auc(t.scores_for(keys), labels)
+            mann_whitney_auc(t.scores_for(keys, space), labels)
         )
     assert auc(over) >= max(individuals) - 1e-12
     assert auc(over) >= auc(base) - 1e-12
 
 
 def test_ensemble_over_deterministic():
-    keys, truth, labels, good, noise = synthetic_tables()
-    a = ensemble([good, noise], keys, truth, mode="over", seed=11)
-    b = ensemble([good, noise], keys, truth, mode="over", seed=11)
+    keys, truth, labels, good, noise, space = synthetic_tables()
+    a = ensemble([good, noise], keys, truth, space, mode="over", seed=11)
+    b = ensemble([good, noise], keys, truth, space, mode="over", seed=11)
     assert a.scores == b.scores
 
 
 def test_ensemble_validation():
-    keys, truth, labels, good, noise = synthetic_tables()
+    keys, truth, labels, good, noise, space = synthetic_tables()
     with pytest.raises(MrkError):
-        ensemble([good, noise], keys, truth, mode="magic")
+        ensemble([good, noise], keys, truth, space, mode="magic")
     with pytest.raises(MrkError):
-        ensemble([good], keys, truth, mode="base")
+        ensemble([good], keys, truth, space, mode="base")
     with pytest.raises(MrkError):
-        ensemble([good, noise], keys, set(), mode="over")
+        ensemble([good, noise], keys, set(), space, mode="over")
     with pytest.raises(MrkError):
-        ensemble([good, noise], keys, set(keys), mode="over")
-
-
-def _lookup(table, key):
-    """Per-key score: the exact key, else its canonical pair, else 0."""
-    if key in table.scores:
-        return table.scores[key]
-    return table.scores.get(tuple(sorted(key[:2])), 0.0)
+        ensemble([good, noise], keys, keys, space, mode="over")
 
 
 def test_ensemble_matches_per_key_oracle():
@@ -344,30 +361,36 @@ def test_ensemble_matches_per_key_oracle():
 
     extra = {("n0", "zz", "a"): 9.0}  # a key outside the list
     tables = [
-        ScoreTable("pairs", some(pairs, 0.6)),
-        ScoreTable("triples", {**some(keys, 0.3), **extra}),
-        ScoreTable("mixed", {**some(pairs, 0.4), **some(keys, 0.2)}),
-        ScoreTable("empty", {}),
+        ScoreTable.from_scores("pairs", some(pairs, 0.6)),
+        ScoreTable.from_scores("triples", {**some(keys, 0.3), **extra}),
+        ScoreTable.from_scores("mixed", {**some(pairs, 0.4), **some(keys, 0.2)}),
+        ScoreTable.from_scores("empty", {}),
     ]
     truth = {k for k in keys if rng.random() < 0.2}
-    x = np.array([[_lookup(t, k) for t in tables] for k in keys], dtype=float)
+    x = np.array([[oracle_lookup(t, k) for t in tables] for k in keys],
+                 dtype=float)
     mu, sd = x.mean(axis=0), x.std(axis=0)
     z = np.zeros_like(x)
     nz = sd > 0
     z[:, nz] = (x[:, nz] - mu[nz]) / sd[nz]
-    base = ensemble(tables, keys, truth, mode="base")
+    space = KeySpace.links(tuple(nodes), ("a", "b"))
+    qkeys, qtruth = space.encode(keys), space.encode(sorted(truth))
+    base = ensemble(tables, qkeys, qtruth, space, mode="base")
     assert [base.scores[k] for k in keys] == (z @ np.ones(len(tables))).tolist()
     # The oracle matrix as exact-key tables must give the same annealing.
-    dense = [ScoreTable(t.scheme, dict(zip(keys, x[:, j].tolist())))
+    dense = [ScoreTable.from_scores(t.scheme, dict(zip(keys, x[:, j].tolist())))
              for j, t in enumerate(tables)]
-    over = ensemble(tables, keys, truth, mode="over", seed=2)
-    want = ensemble(dense, keys, truth, mode="over", seed=2)
+    over = ensemble(tables, qkeys, qtruth, space, mode="over", seed=2)
+    want = ensemble(dense, qkeys, qtruth, space, mode="over", seed=2)
     assert over.scores == want.scores
 
 
 def test_ensemble_imputes_missing_scores():
-    keys = [("a", "b"), ("c", "d"), ("e", "f")]
-    partial = ScoreTable("p", {("a", "b"): 5.0})
-    other = ScoreTable("q", {k: 1.0 * i for i, k in enumerate(keys)})
-    comb = ensemble([partial, other], keys, {keys[0]}, mode="base")
-    assert set(comb.scores) == set(keys)
+    pairs = [("a", "b"), ("c", "d"), ("e", "f")]
+    partial = ScoreTable.from_scores("p", {("a", "b"): 5.0})
+    other = ScoreTable.from_scores("q", {k: 1.0 * i for i, k in enumerate(pairs)})
+    space = KeySpace.links(("a", "b", "c", "d", "e", "f"), ("x",))
+    links = [(u, v, "x") for u, v in pairs]
+    keys = space.encode(links)
+    comb = ensemble([partial, other], keys, keys[:1], space, mode="base")
+    assert set(comb.scores) == set(links)

@@ -23,7 +23,8 @@ from mrk.evaluation import (
 )
 from mrk.graph import MultiplexGraph, write_edge_file
 from mrk.predictor import OldNewScoreTable, ScoreTable
-from tests.conftest import oracle_auc, rand_host
+from mrk.baselines import classical_on_multiplex, sharma_scores
+from tests.conftest import oracle_auc, oracle_candidates, oracle_lookup, rand_host
 
 
 # -- splitting --------------------------------------------------------------
@@ -132,9 +133,14 @@ def small_split():
     return split_from_graphs(train, test)
 
 
+def names(split, keys):
+    """The name triples behind keys of the split's link space."""
+    return frozenset(split.space.decode(keys))
+
+
 def test_candidates_small_count(small_split):
     full = candidates(small_split, "full")
-    assert full == frozenset(
+    assert names(small_split, full) == frozenset(
         {("1", "3", "a"), ("2", "1", "a"), ("3", "1", "a"), ("3", "2", "a")}
     )
     assert len(full) == 3 * 2 - 2
@@ -143,15 +149,16 @@ def test_candidates_small_count(small_split):
 def test_candidates_sampled_deterministic(small_split):
     a = candidates(small_split, "sampled", k=2, seed=5)
     b = candidates(small_split, "sampled", k=2, seed=5)
-    assert a == b
+    assert a.tolist() == b.tolist()
     assert len(a) == 2
-    assert a <= candidates(small_split, "full")
+    assert names(small_split, a) <= names(
+        small_split, candidates(small_split, "full"))
 
 
 def test_candidates_oversample_falls_back(small_split, caplog):
     with caplog.at_level(logging.WARNING):
         got = candidates(small_split, "sampled", k=50, seed=0)
-    assert got == candidates(small_split, "full")
+    assert got.tolist() == candidates(small_split, "full").tolist()
     assert any("falling back" in r.message for r in caplog.records)
 
 
@@ -171,16 +178,94 @@ def test_candidates_undirected_population(rng):
     expected = n * (n - 1) // 2 * len(split.layer_universe)
     expected -= len(split.train.unit_triples()) + oo
     assert len(full) == expected
-    for u, v, _ in full:
+    for u, v, _ in names(split, full):
         assert u < v
 
 
 def test_candidates_exclude_train_and_positives(rng):
     g = rand_host(rng, 10, 2, 26, directed=True)
     split = split_random(g, folds=5, seed=3)[1]
-    full = candidates(split, "full")
+    full = names(split, candidates(split, "full"))
     assert not (full & split.positives)
     assert not (full & set(split.train.unit_triples()))
+
+
+# -- candidates against the name-triple oracle -------------------------------
+
+ODD_NAMES = ["a%b", "c|d", "e,f", "g>h", "i:j", "k;l", "m=n", "o::p", "q::",
+             "::r", "s::t::u"]
+ODD_LAYERS = ["x::y", "q;r", "%", "x"]
+
+
+def _odd_host(rng, directed):
+    edges = set()
+    while len(edges) < 40:
+        u, v = rng.choice(len(ODD_NAMES), 2, replace=False)
+        edges.add((ODD_NAMES[u], ODD_NAMES[v],
+                   ODD_LAYERS[int(rng.integers(len(ODD_LAYERS)))]))
+    return MultiplexGraph(sorted(edges), directed=directed,
+                          extra_nodes=["iso::1", "iso%2"])
+
+
+def _split_with_isolated(directed):
+    """A temporal split whose training graph keeps isolated nodes and whose
+    layer universe has a layer ("z::w") without training edges."""
+    train_units = [("1", "2", "a"), ("2", "3", "a"), ("3", "4", "a"),
+                   ("4", "1", "a"), ("2", "4", "a")]
+    test_units = [("1", "3", "a"), ("1", "2", "z::w"), ("3", "4", "z::w"),
+                  ("4", "iso", "z::w"), ("1", "new", "a")]
+    train = MultiplexGraph(train_units, directed=directed,
+                           extra_nodes=["iso", "iso::2"])
+    cats = {}
+    for u, v, lay in test_units:
+        if not directed and u > v:
+            u, v = v, u
+        known = train.has_node(u) + train.has_node(v)
+        cats[(u, v, lay)] = (CAT_NEW_NEW, CAT_OLD_NEW, CAT_OLD_OLD)[known]
+    return EvalSplit(train=train, positives=frozenset(cats), categories=cats,
+                     layer_universe=("a", "z::w"), directed=directed)
+
+
+def _differential_splits(rng):
+    splits = []
+    for directed in (True, False):
+        splits += split_random(rand_host(rng, 12, 3, 40, directed), 3, 1)[:2]
+        splits += split_random(_odd_host(rng, directed), 3, 2)[:2]
+        early = _odd_host(rng, directed)
+        late = MultiplexGraph(
+            early.name_triples() + [("a%b", "c|d", "later::only"),
+                                    ("e,f", "fresh::node", "x")],
+            directed=directed)
+        splits.append(split_from_graphs(early, late))
+        splits.append(_split_with_isolated(directed))
+    return splits
+
+
+def test_candidates_match_name_oracle(rng):
+    for split in _differential_splits(rng):
+        full = candidates(split, "full")
+        assert (np.diff(full) > 0).all()
+        assert names(split, full) == oracle_candidates(split, "full")
+        assert len(full) == len(oracle_candidates(split, "full"))
+        for k, seed in ((1, 0), (5, 3), (len(full) // 2, 7), (len(full), 1)):
+            got = candidates(split, "sampled", k=k, seed=seed)
+            assert names(split, got) == oracle_candidates(
+                split, "sampled", k=k, seed=seed)
+
+
+def test_roc_auc_reads_tables_by_name(rng):
+    # Tables built on the training graph answer keys of the split's space,
+    # whose layer universe and node set may differ from the table's.
+    for split in _differential_splits(rng):
+        if not split.positives_of(CAT_OLD_OLD):
+            continue
+        neg = candidates(split, "full")
+        keys = split.positives_of(CAT_OLD_OLD) + split.space.decode(neg)
+        for table in (sharma_scores(split.train),
+                      classical_on_multiplex(split.train, "cn")):
+            rep = roc_auc(table, split, neg)
+            want = [oracle_lookup(table, k) for k in keys]
+            assert rep.raw[0].tolist() == want
 
 
 # -- rank-statistic AUC -----------------------------------------------------
@@ -220,13 +305,13 @@ def test_mann_whitney_needs_both_classes():
 def scored_split(rng):
     g = rand_host(rng, 14, 2, 40, directed=True)
     split = split_random(g, folds=4, seed=7)[0]
-    return split, sorted(candidates(split, "full"))
+    return split, candidates(split, "full")
 
 
 def test_roc_auc_equals_rank_statistic(scored_split, rng):
     split, neg = scored_split
-    keys = sorted(split.positives_of(CAT_OLD_OLD)) + neg
-    table = ScoreTable(
+    keys = sorted(split.positives_of(CAT_OLD_OLD)) + split.space.decode(neg)
+    table = ScoreTable.from_scores(
         "rand", {k: float(rng.integers(0, 5)) for k in keys}
     )
     rep = roc_auc(table, split, neg)
@@ -237,7 +322,8 @@ def test_roc_auc_equals_rank_statistic(scored_split, rng):
 
 def test_roc_curve_shape(scored_split, rng):
     split, neg = scored_split
-    table = ScoreTable("rand", {k: float(rng.random()) for k in neg})
+    table = ScoreTable.from_scores(
+        "rand", {k: float(rng.random()) for k in split.space.decode(neg)})
     rep = roc_auc(table, split, neg)
     pts = rep.roc
     assert pts[0] == (0.0, 0.0, float("inf"))
@@ -251,13 +337,13 @@ def test_roc_curve_shape(scored_split, rng):
 
 def test_empty_table_scores_half(scored_split):
     split, neg = scored_split
-    rep = roc_auc(ScoreTable("none", {}), split, neg)
+    rep = roc_auc(ScoreTable.from_scores("none", {}), split, neg)
     assert rep.auc == pytest.approx(0.5)
 
 
 def test_perfect_table_scores_one(scored_split):
     split, neg = scored_split
-    table = ScoreTable(
+    table = ScoreTable.from_scores(
         "oracle", {k: 1.0 for k in split.positives_of(CAT_OLD_OLD)}
     )
     rep = roc_auc(table, split, neg)
@@ -268,10 +354,10 @@ def test_perfect_table_scores_one(scored_split):
 
 def test_roc_auc_explicit_negatives(scored_split):
     split, neg = scored_split
-    rep = roc_auc(ScoreTable("none", {}), split, negatives=neg[:10])
+    rep = roc_auc(ScoreTable.from_scores("none", {}), split, negatives=neg[:10])
     assert rep.n_neg == 10
     # Without negatives, roc_auc enumerates the full candidate set.
-    assert roc_auc(ScoreTable("none", {}), split).n_neg == len(neg)
+    assert roc_auc(ScoreTable.from_scores("none", {}), split).n_neg == len(neg)
 
 
 def test_roc_auc_needs_old_old(temporal_split):
@@ -279,12 +365,12 @@ def test_roc_auc_needs_old_old(temporal_split):
     s = temporal_split
     s.categories.pop(("3", "1", "a"))
     with pytest.raises(EvaluationError):
-        roc_auc(ScoreTable("none", {}), s)
+        roc_auc(ScoreTable.from_scores("none", {}), s)
 
 
 def test_roc_csv_format(scored_split):
     split, neg = scored_split
-    rep = roc_auc(ScoreTable("none", {}), split, neg)
+    rep = roc_auc(ScoreTable.from_scores("none", {}), split, neg)
     lines = rep.roc_csv().splitlines()
     assert lines[0] == "fpr,tpr,threshold"
     assert len(lines) == len(rep.roc) + 1
@@ -303,7 +389,7 @@ def old_new_split():
 
 
 def test_old_new_positive_reduction(old_new_split):
-    table = OldNewScoreTable(
+    table = OldNewScoreTable.from_scores(
         "conf", {("1", "a", "out"): 1.0, ("2", "a", "in"): 0.9}
     )
     rep = evaluate_old_new(table, old_new_split)
@@ -315,7 +401,7 @@ def test_old_new_positive_reduction(old_new_split):
 
 
 def test_old_new_empty_table_half(old_new_split):
-    rep = evaluate_old_new(OldNewScoreTable("conf", {}), old_new_split)
+    rep = evaluate_old_new(OldNewScoreTable.from_scores("conf", {}), old_new_split)
     assert rep.auc == pytest.approx(0.5)
 
 
@@ -326,7 +412,7 @@ def test_old_new_needs_positives():
     )
     split = split_from_graphs(train, test)
     with pytest.raises(EvaluationError):
-        evaluate_old_new(OldNewScoreTable("conf", {}), split)
+        evaluate_old_new(OldNewScoreTable.from_scores("conf", {}), split)
 
 
 def test_old_new_undirected_single_direction(rng):
@@ -335,7 +421,7 @@ def test_old_new_undirected_single_direction(rng):
         [("1", "2", "a"), ("2", "99", "a")], directed=False
     )
     split = split_from_graphs(train, test)
-    rep = evaluate_old_new(OldNewScoreTable("conf", {}), split)
+    rep = evaluate_old_new(OldNewScoreTable.from_scores("conf", {}), split)
     assert rep.n_pos + rep.n_neg == 2  # 2 nodes x 1 layer x 1 direction
 
 
@@ -348,7 +434,7 @@ def test_summary_and_pooling(rng):
     reports = []
     for s in splits:
         neg = candidates(s, "sampled", k=40, seed=s.fold)
-        table = ScoreTable(
+        table = ScoreTable.from_scores(
             "toy", {k: 1.0 for k in s.positives_of(CAT_OLD_OLD)}
         )
         reports.append(roc_auc(table, s, neg))

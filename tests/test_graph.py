@@ -208,6 +208,35 @@ def test_round_trip_random(rng):
         assert from_coupled(to_coupled(g)) == g
 
 
+def test_round_trip_layer_names_with_separator():
+    g = MultiplexGraph([("a", "b", "x::y"), ("b", "c", "x::y::z")],
+                       directed=True)
+    assert from_coupled(to_coupled(g)) == g
+
+
+def test_round_trip_node_names_with_separator():
+    g = MultiplexGraph(
+        [("a::b", "c", "l::m"), ("c", "d::", "l::m"), ("a::b", "d::", "n")],
+        directed=False, extra_nodes=["iso::x"],
+    )
+    assert from_coupled(to_coupled(g)) == g
+
+
+def test_round_trip_layer_name_prefixing_another():
+    # Node e lives only on layer x::q, whose name starts with layer x.
+    g = MultiplexGraph([("c", "d", "x"), ("e", "f", "x::q")], directed=True)
+    assert from_coupled(to_coupled(g)) == g
+
+
+def test_from_coupled_rejects_replica_without_layer_suffix():
+    from mrk.graph import CoupledMultigraph
+
+    g = MultiplexGraph([("a::x", "b", "2")], attrs={"a::x": "x", "b": "x"},
+                       directed=True)
+    with pytest.raises(CoupledGraphError):
+        from_coupled(CoupledMultigraph(g, source_directed=True))
+
+
 def test_from_coupled_rejects_mixed_intra_edge():
     cg = to_coupled(MultiplexGraph([("1", "2", "a"), ("2", "3", "b")]))
     inner = cg.graph

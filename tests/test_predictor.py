@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrk.errors import MrkError
-from mrk.graph import ATTR_DEFAULT, MultiplexGraph
+from mrk.graph import ATTR_DEFAULT, KeySpace, MultiplexGraph
 from mrk.miner import MinerConfig, Pattern, mine
 from mrk.predictor import (
     OldNewScoreTable,
@@ -406,25 +406,30 @@ def test_old_new_on_mined_rules(mined_directed):
 
 
 def test_scores_for_pair_fallback():
-    t = ScoreTable("count", {("1", "2"): 3.0})
-    keys = [("1", "2"), ("2", "1", "x"), ("1", "2", "q"), ("9", "9", "q")]
-    got = t.scores_for(keys)
+    t = ScoreTable.from_scores("count", {("1", "2"): 3.0})
+    space = KeySpace.links(("1", "2", "9"), ("q", "x"))
+    keys = space.encode([("2", "1", "x"), ("1", "2", "q"), ("9", "9", "q")])
+    got = t.scores_for(keys, space)
     assert got.dtype == np.float64
-    assert got.tolist() == [3.0, 3.0, 3.0, 0.0]
-    assert t.scores_for([]).shape == (0,)
-    # Mixed keys: an exact triple wins over its pair, even at 0.
-    mixed = ScoreTable(
+    assert got.tolist() == [3.0, 3.0, 0.0]
+    assert t.scores_for([], space).shape == (0,)
+    # Mixed keys: an exact triple wins over its pair, even at 0.  The
+    # query space has names the table lacks, so ids differ on both axes.
+    mixed = ScoreTable.from_scores(
         "count", {("1", "2"): 1.5, ("a", "b", "x"): 2.0, ("2", "1", "y"): 0.0}
     )
-    keys = [("a", "b", "x"), ("b", "a", "x"), ("a", "b"), ("2", "1", "x"),
-            ("2", "1", "y"), ("2", "1")]
-    assert mixed.scores_for(keys).tolist() == [2.0, 0.0, 0.0, 1.5, 0.0, 0.0]
+    space = KeySpace.links(("0", "1", "2", "a", "b"), ("w", "x", "y"))
+    keys = space.encode([("a", "b", "x"), ("b", "a", "x"), ("2", "1", "x"),
+                         ("2", "1", "y"), ("0", "1", "x"), ("a", "b", "w")])
+    assert mixed.scores_for(keys, space).tolist() == [
+        2.0, 0.0, 1.5, 0.0, 0.0, 0.0]
     # Old-new tables are score tables; their keys never fall back.
-    on = OldNewScoreTable("count", {("7", "a", "out"): 2.0}, {},
-                          {("7", "a", "out"): ("q",)})
+    on = OldNewScoreTable.from_scores("count", {("7", "a", "out"): 2.0})
     assert isinstance(on, ScoreTable)
-    keys = [("7", "a", "out"), ("7", "a", "in"), ("8", "a", "out")]
-    assert on.scores_for(keys).tolist() == [2.0, 0.0, 0.0]
+    space = KeySpace.slots(("7", "8"), ("a", "b"))
+    keys = space.encode([("7", "a", "out"), ("7", "a", "in"), ("8", "a", "out"),
+                         ("7", "b", "out")])
+    assert on.scores_for(keys, space).tolist() == [2.0, 0.0, 0.0, 0.0]
 
 
 def test_scores_csv_round_trip(tmp_path, mined_directed):
@@ -437,7 +442,7 @@ def test_scores_csv_round_trip(tmp_path, mined_directed):
 
 
 def test_scores_csv_pair_keys(tmp_path):
-    t = ScoreTable("count", {("1", "2"): 1.5, ("a", "b", "x"): 2.0})
+    t = ScoreTable.from_scores("count", {("1", "2"): 1.5, ("a", "b", "x"): 2.0})
     p = str(tmp_path / "s.csv")
     write_scores_csv(t, p)
     back = read_scores_csv(p)
@@ -456,7 +461,7 @@ def test_read_scores_csv_errors(tmp_path):
 
 
 def test_old_new_csv_format(tmp_path):
-    t = OldNewScoreTable("count", {("7", "a", "out"): 2.0})
+    t = OldNewScoreTable.from_scores("count", {("7", "a", "out"): 2.0})
     p = tmp_path / "on.csv"
     write_old_new_csv(t, str(p))
     assert p.read_text(encoding="utf-8").splitlines() == [
