@@ -19,7 +19,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -56,6 +56,7 @@ from .graph import (
 from .miner import (
     DEFAULT_BUDGET,
     MinerConfig,
+    Pattern,
     mine,
     pattern_from_dict,
     pattern_to_dict,
@@ -80,7 +81,9 @@ CTX = {"auto_envvar_prefix": "MRK", "help_option_names": ["-h", "--help"]}
 
 _budget_option = click.option(
     "--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-    help="Cap on the candidate embedding rows one pattern's join generates.")
+    help="Cap on the candidate embedding rows one pattern generates: in "
+         "mining, its one join step from its parent's table; in a fresh "
+         "join, every step.")
 
 
 # -- manifest and atomic output ---------------------------------------------
@@ -163,11 +166,20 @@ class RunManifest:
 
 
 def _read_rules(path: str) -> List[Rule]:
+    """Rules of a JSON file.  Rules whose antecedents are written alike
+    share one antecedent object, so scoring joins each one once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [rule_from_dict(d) for d in json.load(fh)]
+            rules = [rule_from_dict(d) for d in json.load(fh)]
     except (ValueError, KeyError, TypeError) as exc:
         raise MrkError(f"{path}: not a JSON rules file: {exc}")
+    shared: Dict[tuple, Pattern] = {}
+    return [
+        replace(r, antecedent=shared.setdefault(
+            (r.antecedent.attrs, r.antecedent.edges, r.antecedent.support),
+            r.antecedent))
+        for r in rules
+    ]
 
 
 def _miner_config(sigma: int, max_nodes: int, budget: int) -> MinerConfig:

@@ -14,7 +14,12 @@ class CoupledGraphError(MrkError):
 
 
 class MiningBudgetError(MrkError):
-    """One pattern's embedding join would exceed its budget of embedding rows."""
+    """One pattern's embedding join would exceed its budget of embedding rows.
+
+    Inside mining a pattern's rows are those its own join step generates
+    from its parent's table; a fresh join counts the rows of every step.
+    The error is raised before the step allocates them.
+    """
 
     def __init__(self, pattern_code: str, budget: int):
         self.pattern_code = pattern_code

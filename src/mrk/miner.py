@@ -7,15 +7,20 @@ distinct host nodes each slot maps to and take the minimum over slots.  This
 support never grows when a pattern is extended, which lets the miner prune
 level by level.
 
-Embeddings come from one engine, :func:`embedding_table`, a numpy join over
-the host's per-layer CSR adjacency in the manner of FSG's embedding lists
-(Kuramochi & Karypis 2001).  The table of a pattern grows one slot per step:
-the host nodes of an already placed neighbour slot are expanded through the
-CSR, and the candidate rows are filtered by attribute, by the pattern's
-other edges back to placed slots (a binary search among sorted edge keys)
-and by injectivity.  Support counting and rule scoring both read these
-tables.  The budget caps the candidate rows one pattern's join generates,
-which bounds its memory.
+Embeddings come from one engine, a numpy join over the host's per-layer
+CSR adjacency in the manner of FSG's embedding lists (Kuramochi & Karypis
+2001).  A table grows by one :func:`_step` at a time: a new slot expands
+the host nodes of an already placed neighbour slot through the CSR and
+filters the candidate rows by attribute, by the pattern's other edges back
+to placed slots (a binary search among sorted edge keys) and by
+injectivity; a closing edge filters the rows by that edge alone.
+
+:func:`mine` grows the tables along the lattice: each child's table is one
+step from the table of the parent that first grew it, and the returned
+patterns carry their tables, which rule scoring reads.
+:func:`embedding_table` joins a pattern from scratch, one step per slot,
+for patterns that carry no table for the host at hand.  The budget caps
+the candidate rows one pattern generates, which bounds its memory.
 """
 
 from __future__ import annotations
@@ -41,12 +46,18 @@ class Pattern:
     """A connected attributed pattern with layer-labeled directed edges.
 
     ``support`` is the mined minimum image support, or None; equality and
-    hashing go by canonical code only.
+    hashing go by canonical code only.  ``mined_on`` is the graph a
+    pattern returned by :func:`mine` was mined on, with the embedding table
+    mining built for it there, in this pattern's own slot numbering; read
+    it through :meth:`table_in`.
     """
 
     attrs: Tuple[str, ...]
     edges: FrozenSet[PatternEdge]
     support: Optional[int] = field(default=None, compare=False)
+    mined_on: Optional[Tuple[MultiplexGraph, np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         k = len(self.attrs)
@@ -79,6 +90,15 @@ class Pattern:
     def canonical_perms(self) -> Tuple[SlotMap, ...]:
         """Every slot permutation that serializes to :attr:`code`."""
         return self._canonical[1]
+
+    def table_in(
+        self, g: MultiplexGraph, budget: int = DEFAULT_BUDGET
+    ) -> np.ndarray:
+        """Embedding table in ``g``: the one mining carried when this
+        pattern was mined on ``g`` itself, else a fresh join."""
+        if self.mined_on is not None and self.mined_on[0] is g:
+            return self.mined_on[1]
+        return embedding_table(self, g, budget)
 
     def is_connected(self) -> bool:
         if self.n_slots == 0:
@@ -171,13 +191,12 @@ class Embedding:
 
 def _join_plan(
     k: int, edges: Sequence[Tuple[int, int, int]]
-) -> Tuple[List[int], List[List[Tuple[int, int, bool]]]]:
+) -> Tuple[List[int], List[List[Tuple[int, int, int]]]]:
     """Slot order and, per position, the edges back to earlier positions.
 
     Well-connected slots come first and the placed prefix stays connected
-    where the pattern allows.  An anchor ``(pos, layer, out)`` says the
-    slot is joined to the slot at ``pos`` by an edge on ``layer`` that
-    leaves the new slot when ``out`` is true.
+    where the pattern allows.  Back edges are ``(src, dst, layer)`` between
+    positions, in the order of ``edges``; the first one anchors the slot.
     """
     nbr: List[List[Tuple[int, int, bool]]] = [[] for _ in range(k)]
     for a, b, l in edges:
@@ -188,18 +207,115 @@ def _join_plan(
     rest = sorted(range(k), key=lambda x: (-len(nbr[x]), x))
     order: List[int] = []
     pos_of: Dict[int, int] = {}
-    anchors: List[List[Tuple[int, int, bool]]] = []
+    back: List[List[Tuple[int, int, int]]] = []
     while rest:
         nxt = next(
             (x for x in rest if any(o in pos_of for o, _, _ in nbr[x])), rest[0]
         )
         rest.remove(nxt)
-        anchors.append(
-            [(pos_of[o], l, out) for o, l, out in nbr[nxt] if o in pos_of]
-        )
-        pos_of[nxt] = len(order)
+        pos = pos_of[nxt] = len(order)
+        back.append([
+            (pos, pos_of[o], l) if out else (pos_of[o], pos, l)
+            for o, l, out in nbr[nxt] if o in pos_of
+        ])
         order.append(nxt)
-    return order, anchors
+    return order, back
+
+
+def _step(
+    table: np.ndarray,
+    g: MultiplexGraph,
+    edges: Sequence[Tuple[int, int, int]],
+    want: Optional[int],
+    budget: int,
+    p: Pattern,
+    used: int = 0,
+) -> Tuple[np.ndarray, int]:
+    """One join step of ``p``'s table; returns the new table and rows used.
+
+    ``edges`` are pattern edges ``(a, b, layer id)`` between columns of the
+    table.  With ``want`` None the step closes them: every edge joins two
+    placed columns, and the rows whose host nodes lack it are dropped.
+    Otherwise the step places a new last column with attribute id ``want``:
+    the first edge expands the host node of its other column through the
+    layer's CSR (with no edge, every node of the attribute extends every
+    row), and the candidate rows are filtered by attribute, by the other
+    edges (a lookup among the sorted edge keys) and by injectivity.
+
+    The candidate rows (the table's own for a closing step) are added to
+    ``used`` before the step allocates them; past ``budget`` it raises
+    :class:`MiningBudgetError` naming ``p``.  Rows keep the table's order
+    and, within one of its rows, ascending new-node order, so a sorted
+    table gives a sorted result.
+    """
+    ix = g.arrays
+    m, c = table.shape
+    rows, new, others = table, None, ()
+    if want is None:  # a closing step checks the table's own rows
+        total = m
+    else:
+        if edges:
+            (a, b, l), edges = edges[0], edges[1:]
+            if a == c:  # the new column is the edge's source
+                col, ptr, nbr = b, ix.in_ptr, ix.in_nbr
+            else:
+                col, ptr, nbr = a, ix.out_ptr, ix.out_nbr
+            row = l * ix.n + table[:, col]
+            lo, hi = ptr[row], ptr[row + 1]
+            # Hosts have no self loops: a neighbour is never the anchor's node.
+            others = [j for j in range(c) if j != col]
+        else:
+            nbr = np.flatnonzero(ix.attr == want)
+            lo, hi = np.zeros(m, dtype=np.int64), np.full(m, len(nbr))
+            others = range(c)
+        cnt = hi - lo
+        total = int(cnt.sum())
+    used += total
+    if used > budget:
+        raise MiningBudgetError(p.code, budget)
+    if want is not None:
+        new = nbr[np.arange(total) + (lo - cnt.cumsum() + cnt).repeat(cnt)]
+        rows = table[np.arange(m).repeat(cnt)]
+    masks = []
+    if new is not None and len(ix.attr_ids) > 1:  # else every node matches
+        masks.append(ix.attr[new] == want)
+    for a, b, l in edges:
+        src = new if a == c else rows[:, a]
+        dst = new if b == c else rows[:, b]
+        masks.append(ix.is_edge(g.space.key(src, dst, l)))
+    masks += [rows[:, j] != new for j in others]
+    if masks:
+        keep = np.logical_and.reduce(masks)
+        rows = rows[keep]
+        new = None if new is None else new[keep]
+    if new is not None:
+        rows = np.concatenate((rows, new[:, None]), axis=1)
+    return rows, used
+
+
+def _join(
+    p: Pattern, g: MultiplexGraph, budget: int
+) -> Tuple[np.ndarray, int]:
+    """Fresh join of ``p``'s table, one :func:`_step` per slot; returns the
+    sorted table and the rows its steps used."""
+    k = p.n_slots
+    ix = g.arrays
+    try:
+        want = [ix.attr_ids[a] for a in p.attrs]
+        edges = sorted((a, b, g.layer_id(l)) for a, b, l in p.edges)
+    except KeyError:
+        return np.empty((0, k), dtype=np.int64), 0
+    order, back = _join_plan(k, edges)
+    table = np.empty((1, 0), dtype=np.int64)
+    used = 0
+    for pos, slot in enumerate(order):
+        if not len(table):
+            return np.empty((0, k), dtype=np.int64), used
+        table, used = _step(table, g, back[pos], want[slot], budget, p, used)
+    table = table[:, [order.index(s) for s in range(k)]]
+    if k and len(table) > 1:
+        table = table[np.lexsort(table.T[::-1])]
+    return table, used
 
 
 def embedding_table(
@@ -209,68 +325,15 @@ def embedding_table(
 
     Matching is homomorphic on edges (extra host edges are allowed) and
     injective on nodes; attributes, directions and layers must agree.  The
-    table grows one slot per join step: the host column of the slot's first
-    anchor is expanded through the layer's CSR, and the candidate rows are
-    filtered by attribute, by the remaining anchors (a lookup among the
-    sorted edge keys) and by injectivity.  A slot without anchors joins
-    every node of its attribute.  Every candidate row generated counts
-    against ``budget``, before any filter, so the budget bounds memory.
+    table is joined from scratch, one :func:`_step` per slot in the order
+    of :func:`_join_plan`.  Every candidate row that any step generates
+    counts against ``budget``, before any filter, so the budget bounds
+    memory.
 
     Rows are sorted.  A pattern attribute or layer the host lacks gives an
     empty table.
     """
-    k = p.n_slots
-    ix = g.arrays
-    n = ix.n
-    try:
-        want = [ix.attr_ids[a] for a in p.attrs]
-        edges = sorted((a, b, g.layer_id(l)) for a, b, l in p.edges)
-    except KeyError:
-        return np.empty((0, k), dtype=np.int64)
-    order, anchors = _join_plan(k, edges)
-    table = np.empty((1, 0), dtype=np.int64)
-    rows = 0
-    for pos, slot in enumerate(order):
-        m = len(table)
-        if not m:
-            return np.empty((0, k), dtype=np.int64)
-        if anchors[pos]:
-            (opos, l, out), rest = anchors[pos][0], anchors[pos][1:]
-            ptr, nbr = (ix.in_ptr, ix.in_nbr) if out else (ix.out_ptr, ix.out_nbr)
-            row = l * n + table[:, opos]
-            lo, hi = ptr[row], ptr[row + 1]
-            # Hosts have no self loops: a neighbour is never the anchor's node.
-            others = [j for j in range(pos) if j != opos]
-        else:
-            # Every node with the slot's attribute extends every row.
-            rest, others = [], range(pos)
-            nbr = np.flatnonzero(ix.attr == want[slot])
-            lo, hi = np.zeros(m, dtype=np.int64), np.full(m, len(nbr))
-        cnt = hi - lo
-        total = int(cnt.sum())
-        rows += total
-        if rows > budget:
-            raise MiningBudgetError(p.code, budget)
-        src = np.arange(m).repeat(cnt)
-        new = nbr[np.arange(total) + (lo - cnt.cumsum() + cnt).repeat(cnt)]
-        prev = table[src]
-        masks = []
-        if len(ix.attr_ids) > 1:  # else every node has the wanted attribute
-            masks.append(ix.attr[new] == want[slot])
-        for opos, l, out in rest:
-            host = prev[:, opos]
-            masks.append(ix.is_edge(
-                g.space.key(new, host, l) if out else g.space.key(host, new, l)
-            ))
-        masks += [prev[:, j] != new for j in others]
-        if masks:
-            keep = np.logical_and.reduce(masks)
-            prev, new = prev[keep], new[keep]
-        table = np.concatenate((prev, new[:, None]), axis=1)
-    table = table[:, [order.index(s) for s in range(k)]]
-    if k and len(table) > 1:
-        table = table[np.lexsort(table.T[::-1])]
-    return table
+    return _join(p, g, budget)[0]
 
 
 def embeddings(
@@ -284,14 +347,17 @@ def embeddings(
     ]
 
 
+def _support(table: np.ndarray) -> int:
+    if not table.size:
+        return 0
+    return min(int(np.count_nonzero(np.bincount(col))) for col in table.T)
+
+
 def min_image_support(
     p: Pattern, g: MultiplexGraph, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Minimum over slots of the number of distinct host images."""
-    table = embedding_table(p, g, budget)
-    if not table.size:
-        return 0
-    return min(int(np.count_nonzero(np.bincount(col))) for col in table.T)
+    return _support(embedding_table(p, g, budget))
 
 
 # -- level-wise mining ------------------------------------------------------
@@ -300,7 +366,13 @@ def min_image_support(
 @dataclass
 class MinerConfig:
     """Mining parameters: support threshold, size cap, and the budget of
-    candidate embedding rows each pattern's join may generate."""
+    candidate embedding rows one pattern may generate.
+
+    Inside :func:`mine` a pattern's rows are those its own join step
+    generates from its parent's table: the parent's rows for a closing
+    edge, the CSR expansion for a new slot.  A single-edge pattern, which
+    has no parent, counts every step of its fresh join.
+    """
 
     min_support: int
     max_nodes: int = 4
@@ -319,13 +391,24 @@ class MinerConfig:
 
 @dataclass
 class MiningStats:
-    """Counters filled by :func:`mine` when a sink is passed in."""
+    """Counters filled by :func:`mine` when a sink is passed in.
+
+    ``rows_generated`` sums the candidate rows of every join step mining
+    ran; ``max_rows`` is the most rows any one pattern used, the figure
+    the budget caps.
+    """
 
     frequent_per_level: List[int] = field(default_factory=list)
     candidates_tested: int = 0
     antimonotone_checks: int = 0
     antimonotone_violations: int = 0
     support_pairs: List[Tuple[int, int]] = field(default_factory=list)
+    rows_generated: int = 0
+    max_rows: int = 0
+
+    def count_rows(self, rows: int) -> None:
+        self.rows_generated += rows
+        self.max_rows = max(self.max_rows, rows)
 
 
 def _single_edge_supports(g: MultiplexGraph) -> Dict[Tuple[str, str, str], int]:
@@ -351,13 +434,15 @@ def _grow(
     by_pair: Dict[Tuple[str, str], List[str]],
     by_src: Dict[str, List[Tuple[str, str]]],
     by_dst: Dict[str, List[Tuple[str, str]]],
-) -> List[Pattern]:
-    """One-edge extensions of ``p`` whose new edge is a frequent edge type.
+) -> List[Tuple[Pattern, PatternEdge]]:
+    """One-edge extensions of ``p`` whose new edge is a frequent edge type,
+    each with that edge.
 
     Either closes an edge between two existing slots or attaches a brand-new
-    slot, mirroring the two growth moves of the search.
+    slot, mirroring the two growth moves of the search.  A child keeps
+    ``p``'s slot numbers; a new slot is number ``p.n_slots``.
     """
-    out: List[Pattern] = []
+    out: List[Tuple[Pattern, PatternEdge]] = []
     k = p.n_slots
     for i in range(k):
         for j in range(k):
@@ -366,18 +451,40 @@ def _grow(
             for lay in by_pair.get((p.attrs[i], p.attrs[j]), ()):
                 e = (i, j, lay)
                 if e not in p.edges:
-                    out.append(Pattern(p.attrs, p.edges | {e}))
+                    out.append((Pattern(p.attrs, p.edges | {e}), e))
     if k < max_slots:
         for i in range(k):
             for dst_attr, lay in by_src.get(p.attrs[i], ()):
-                out.append(
-                    Pattern(p.attrs + (dst_attr,), p.edges | {(i, k, lay)})
-                )
+                e = (i, k, lay)
+                out.append((Pattern(p.attrs + (dst_attr,), p.edges | {e}), e))
             for src_attr, lay in by_dst.get(p.attrs[i], ()):
-                out.append(
-                    Pattern(p.attrs + (src_attr,), p.edges | {(k, i, lay)})
-                )
+                e = (k, i, lay)
+                out.append((Pattern(p.attrs + (src_attr,), p.edges | {e}), e))
     return out
+
+
+def _child_table(
+    parent: Pattern, child: Pattern, e: PatternEdge, g: MultiplexGraph,
+    budget: int,
+) -> Tuple[np.ndarray, int]:
+    """The child's table, one :func:`_step` from the table its parent
+    carries; ``e`` is the edge :func:`_grow` added.
+
+    The child keeps the parent's slot numbers, so the parent's columns are
+    its first columns and a new slot is the last one; rows stay sorted.
+    """
+    a, b, lay = e
+    new = child.n_slots > parent.n_slots
+    want = g.arrays.attr_ids[child.attrs[-1]] if new else None
+    return _step(parent.mined_on[1], g, [(a, b, g.layer_id(lay))], want,
+                 budget, child)
+
+
+def _carrying(p: Pattern, support: int, g: MultiplexGraph,
+              table: np.ndarray) -> Pattern:
+    """``p`` with its support and its read-only table on ``g``."""
+    table.flags.writeable = False
+    return Pattern(p.attrs, p.edges, support, (g, table))
 
 
 def mine(
@@ -388,13 +495,19 @@ def mine(
     """Enumerate all frequent patterns up to ``cfg.max_nodes`` slots.
 
     Level k holds the frequent patterns with k edges.  Children are grown
-    one edge at a time from every frequent parent, deduplicated by canonical
-    code, counted, and kept when their support reaches the threshold.  The
-    support of each child is checked against every parent that produced it;
-    a child exceeding a parent's support would contradict the anti-monotone
-    support measure and raises immediately.
+    one edge at a time from every frequent parent and deduplicated by
+    canonical code.  Each child's embedding table is one join step from
+    the table of the parent that first grew it, whose slot numbering the
+    child keeps; its support comes from that table, and it is kept when
+    the support reaches the threshold.  The support of each child is
+    checked against every parent that produced it; a child exceeding a
+    parent's support would contradict the anti-monotone support measure
+    and raises immediately.
 
-    Returns the frequent patterns with supports attached, sorted by code.
+    Returns the frequent patterns sorted by code, each carrying its support
+    and its table on ``g`` (see :meth:`Pattern.table_in`).  Mining holds the
+    tables of one level's frontier while it grows the next; the returned
+    patterns keep theirs for rule scoring.
     """
     sigma = cfg.min_support
     seen = _single_edge_supports(g)
@@ -412,27 +525,36 @@ def mine(
     for (sa, da, lay), sup in sorted(singles.items()):
         p = Pattern((sa, da), frozenset({(0, 1, lay)}), sup)
         firsts.setdefault(p.code, p)
-    frontier = [firsts[c] for c in sorted(firsts)]
+    frontier: List[Pattern] = []
+    for code in sorted(firsts):
+        p = firsts[code]
+        table, rows = _join(p, g, cfg.budget)
+        if stats is not None:
+            stats.count_rows(rows)
+        frontier.append(_carrying(p, p.support, g, table))
     result: List[Pattern] = list(frontier)
     if stats is not None:
         stats.frequent_per_level.append(len(frontier))
         stats.candidates_tested += len(seen)
 
     while frontier:
-        children: Dict[str, Pattern] = {}
+        # Code -> (child, the parent that first grew it, the edge it added).
+        grown: Dict[str, Tuple[Pattern, Pattern, PatternEdge]] = {}
         parents_of: Dict[str, List[int]] = {}
         for p in frontier:
-            for child in _grow(p, cfg.max_nodes, by_pair, by_src, by_dst):
+            for child, e in _grow(p, cfg.max_nodes, by_pair, by_src, by_dst):
                 code = child.code
-                if code not in children:
-                    children[code] = child
+                if code not in grown:
+                    grown[code] = (child, p, e)
                     parents_of[code] = []
                 parents_of[code].append(p.support)
         nxt: List[Pattern] = []
-        for code in sorted(children):
-            child = children[code]
-            sup = min_image_support(child, g, cfg.budget)
+        for code in sorted(grown):
+            child, parent, e = grown[code]
+            table, rows = _child_table(parent, child, e, g, cfg.budget)
+            sup = _support(table)
             if stats is not None:
+                stats.count_rows(rows)
                 stats.candidates_tested += 1
                 for psup in parents_of[code]:
                     stats.antimonotone_checks += 1
@@ -446,7 +568,7 @@ def mine(
                     f"({min(bad)}): anti-monotonicity violated"
                 )
             if sup >= sigma:
-                nxt.append(Pattern(child.attrs, child.edges, sup))
+                nxt.append(_carrying(child, sup, g, table))
         if stats is not None:
             stats.frequent_per_level.append(len(nxt))
         result.extend(nxt)

@@ -4,7 +4,9 @@ Every embedding of a rule's antecedent proposes the rule's delta edge at
 concrete host nodes.  Proposals that already exist in the graph are skipped;
 the rest are aggregated into a score table under one of several weighting
 schemes.  By default a rule contributes at most once per target, however
-many embeddings propose it.
+many embeddings propose it.  Antecedent embeddings are read from the tables
+that mining carried on the patterns when the rules were mined on the
+scored graph itself, and joined afresh otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import MrkError
 from .graph import ATTR_DEFAULT, DIRECTIONS, KeySpace, MultiplexGraph
-from .miner import DEFAULT_BUDGET, embedding_table
+from .miner import DEFAULT_BUDGET
 from .rules import Rule
 
 WEIGHTING_SCHEMES = ("count", "conf", "lift", "conf-mean", "lift-mean")
@@ -196,16 +198,6 @@ def _check_scheme(scheme: str) -> None:
         )
 
 
-def _antecedent_table(
-    tables: Dict[str, np.ndarray], rule: Rule, g: MultiplexGraph, budget: int
-) -> np.ndarray:
-    """Embedding table of the rule's antecedent, built once per code."""
-    code = rule.antecedent.code
-    if code not in tables:
-        tables[code] = embedding_table(rule.antecedent, g, budget)
-    return tables[code]
-
-
 def _inverse_map(rule: Rule) -> Dict[int, int]:
     """Consequent slot -> antecedent slot, for slots in the map's image."""
     return {c: a for a, c in enumerate(rule.antecedent_map)}
@@ -280,10 +272,13 @@ def score_links(
 
     Each rule's proposals are one column pair of its antecedent's
     embedding table, reduced to distinct keys of the graph's link space.
+    Rules mined on ``g`` itself read the tables mining carried; others
+    join their antecedent afresh, once for a run of rules sharing one
+    antecedent object.
     """
     _check_scheme(scheme)
     ix = g.arrays
-    tables: Dict[str, np.ndarray] = {}
+    last = None  # the antecedent whose table ``emb`` holds
     used: List[Rule] = []
     keys: List[np.ndarray] = []
     hits: List[np.ndarray] = []
@@ -296,7 +291,8 @@ def score_links(
             lid = g.layer_id(dl)
         except KeyError:
             continue
-        emb = _antecedent_table(tables, rule, g, budget)
+        if rule.antecedent is not last:
+            last, emb = rule.antecedent, rule.antecedent.table_in(g, budget)
         u, v = emb[:, inv[ds]], emb[:, inv[dd]]
         if not g.directed:
             # Symmetric storage: (u, v) is an edge iff (v, u) is.
@@ -327,13 +323,13 @@ def score_old_new(
     orientation at the anchor ("out" when the anchor is the source);
     undirected graphs collapse both orientations to "out".  Slots are keys
     of a slot space over the graph's nodes and the layers of the graph and
-    of the rules.
+    of the rules.  Antecedent tables are read as in :func:`score_links`.
     """
     _check_scheme(scheme)
     growth = [r for r in rules if r.new_node]
     layers = sorted(set(g.layer_names) | {r.delta_edge[2] for r in growth})
     space = KeySpace.slots(g.node_names, tuple(layers))
-    tables: Dict[str, np.ndarray] = {}
+    last = None  # the antecedent whose table ``emb`` holds
     used: List[Rule] = []
     keys: List[np.ndarray] = []
     hits: List[np.ndarray] = []
@@ -349,7 +345,8 @@ def score_old_new(
             continue
         if not g.directed:
             direction = "out"
-        emb = _antecedent_table(tables, rule, g, budget)
+        if rule.antecedent is not last:
+            last, emb = rule.antecedent, rule.antecedent.table_in(g, budget)
         node, times = np.unique(emb[:, anchor], return_counts=True)
         if node.size:
             used.append(rule)

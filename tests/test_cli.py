@@ -405,6 +405,18 @@ def test_predict_per_embedding_flag(tmp_path, host_file, rules_file):
     assert manifest_of(out)["params"]["per_embedding"] is True
 
 
+def test_read_rules_shares_antecedents_written_alike(rules_file):
+    # Scoring joins each antecedent object once, so rules whose
+    # antecedents are written alike must share one.
+    from mrk.cli import _read_rules
+    rs = _read_rules(rules_file)
+    shared = {}
+    for r in rs:
+        a = r.antecedent
+        assert shared.setdefault((a.attrs, a.edges, a.support), a) is a
+    assert len(shared) < len(rs)
+
+
 def test_predict_bad_rules_file_exits_2(tmp_path, capsys, host_file,
                                        patterns_file):
     # A pattern file is JSON, but its entries are not rules.

@@ -1,11 +1,14 @@
 """Pattern matching, canonical codes, and level-wise mining."""
 
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrk import miner
 from mrk.errors import MiningBudgetError
 from mrk.graph import ATTR_DEFAULT, MultiplexGraph
 from mrk.miner import (
@@ -14,6 +17,7 @@ from mrk.miner import (
     MiningStats,
     Pattern,
     canonical_code,
+    embedding_table,
     embeddings,
     min_image_support,
     mine,
@@ -478,6 +482,102 @@ def test_mine_budget_error_names_the_pattern():
     assert err.value.budget == 50
     assert "50 embedding rows" in str(err.value)
     assert star in mine(g, MinerConfig(min_support=1, max_nodes=3))
+
+
+def _hub_host(spokes: int) -> MultiplexGraph:
+    """A hub with ``spokes`` out-spokes on layer a, the spokes in a b-ring."""
+    s = [f"s{i:03d}" for i in range(spokes)]
+    triples = [("hub", x, "a") for x in s]
+    triples += [(x, s[(i + 1) % spokes], "b") for i, x in enumerate(s)]
+    attrs = {"hub": "h", **{x: "x" for x in s}}
+    return MultiplexGraph(triples, attrs=attrs, directed=True)
+
+
+@pytest.mark.parametrize("move", ["closing", "new slot"])
+def test_mine_step_over_budget_raises_before_allocating(move):
+    # 300 spokes: the two-spoke star has 300 * 299 rows.  Growing it from
+    # the hub's single edge generates 300 * 300 candidate rows; closing a
+    # b edge between its spokes checks every one of its rows.
+    g = _hub_host(300)
+    pats = {p.code: p for p in mine(g, MinerConfig(min_support=1, max_nodes=3))}
+    edge = Pattern(("h", "x"), frozenset({(0, 1, "a")}))
+    star = Pattern(("h", "x", "x"), frozenset({(0, 1, "a"), (0, 2, "a")}))
+    if move == "closing":
+        parent, e, rows = pats[star.code], (1, 2, "b"), 300 * 299
+    else:
+        parent, e, rows = pats[edge.code], (0, 2, "a"), 300 * 300
+    assert parent.mined_on[0] is g
+    child = Pattern(parent.attrs + ("x",) * (move == "new slot"),
+                    parent.edges | {e})
+    assert len(embeddings(child, g)) > 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(MiningBudgetError) as err:
+            miner._child_table(parent, child, e, g, budget=rows - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.pattern_code == child.code
+    assert err.value.budget == rows - 1
+    assert peak < rows * 8  # not even one int64 column of the rows
+    table, used = miner._child_table(parent, child, e, g, budget=rows)
+    assert used == rows
+    assert np.array_equal(table, embedding_table(child, g))
+
+
+def test_mine_stats_count_rows_per_step():
+    # Directed triangle a->b->c->a on x plus a->c on y, support 1, two
+    # slots.  The single edges join afresh: x places 3 nodes and expands
+    # them to 3 rows (6), y places 3 and expands to 1 row (4).  Level 2
+    # closes one edge on a parent's rows: three children of x check its 3
+    # rows each and the y 2-cycle checks y's 1 row (10); only the x/y
+    # 2-cycle survives, with 1 row.  Level 3 closes its two missing edges
+    # on that row (2).
+    tri = MultiplexGraph(
+        [("a", "b", "x"), ("b", "c", "x"), ("c", "a", "x"), ("a", "c", "y")],
+        directed=True,
+    )
+    stats = MiningStats()
+    out = mine(tri, MinerConfig(min_support=1, max_nodes=2), stats=stats)
+    assert stats.frequent_per_level == [2, 1, 0]
+    assert stats.candidates_tested == 2 + 4 + 2
+    assert stats.rows_generated == (6 + 4) + (3 * 3 + 1) + 2
+    assert stats.max_rows == 6
+    assert max(len(p.mined_on[1]) for p in out) == 3
+
+
+def _adversarial_host(rng, directed: bool, n_attrs: int) -> MultiplexGraph:
+    """A random host whose node, layer and attribute names hold code
+    separators and ``::``, with isolated nodes and a layer named only by
+    self loops (which the host drops, so no pattern can use it)."""
+    names = [f"{c}{i}::{c}" for i, c in enumerate("%|,>:;=%|,>:;=%|")]
+    layers = ["L|0", "L::1", "L%2;"]
+    values = ["v:a", "v=b", "v%c|"][:n_attrs]
+    triples = set()
+    while len(triples) < 34:
+        u, v = rng.choice(len(names), 2, replace=False)
+        triples.add((names[u], names[v], layers[int(rng.integers(3))]))
+    triples = sorted(triples) + [(names[0], names[0], "only>loops")]
+    attrs = {x: values[int(rng.integers(n_attrs))] for x in names}
+    return MultiplexGraph(triples, attrs=attrs, directed=directed,
+                          extra_nodes=["iso,1", "iso::2"])
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("n_attrs", [1, 2, 3])
+def test_mined_tables_equal_fresh_joins(rng, directed, n_attrs):
+    g = _adversarial_host(rng, directed, n_attrs)
+    assert "only>loops" not in g.layer_names
+    out = mine(g, MinerConfig(min_support=1, max_nodes=3))
+    assert sum(p.n_slots == 3 for p in out) > 10
+    for p in out:
+        graph, table = p.mined_on
+        assert graph is g and not table.flags.writeable
+        assert table.dtype == np.int64 and table.shape[1] == p.n_slots
+        fresh = embedding_table(p, g)
+        assert np.array_equal(table, fresh), p.code
+        assert table.tolist() == [list(e) for e in nx_embeddings(p, g)], p.code
+        assert p.table_in(g) is table
 
 
 def test_config_validation():

@@ -8,7 +8,8 @@ import pytest
 
 from mrk.errors import MrkError
 from mrk.graph import ATTR_DEFAULT, KeySpace, MultiplexGraph
-from mrk.miner import MinerConfig, Pattern, mine
+from mrk.evaluation import split_random
+from mrk.miner import MinerConfig, Pattern, embedding_table, mine
 from mrk.predictor import (
     OldNewScoreTable,
     ScoreTable,
@@ -19,7 +20,7 @@ from mrk.predictor import (
     write_old_new_csv,
     write_scores_csv,
 )
-from mrk.rules import Rule, build_rules
+from mrk.rules import Rule, build_rules, rule_from_dict, rule_to_dict
 from tests.conftest import rand_host
 
 D = ATTR_DEFAULT
@@ -194,6 +195,62 @@ def test_unknown_scheme_rejected():
         score_links(g, [], scheme="bogus")
     with pytest.raises(MrkError):
         score_old_new(g, [], scheme="jaccard")
+
+
+# -- carried tables against fresh joins -------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mined_fold():
+    """Rules mined on the training graph of one fold of a random host."""
+    rng = np.random.default_rng(20240817)
+    g = rand_host(rng, 18, 2, 44, directed=True, attr_values="mn")
+    train = split_random(g, 5, 0)[0].train
+    rules = build_rules(mine(train, MinerConfig(min_support=2, max_nodes=3)),
+                        train)
+    return g, train, rules
+
+
+def assert_same_table(a, b):
+    assert a.space == b.space
+    assert np.array_equal(a.keys, b.keys)
+    assert np.array_equal(a.values, b.values)
+    assert a.provenance == b.provenance
+
+
+@pytest.mark.parametrize("per_embedding", [False, True])
+def test_carried_tables_score_like_fresh_joins(mined_fold, per_embedding):
+    g, train, rules = mined_fold
+    assert any(r.new_node for r in rules) and any(not r.new_node for r in rules)
+    assert all(r.antecedent.mined_on[0] is train for r in rules)
+    # Round-tripped rules carry no tables, so every antecedent is joined
+    # afresh, on the training graph and on the full graph alike.
+    fresh = [rule_from_dict(rule_to_dict(r)) for r in rules]
+    assert all(r.antecedent.mined_on is None for r in fresh)
+    for host in (train, g):
+        for scheme in WEIGHTING_SCHEMES:
+            links = score_links(host, rules, scheme, per_embedding)
+            assert links.provenance
+            assert_same_table(links, score_links(host, fresh, scheme,
+                                                 per_embedding))
+            old_new = score_old_new(host, rules, scheme, per_embedding)
+            assert old_new.new_attrs
+            again = score_old_new(host, fresh, scheme, per_embedding)
+            assert_same_table(old_new, again)
+            assert old_new.new_attrs == again.new_attrs
+
+
+def test_carried_tables_never_cross_graphs(mined_fold):
+    # The full graph has edges the training graph lacks, so reading the
+    # training tables there would change the scores.
+    g, train, rules = mined_fold
+    on_g = score_links(g, rules, "count", per_embedding=True)
+    assert on_g.scores != score_links(train, rules, "count",
+                                      per_embedding=True).scores
+    for r in rules:
+        assert np.array_equal(r.antecedent.table_in(g),
+                              embedding_table(r.antecedent, g))
+        assert r.antecedent.table_in(train) is r.antecedent.mined_on[1]
 
 
 # -- insert-and-match oracle on a mined host --------------------------------
