@@ -8,6 +8,7 @@ from .errors import (
     GraphFormatError,
     MiningBudgetError,
     MrkError,
+    PatternSizeError,
 )
 from .graph import (
     CoupledMultigraph,
@@ -56,7 +57,7 @@ from .synth import SynthConfig, generate
 __all__ = [
     "__version__",
     "MrkError", "GraphFormatError", "CoupledGraphError",
-    "MiningBudgetError", "EvaluationError",
+    "MiningBudgetError", "PatternSizeError", "EvaluationError",
     "MultiplexGraph", "SimpleGraph", "CoupledMultigraph", "KeySpace",
     "load_graph", "collapse", "to_coupled", "from_coupled",
     "MinerConfig", "Pattern", "Embedding",

@@ -57,6 +57,7 @@ from .miner import (
     DEFAULT_BUDGET,
     MinerConfig,
     Pattern,
+    canonical_forms,
     mine,
     pattern_from_dict,
     pattern_to_dict,
@@ -174,12 +175,14 @@ def _read_rules(path: str) -> List[Rule]:
     except (ValueError, KeyError, TypeError) as exc:
         raise MrkError(f"{path}: not a JSON rules file: {exc}")
     shared: Dict[tuple, Pattern] = {}
-    return [
+    rules = [
         replace(r, antecedent=shared.setdefault(
             (r.antecedent.attrs, r.antecedent.edges, r.antecedent.support),
             r.antecedent))
         for r in rules
     ]
+    canonical_forms([*shared.values(), *(r.consequent for r in rules)])
+    return rules
 
 
 def _miner_config(sigma: int, max_nodes: int, budget: int) -> MinerConfig:
@@ -230,7 +233,7 @@ def main():
 @click.option("--support", "sigma", type=int, default=None,
               help="Support threshold; default: smallest layer's node count.")
 @click.option("--max-size", "max_nodes", type=int, default=4, show_default=True,
-              help="Pattern size cap in nodes.")
+              help="Pattern size cap in nodes, 2 to 10.")
 @_budget_option
 @click.option("--format", "fmt", type=click.Choice(["json", "lg"]),
               default="json", show_default=True)

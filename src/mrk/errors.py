@@ -31,6 +31,19 @@ class MiningBudgetError(MrkError):
         )
 
 
+class PatternSizeError(MrkError):
+    """A pattern has more slots than a canonical code can number."""
+
+    def __init__(self, attrs: tuple, limit: int):
+        self.n_slots = len(attrs)
+        self.limit = limit
+        super().__init__(
+            f"pattern with {len(attrs)} slots {attrs!r} exceeds the limit of "
+            f"{limit} slots per pattern: canonical codes number slots with "
+            f"one digit"
+        )
+
+
 class MiningInvariantError(MrkError):
     """Internal consistency check of the miner failed (should never happen)."""
 

@@ -21,18 +21,27 @@ patterns carry their tables, which rule scoring reads.
 :func:`embedding_table` joins a pattern from scratch, one step per slot,
 for patterns that carry no table for the host at hand.  The budget caps
 the candidate rows one pattern generates, which bounds its memory.
+
+Candidates are deduplicated by canonical code, FSG's dedup step done in
+bulk: :func:`canonical_forms` ranks every slot permutation of a whole
+batch of patterns in one numpy kernel, and :func:`mine` calls it once per
+level, over every child the level grew.  Codes number slots with one
+digit, so patterns have at most :data:`MAX_SLOTS` slots.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import itemgetter
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
-from .errors import MiningBudgetError, MiningInvariantError
+from .errors import MiningBudgetError, MiningInvariantError, PatternSizeError
 from .graph import MultiplexGraph
 
 DEFAULT_BUDGET = 10 ** 6
@@ -79,7 +88,7 @@ class Pattern:
 
     @cached_property
     def _canonical(self) -> Tuple[str, Tuple[SlotMap, ...]]:
-        return _canonical_form(self)
+        return canonical_forms([self])[0]
 
     @property
     def code(self) -> str:
@@ -135,46 +144,191 @@ class Pattern:
 # slot does not serialize like no slot at all.
 _ESCAPE = str.maketrans({c: f"%{ord(c):02X}" for c in "%|,>:;="})
 
+# Slot numbers are written as one digit, so a code numbers at most ten
+# slots; past that "10" would sort before "2" and the integer ranks of
+# :func:`canonical_forms` would stop agreeing with the strings.
+MAX_SLOTS = 10
 
-def _serialize(attrs: Sequence[str], edges: Sequence[PatternEdge]) -> str:
-    vpart = "|".join(attrs)
-    epart = ",".join(f"{a}>{b}:{l}" for a, b, l in sorted(edges))
-    return f"v={vpart};e={epart}"
+# Entries (patterns x permutations x code columns) of one kernel chunk,
+# which bounds the kernel's memory whatever the batch size.
+_CHUNK = 1 << 15
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _canonical_form(p: Pattern) -> Tuple[str, Tuple[SlotMap, ...]]:
-    """Minimum serialization over all slot permutations, with every
-    permutation attaining it.
+def _escaped(name: str) -> str:
+    return name.translate(_ESCAPE) or "%"
 
-    Two patterns get the same code iff they are isomorphic respecting
-    attributes, edge directions and layers.  Patterns are tiny (at most a
-    handful of slots), so scanning every permutation is cheap and avoids
-    the usual canonical-ordering subtleties.
 
-    A permutation maps slot i to canonical slot ``perm[i]``.  Composing the
-    inverse of one minimising permutation with each of them yields every
-    automorphism of the pattern exactly once.
+@lru_cache(maxsize=None)
+def _permutations(k: int) -> np.ndarray:
+    """Every permutation of ``range(k)`` as a read-only ``(k!, k)`` int8
+    array, in the ascending order of ``itertools.permutations``.
+
+    One table per slot count is kept for the process's life; the ten-slot
+    table is 36 MB, the four-slot one 96 bytes.
     """
-    k = len(p.attrs)
-    names = [a.translate(_ESCAPE) or "%" for a in p.attrs]
-    edges = [(a, b, l.translate(_ESCAPE) or "%") for a, b, l in p.edges]
-    best = None
-    perms: List[SlotMap] = []
-    attrs = [""] * k
-    for perm in itertools.permutations(range(k)):
-        for i, s in enumerate(perm):
-            attrs[s] = names[i]
-        cand = _serialize(attrs, [(perm[a], perm[b], l) for a, b, l in edges])
-        if best is None or cand < best:
-            best, perms = cand, [perm]
-        elif cand == best:
-            perms.append(perm)
-    assert best is not None
-    return best, tuple(perms)
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for n in range(1, k + 1):
+        # Lead with each first value in turn; the rest keep their order.
+        perms = np.concatenate([
+            np.hstack((np.full((len(perms), 1), i, dtype=np.int8),
+                       perms + (perms >= i)))
+            for i in range(n)
+        ])
+    perms.flags.writeable = False
+    return perms
+
+
+def canonical_forms(
+    patterns: Iterable[Pattern],
+) -> List[Tuple[str, Tuple[SlotMap, ...]]]:
+    """Canonical code and minimising permutations of every pattern, each
+    cached on its pattern (see :attr:`Pattern.code`).
+
+    The code is the minimum serialization over all slot permutations: the
+    escaped names by canonical slot joined by ``|``, then the edges
+    ``src>dst:layer`` sorted and joined by ``,``.  The permutations are
+    every one attaining it, ascending.  Two patterns get the same code iff
+    they are isomorphic respecting attributes, edge directions and
+    layers.  A permutation maps slot i to canonical slot ``perm[i]``;
+    composing the inverse of one minimising permutation with each of them
+    yields every automorphism of the pattern exactly once.
+
+    One numpy kernel ranks every permutation of a whole batch: patterns
+    are grouped by slot and edge count, and each permutation becomes one
+    integer row whose lexicographic order is the order of its code string
+    (see :func:`_permutation_rows`).  The rows tied at the row-wise
+    minimum are the minimising permutations, and the code is written once,
+    from the minimal row.  Groups are cut into chunks of :data:`_CHUNK`
+    entries, so memory does not grow with the batch.  Patterns that
+    already carry their form are skipped.
+
+    Raises :class:`PatternSizeError` for a pattern of more than
+    :data:`MAX_SLOTS` slots.
+    """
+    patterns = list(patterns)
+    groups: Dict[Tuple[int, int], List[Pattern]] = {}
+    for p in patterns:
+        if "_canonical" in p.__dict__:
+            continue
+        if len(p.attrs) > MAX_SLOTS:
+            raise PatternSizeError(p.attrs, MAX_SLOTS)
+        groups.setdefault((len(p.attrs), len(p.edges)), []).append(p)
+    todo = [p for grp in groups.values() for p in grp]
+    names = set(chain.from_iterable(p.attrs for p in todo))
+    layers = set(map(itemgetter(2), chain.from_iterable(p.edges for p in todo)))
+    esc = {x: _escaped(x) for x in names | layers}
+    # Names are ranked as they compare inside the code: a slot's name is
+    # followed by "|" and an edge's layer by ",".  Within one permutation
+    # the edges are sorted by (src, dst, escaped layer), which can order
+    # two layers the other way: "x" < "x!" but "x!," < "x,".
+    names = sorted(names, key=lambda a: esc[a] + "|")
+    layers = sorted(layers, key=lambda l: esc[l] + ",")
+    rank = {a: i for i, a in enumerate(names)}
+    lid = {l: i for i, l in enumerate(layers)}
+    by_sort = sorted(range(len(layers)), key=lambda i: esc[layers[i]])
+    lsort = np.empty(len(layers), dtype=np.int64)
+    lsort[by_sort] = np.arange(len(layers))
+    vtok = [esc[a] for a in names]
+    for (k, n_edges), grp in groups.items():
+        n = len(grp)
+        slots = np.fromiter(map(rank.__getitem__, chain.from_iterable(
+            p.attrs for p in grp)), dtype=np.int64, count=n * k)
+        flat = list(chain.from_iterable(p.edges for p in grp))
+
+        def column(f) -> np.ndarray:
+            return np.fromiter(map(f, flat), dtype=np.int64,
+                               count=len(flat)).reshape(n, n_edges)
+
+        lay = column(lambda e: lid[e[2]])
+        # Edge value (src·k + dst)·len(layers) + layer rank names its token.
+        etok = [f"{a}>{b}:{esc[l]}" for a in range(k) for b in range(k)
+                for l in layers]
+        rows = _minimal_rows(slots.reshape(n, k), column(itemgetter(0)),
+                             column(itemgetter(1)), lsort[lay], lay,
+                             len(layers))
+        for p, (row, won) in zip(grp, rows):
+            vpart = "|".join(map(vtok.__getitem__, row[:k]))
+            epart = ",".join(map(etok.__getitem__, row[k:]))
+            p.__dict__["_canonical"] = (f"v={vpart};e={epart}", won)
+    return [p.__dict__["_canonical"] for p in patterns]
+
+
+def _permutation_rows(
+    slots: np.ndarray, src: np.ndarray, dst: np.ndarray, lsort: np.ndarray,
+    lcmp: np.ndarray, n_layers: int, perms: np.ndarray,
+) -> np.ndarray:
+    """The code of every pattern under every permutation, as integers.
+
+    ``slots`` is ``(patterns, k)`` name ranks; ``src``, ``dst`` and the
+    layer ranks ``lsort`` (sorting order) and ``lcmp`` (comparing order)
+    are ``(patterns, e)``.  Row ``[p, j]`` of the ``(patterns, perms,
+    k + e)`` result holds the name rank at each canonical slot, then each
+    edge as ``(src·k + dst)·n_layers + compare rank``, in the order the
+    code sorts its edges.  Rows of one pattern compare lexicographically
+    as their codes do.  Their vertex parts hold the same names, so two
+    differ first at a name followed by "|", never at the last one.  Their
+    edge parts hold the same layers, so two that agree up to the last
+    token agree on it too, and a layer decides only inside a token
+    followed by ",".  Slot numbers are one digit, so they compare as
+    integers.
+    """
+    k = slots.shape[1]
+    perms = perms.astype(np.int64)
+    vpart = slots[:, np.argsort(perms, axis=1)]
+    r = n_layers
+    key = perms.T[src] * k + perms.T[dst]  # (patterns, e, perms)
+    key = (key * r + lsort[:, :, None]) * r + lcmp[:, :, None]
+    key.sort(axis=1)
+    epart = key // (r * r) * r + key % r
+    return np.concatenate((vpart, epart.transpose(0, 2, 1)), axis=2)
+
+
+def _minimal_rows(
+    slots: np.ndarray, src: np.ndarray, dst: np.ndarray, lsort: np.ndarray,
+    lcmp: np.ndarray, n_layers: int,
+) -> Iterator[Tuple[List[int], Tuple[SlotMap, ...]]]:
+    """Per pattern, in order, its minimal row of :func:`_permutation_rows`
+    and every permutation attaining it, ascending.
+
+    Patterns share a chunk when all their permutations fit in
+    :data:`_CHUNK` entries; otherwise a chunk holds one pattern and a
+    block of its permutations, and the block minima are merged.
+    """
+    n, k = slots.shape
+    perms = _permutations(k)
+    width = max(k + src.shape[1], 1)
+    step = max(1, _CHUNK // (len(perms) * width))
+    block = min(len(perms), max(1, _CHUNK // width))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        best: List[Optional[List[int]]] = [None] * (hi - lo)
+        ties: List[List[List[int]]] = [[] for _ in range(hi - lo)]
+        for b0 in range(0, len(perms), block):
+            some = perms[b0:b0 + block]
+            rows = _permutation_rows(slots[lo:hi], src[lo:hi], dst[lo:hi],
+                                     lsort[lo:hi], lcmp[lo:hi], n_layers, some)
+            win = np.ones(rows.shape[:2], dtype=bool)
+            for col in rows.transpose(2, 0, 1):
+                low = np.where(win, col, _INT64_MAX).min(axis=1, keepdims=True)
+                win &= col == low
+            at, j = np.nonzero(win)
+            tied = some[j].tolist()
+            mins = rows[np.arange(hi - lo), win.argmax(axis=1)].tolist()
+            o = 0
+            for i, (row, c) in enumerate(zip(
+                    mins, np.bincount(at, minlength=hi - lo).tolist())):
+                if best[i] is None or row < best[i]:
+                    best[i], ties[i] = row, []
+                if row == best[i]:
+                    ties[i] += tied[o:o + c]
+                o += c
+        for row, t in zip(best, ties):
+            yield row, tuple(map(tuple, t))
 
 
 def canonical_code(p: Pattern) -> str:
-    return _canonical_form(p)[0]
+    return p.code
 
 
 def single_edge_pattern(src_attr: str, dst_attr: str, layer: str) -> Pattern:
@@ -387,6 +541,11 @@ class MinerConfig:
             raise ValueError(
                 f"max pattern size must be >= 2, got {self.max_nodes}"
             )
+        if self.max_nodes > MAX_SLOTS:
+            raise ValueError(
+                f"max pattern size must be <= {MAX_SLOTS} (canonical codes "
+                f"number slots with one digit), got {self.max_nodes}"
+            )
 
 
 @dataclass
@@ -463,6 +622,35 @@ def _grow(
     return out
 
 
+def _next_level(
+    frontier: Sequence[Pattern],
+    max_slots: int,
+    by_pair: Dict[Tuple[str, str], List[str]],
+    by_src: Dict[str, List[Tuple[str, str]]],
+    by_dst: Dict[str, List[Tuple[str, str]]],
+) -> Tuple[Dict[str, Tuple[Pattern, Pattern, PatternEdge]],
+           Dict[str, List[int]]]:
+    """Every child the frontier grows, deduplicated by canonical code.
+
+    Returns code -> (child, the parent that first grew it, the edge it
+    added) and code -> the support of every parent that grew it.  One
+    :func:`canonical_forms` batch covers all children; the duplicates are
+    dropped on return.
+    """
+    children = [(child, p, e) for p in frontier
+                for child, e in _grow(p, max_slots, by_pair, by_src, by_dst)]
+    canonical_forms(child for child, _, _ in children)
+    grown: Dict[str, Tuple[Pattern, Pattern, PatternEdge]] = {}
+    parents_of: Dict[str, List[int]] = {}
+    for child, p, e in children:
+        code = child.code
+        if code not in grown:
+            grown[code] = (child, p, e)
+            parents_of[code] = []
+        parents_of[code].append(p.support)
+    return grown, parents_of
+
+
 def _child_table(
     parent: Pattern, child: Pattern, e: PatternEdge, g: MultiplexGraph,
     budget: int,
@@ -482,9 +670,12 @@ def _child_table(
 
 def _carrying(p: Pattern, support: int, g: MultiplexGraph,
               table: np.ndarray) -> Pattern:
-    """``p`` with its support and its read-only table on ``g``."""
+    """``p`` with its support, its read-only table on ``g`` and its
+    canonical form."""
     table.flags.writeable = False
-    return Pattern(p.attrs, p.edges, support, (g, table))
+    q = Pattern(p.attrs, p.edges, support, (g, table))
+    q.__dict__["_canonical"] = p._canonical
+    return q
 
 
 def mine(
@@ -496,18 +687,20 @@ def mine(
 
     Level k holds the frequent patterns with k edges.  Children are grown
     one edge at a time from every frequent parent and deduplicated by
-    canonical code.  Each child's embedding table is one join step from
-    the table of the parent that first grew it, whose slot numbering the
-    child keeps; its support comes from that table, and it is kept when
-    the support reaches the threshold.  The support of each child is
+    canonical code, one :func:`canonical_forms` batch per level.  Each
+    child's embedding table is one join step from the table of the parent
+    that first grew it, whose slot numbering the child keeps; its support
+    comes from that table, and it is kept when the support reaches the
+    threshold.  The support of each child is
     checked against every parent that produced it; a child exceeding a
     parent's support would contradict the anti-monotone support measure
     and raises immediately.
 
-    Returns the frequent patterns sorted by code, each carrying its support
-    and its table on ``g`` (see :meth:`Pattern.table_in`).  Mining holds the
-    tables of one level's frontier while it grows the next; the returned
-    patterns keep theirs for rule scoring.
+    Returns the frequent patterns sorted by code, each carrying its
+    support, its canonical form and its table on ``g`` (see
+    :meth:`Pattern.table_in`).  Mining holds the tables of one level's
+    frontier while it grows the next; the returned patterns keep theirs
+    for rule scoring.
     """
     sigma = cfg.min_support
     seen = _single_edge_supports(g)
@@ -521,9 +714,11 @@ def mine(
         by_src.setdefault(sa, []).append((da, lay))
         by_dst.setdefault(da, []).append((sa, lay))
 
+    edges = [Pattern((sa, da), frozenset({(0, 1, lay)}), sup)
+             for (sa, da, lay), sup in sorted(singles.items())]
+    canonical_forms(edges)
     firsts: Dict[str, Pattern] = {}
-    for (sa, da, lay), sup in sorted(singles.items()):
-        p = Pattern((sa, da), frozenset({(0, 1, lay)}), sup)
+    for p in edges:
         firsts.setdefault(p.code, p)
     frontier: List[Pattern] = []
     for code in sorted(firsts):
@@ -538,16 +733,8 @@ def mine(
         stats.candidates_tested += len(seen)
 
     while frontier:
-        # Code -> (child, the parent that first grew it, the edge it added).
-        grown: Dict[str, Tuple[Pattern, Pattern, PatternEdge]] = {}
-        parents_of: Dict[str, List[int]] = {}
-        for p in frontier:
-            for child, e in _grow(p, cfg.max_nodes, by_pair, by_src, by_dst):
-                code = child.code
-                if code not in grown:
-                    grown[code] = (child, p, e)
-                    parents_of[code] = []
-                parents_of[code].append(p.support)
+        grown, parents_of = _next_level(frontier, cfg.max_nodes, by_pair,
+                                        by_src, by_dst)
         nxt: List[Pattern] = []
         for code in sorted(grown):
             child, parent, e = grown[code]

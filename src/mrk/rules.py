@@ -12,10 +12,17 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .graph import MultiplexGraph
-from .miner import Pattern, PatternEdge, SlotMap, pattern_from_dict, pattern_to_dict
+from .miner import (
+    Pattern,
+    PatternEdge,
+    SlotMap,
+    canonical_forms,
+    pattern_from_dict,
+    pattern_to_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,9 @@ def build_rules(
     support(p1).  Only the smallest delta of each orbit under p2's
     automorphism group is deleted, and the antecedent map is the smallest
     isomorphism of p1 onto the remainder, in p2's slots; both come from the
-    minimising permutations of the canonical-code scans.
+    minimising permutations of the canonical forms, which one
+    :func:`~mrk.miner.canonical_forms` batch computes for the patterns and
+    one for all remainders.
 
     Filters: rules below ``min_conf`` are dropped; when ``min_lift`` is
     given, rules with NaN or smaller lift are dropped too.
@@ -95,9 +104,11 @@ def build_rules(
     for p in patterns:
         if p.support is None:
             raise ValueError(f"pattern {p.code!r} carries no support")
+    canonical_forms(patterns)
     by_code = {p.code: p for p in patterns}
 
-    rules: List[Rule] = []
+    # Every connected one-edge-deletion remainder q, canonicalised at once.
+    cuts: List[Tuple[Pattern, PatternEdge, List[int], Pattern]] = []
     for p2 in patterns:
         if not p2.is_connected():
             continue
@@ -112,30 +123,36 @@ def build_rules(
                 tuple(p2.attrs[s] for s in keep),
                 frozenset((new[a], new[b], l) for a, b, l in rest),
             )
-            p1 = by_code.get(q.code) if q.is_connected() else None
-            if p1 is None:
-                continue
-            m = min(
-                tuple(keep[perm.index(s)] for s in p1.canonical_perms[0])
-                for perm in q.canonical_perms
+            if q.is_connected():
+                cuts.append((p2, delta, keep, q))
+    canonical_forms(q for _, _, _, q in cuts)
+
+    rules: List[Rule] = []
+    for p2, delta, keep, q in cuts:
+        p1 = by_code.get(q.code)
+        if p1 is None:
+            continue
+        m = min(
+            tuple(keep[perm.index(s)] for s in p1.canonical_perms[0])
+            for perm in q.canonical_perms
+        )
+        conf = p2.support / p1.support
+        lift = rule_lift(conf, delta[2], g)
+        if conf < min_conf:
+            continue
+        if min_lift is not None and not (lift >= min_lift):
+            continue
+        rules.append(
+            Rule(
+                antecedent=p1,
+                consequent=p2,
+                delta_edge=delta,
+                antecedent_map=m,
+                new_node=q.n_slots < p2.n_slots,
+                confidence=conf,
+                lift=lift,
             )
-            conf = p2.support / p1.support
-            lift = rule_lift(conf, delta[2], g)
-            if conf < min_conf:
-                continue
-            if min_lift is not None and not (lift >= min_lift):
-                continue
-            rules.append(
-                Rule(
-                    antecedent=p1,
-                    consequent=p2,
-                    delta_edge=delta,
-                    antecedent_map=m,
-                    new_node=q.n_slots < p2.n_slots,
-                    confidence=conf,
-                    lift=lift,
-                )
-            )
+        )
     rules.sort(
         key=lambda r: (r.antecedent.code, r.consequent.code, r.delta_edge)
     )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mrk.graph import MultiplexGraph
-from mrk.miner import Pattern
+from mrk.miner import Pattern, canonical_forms
 
 
 # -- random hosts -----------------------------------------------------------
@@ -146,7 +146,7 @@ def oracle_frequent(
     subset, so this enumeration is complete.
     """
     ln = g.layer_names
-    by_code: Dict[str, int] = {}
+    connected: List[Pattern] = []
     nodes = range(g.n_nodes)
     for size in range(2, max_nodes + 1):
         for subset in itertools.combinations(nodes, size):
@@ -170,14 +170,50 @@ def oracle_frequent(
                         attrs,
                         frozenset((pos[u], pos[v], ln[l]) for u, v, l in chosen),
                     )
-                    if not p.is_connected():
-                        continue
-                    code = p.code
-                    if code in by_code:
-                        continue
-                    sup = oracle_mis(p, g)
-                    by_code[code] = sup
+                    if p.is_connected():
+                        connected.append(p)
+    canonical_forms(connected)
+    by_code: Dict[str, int] = {}
+    for p in connected:
+        if p.code not in by_code:
+            by_code[p.code] = oracle_mis(p, g)
     return {c: s for c, s in by_code.items() if s >= sigma}
+
+
+# -- canonical-code oracle --------------------------------------------------
+
+
+# The code's separators and escape character, each written as "%" plus its
+# two hex digits inside a name; an empty name is a bare "%".
+_CODE_ESCAPE = str.maketrans({c: f"%{ord(c):02X}" for c in "%|,>:;="})
+
+
+def oracle_canonical_form(p: Pattern) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
+    """Minimum serialization over all slot permutations, with every
+    permutation attaining it, by serializing each permutation to a string.
+
+    A permutation maps slot i to canonical slot ``perm[i]``; the code is
+    ``v=`` plus the escaped names by canonical slot joined by ``|``, then
+    ``;e=`` plus the sorted edges ``src>dst:layer`` joined by ``,``.
+    """
+    k = len(p.attrs)
+    names = [a.translate(_CODE_ESCAPE) or "%" for a in p.attrs]
+    edges = [(a, b, l.translate(_CODE_ESCAPE) or "%") for a, b, l in p.edges]
+    best = None
+    perms: List[Tuple[int, ...]] = []
+    attrs = [""] * k
+    for perm in itertools.permutations(range(k)):
+        for i, s in enumerate(perm):
+            attrs[s] = names[i]
+        epart = ",".join(f"{a}>{b}:{l}" for a, b, l in
+                         sorted((perm[a], perm[b], l) for a, b, l in edges))
+        cand = f"v={'|'.join(attrs)};e={epart}"
+        if best is None or cand < best:
+            best, perms = cand, [perm]
+        elif cand == best:
+            perms.append(perm)
+    assert best is not None
+    return best, tuple(perms)
 
 
 # -- AUC oracle -------------------------------------------------------------

@@ -214,6 +214,15 @@ def test_mine_bad_support_exits_2(tmp_path, capsys, host_file):
     assert not (tmp_path / "p.json.manifest.json").exists()
 
 
+def test_mine_past_the_slot_limit_exits_2(tmp_path, capsys, host_file):
+    out = str(tmp_path / "p.json")
+    assert run(["mine", "--input", host_file, "--max-size", "11",
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "<= 10" in err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_malformed_edge_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n")
@@ -417,6 +426,23 @@ def test_read_rules_shares_antecedents_written_alike(rules_file):
     assert len(shared) < len(rs)
 
 
+def test_predict_rules_past_the_slot_limit_exits_2(tmp_path, capsys,
+                                                  host_file, rules_file):
+    # An 11-slot path as a consequent: its code cannot be written.
+    doc = json.load(open(rules_file))
+    path = [[i, i + 1, "a"] for i in range(10)]
+    doc[0]["consequent"] = {"nodes": [ATTR_DEFAULT] * 11, "edges": path,
+                            "support": 1}
+    bad = tmp_path / "rules.json"
+    bad.write_text(json.dumps(doc))
+    out = str(tmp_path / "scores.csv")
+    assert run(["predict", "--graph", host_file, "--rules", str(bad),
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "limit of 10 slots" in err
+    assert not (tmp_path / "scores.csv").exists()
+
+
 def test_predict_bad_rules_file_exits_2(tmp_path, capsys, host_file,
                                        patterns_file):
     # A pattern file is JSON, but its entries are not rules.
@@ -508,6 +534,15 @@ def test_evaluate_bad_negatives(tmp_path, capsys, band_file, spec, fragment):
                 "--out-dir", str(out_dir)]) == 2
     assert fragment in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_evaluate_past_the_slot_limit_exits_2(tmp_path, capsys, band_file):
+    out_dir = tmp_path / "ev"
+    assert run(["evaluate", "--input", band_file, "--folds", "2",
+                "--max-size", "11", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "<= 10" in err
+    assert not (out_dir / "summary.json").exists()
 
 
 def test_evaluate_old_new_requires_rules(tmp_path, capsys, band_file):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrk import miner
-from mrk.errors import MiningBudgetError
+from mrk.errors import MiningBudgetError, PatternSizeError
 from mrk.graph import ATTR_DEFAULT, MultiplexGraph
 from mrk.miner import (
     Embedding,
@@ -28,6 +28,7 @@ from mrk.miner import (
 )
 from tests.conftest import (
     nx_embeddings,
+    oracle_canonical_form,
     oracle_embeddings,
     oracle_frequent,
     oracle_isomorphic,
@@ -370,6 +371,147 @@ def test_canonical_code_function_matches_property():
     assert canonical_code(p) == p.code
 
 
+# The oracle's adversarial names: every code separator and the escape
+# character, "::", the empty name, prefix pairs that order differently
+# once a name is followed by "|" or "," ("x"/"x!", "a"/"a ", ":"/"::",
+# ""/"%" escaped), a pair that does not ("a"/"a~"), and non-ASCII.
+ORACLE_NAMES = ["%", "|", ",", ">", ":", ";", "=", "::", "", "x", "x!",
+                "a", "a ", "a~", "é", "é!", "日本", "%7C"]
+
+# Exhaustive sweeps: two slot names and two layer names each, chosen so
+# that raw order and in-code order disagree.
+SWEEP_ALPHABETS = [
+    (("x", "x!"), ("x", "x!")),
+    (("a", "a "), ("a ", "a")),
+    (("", "%"), (":", "::")),
+]
+
+
+def every_pattern(max_slots, names, layers):
+    """Every pattern of at most ``max_slots`` slots over the alphabets,
+    connected or not, edgeless and empty ones included."""
+    for k in range(max_slots + 1):
+        pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+        # Per ordered pair of slots: any subset of the layers.
+        subsets = [frozenset(c) for r in range(len(layers) + 1)
+                   for c in itertools.combinations(layers, r)]
+        for attrs in itertools.product(names, repeat=k):
+            for chosen in itertools.product(subsets, repeat=len(pairs)):
+                yield Pattern(attrs, frozenset(
+                    (a, b, l) for (a, b), ls in zip(pairs, chosen) for l in ls))
+
+
+def assert_forms_match_oracle(patterns):
+    fresh = [Pattern(p.attrs, p.edges) for p in patterns]
+    want = [oracle_canonical_form(p) for p in fresh]
+    assert miner.canonical_forms(fresh) == want
+    assert [(p.code, p.canonical_perms) for p in fresh] == want
+
+
+@st.composite
+def oracle_batches(draw):
+    """One to three patterns of 4-7 slots over few names, so that ties
+    between permutations and automorphisms are common."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(4, 7))
+        names = draw(st.lists(st.sampled_from(ORACLE_NAMES), min_size=1,
+                              max_size=2, unique=True))
+        layers = draw(st.lists(st.sampled_from(ORACLE_NAMES), min_size=1,
+                               max_size=3, unique=True))
+        attrs = draw(st.lists(st.sampled_from(names), min_size=k, max_size=k))
+        pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+        edges = draw(st.lists(
+            st.tuples(st.sampled_from(pairs), st.sampled_from(layers)),
+            max_size=9))
+        out.append(Pattern(tuple(attrs),
+                           frozenset((a, b, l) for (a, b), l in edges)))
+    return out
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(oracle_batches())
+def test_canonical_forms_match_scan_oracle_on_larger_patterns(batch):
+    assert_forms_match_oracle(batch)
+
+
+@pytest.mark.parametrize("names,layers", SWEEP_ALPHABETS)
+def test_canonical_forms_match_scan_oracle(names, layers):
+    # Every pattern of up to three slots in one batch (the kernel groups
+    # and chunks it), and the empty and single-slot patterns one by one.
+    every = list(every_pattern(3, names, layers))
+    assert len(every) == 1 + 2 + 4 * 4 ** 2 + 8 * 4 ** 6
+    assert_forms_match_oracle(every)
+    for p in every[:3]:
+        assert_forms_match_oracle([p])
+
+
+@pytest.mark.parametrize("directed,max_nodes", [(True, 4), (False, 3)])
+def test_canonical_forms_match_scan_oracle_on_mined_patterns(rng, directed,
+                                                             max_nodes):
+    # Every mined pattern and every one-edge-deletion remainder of one.
+    g = _adversarial_host(rng, directed, 2)
+    out = mine(g, MinerConfig(min_support=1, max_nodes=max_nodes))
+    assert sum(p.n_slots == max_nodes for p in out) > 10
+    rests = []
+    for p in out:
+        for e in p.edges:
+            rest = p.edges - {e}
+            keep = sorted({s for a, b, _ in rest for s in (a, b)})
+            new = {s: i for i, s in enumerate(keep)}
+            rests.append(Pattern(tuple(p.attrs[s] for s in keep),
+                                 frozenset((new[a], new[b], l)
+                                           for a, b, l in rest)))
+    assert [(p.code, p.canonical_perms) for p in out] == [
+        oracle_canonical_form(p) for p in out]
+    assert_forms_match_oracle(out + rests)
+
+
+def test_canonical_forms_blocks_one_pattern_past_the_chunk():
+    # An 8-slot cycle has 8! permutations, more than one chunk holds, so
+    # its permutations are ranked in blocks whose minima are merged.
+    k = 8
+    cycle = Pattern(("a",) * k, frozenset((i, (i + 1) % k, "x")
+                                         for i in range(k)))
+    assert len(miner._permutations(k)) * (2 * k) > miner._CHUNK
+    assert_forms_match_oracle([cycle])
+    assert len(cycle.canonical_perms) == k
+
+
+def test_canonical_forms_reject_more_than_ten_slots():
+    assert miner.MAX_SLOTS == 10
+    big = Pattern(("a",) * 11, frozenset((i, i + 1, "x") for i in range(10)))
+    with pytest.raises(PatternSizeError, match="limit of 10 slots") as err:
+        big.code
+    assert err.value.n_slots == 11
+    with pytest.raises(PatternSizeError):
+        miner.canonical_forms([single_edge_pattern(D, D, "x"), big])
+
+
+def test_canonical_forms_memory_is_bounded():
+    # 5,000 random 4-slot patterns: ranking all their permutations at once
+    # would take 5,000 * 24 rows of 4 + 6 columns, about 9 MiB per array.
+    rng = np.random.default_rng(5)
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    batch = []
+    for _ in range(5000):
+        chosen = rng.choice(len(pairs), 6, replace=False)
+        batch.append(Pattern(
+            tuple(str(x) for x in rng.integers(2, size=4)),
+            frozenset((*pairs[i], "xy"[int(rng.integers(2))]) for i in chosen),
+        ))
+    tracemalloc.start()
+    try:
+        forms = miner.canonical_forms(batch)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(forms) == 5000
+    # What the kernel holds beyond its results: a few chunks' arrays.
+    assert peak - kept < 3 * 2 ** 20
+    assert peak - kept < 5000 * 24 * 10 * 8 // 3
+
+
 # -- mining -----------------------------------------------------------------
 
 
@@ -580,11 +722,31 @@ def test_mined_tables_equal_fresh_joins(rng, directed, n_attrs):
         assert p.table_in(g) is table
 
 
+def test_mined_patterns_carry_their_canonical_forms(rng, monkeypatch):
+    g = rand_host(rng, 8, 2, 16, directed=True)
+    out = mine(g, MinerConfig(min_support=1, max_nodes=3))
+    assert any(p.n_slots == 3 for p in out)
+    calls = []
+    real = miner._minimal_rows
+    monkeypatch.setattr(miner, "_minimal_rows",
+                        lambda *a: calls.append(a) or real(*a))
+    for p in out:
+        assert (p.code, p.canonical_perms) == oracle_canonical_form(p)
+    assert sorted(out, key=lambda p: p.code) == out
+    assert calls == []
+    assert Pattern(out[-1].attrs, out[-1].edges).code == out[-1].code
+    assert len(calls) == 1
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MinerConfig(min_support=0)
     with pytest.raises(ValueError):
         MinerConfig(min_support=1, max_nodes=1)
+    # Codes number slots with one digit.
+    assert MinerConfig(min_support=1, max_nodes=10).max_nodes == 10
+    with pytest.raises(ValueError, match="<= 10"):
+        MinerConfig(min_support=1, max_nodes=11)
 
 
 def test_pattern_requires_valid_edges():
