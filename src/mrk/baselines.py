@@ -168,13 +168,10 @@ def _zscore_columns(x: np.ndarray) -> None:
     """Z-normalise each column of ``x`` in place; constant columns become 0."""
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        if sd[j] > 0:
-            col -= mu[j]
-            col /= sd[j]
-        else:
-            col[:] = 0.0
+    flat = ~(sd > 0)
+    x -= mu
+    x /= np.where(flat, 1.0, sd)
+    x[:, flat] = 0.0
 
 
 def ensemble(
@@ -184,17 +181,21 @@ def ensemble(
     space: KeySpace,
     mode: str = "base",
     seed: int = 0,
-) -> ScoreTable:
+) -> np.ndarray:
     """Combine predictors by weighted sums of z-normalized scores.
 
-    ``candidate_keys`` and ``truth`` are keys of ``space``.  Missing
-    candidate scores are imputed as 0 before normalization, so every table
-    covers the same key list.  ``base`` sums with equal weights.  ``over``
-    anneals the weight vector against AUC on the given truth labels:
-    geometric cooling, single-weight Gaussian proposals, Metropolis
-    acceptance, best weights kept; each single-predictor basis vector and
-    the equal-weight vector are also evaluated, so the result never falls
-    below them on the training labels.
+    ``candidate_keys`` and ``truth`` are keys of ``space``.  Returns the
+    combined scores as a float array aligned with ``candidate_keys``, which
+    :func:`evaluation.roc_auc` takes as it is when the keys are a fold's
+    positives followed by its negatives.  Missing candidate scores are
+    imputed as 0 before normalization, so every table covers the same key
+    list; the tables are read in one :meth:`ScoreTable.matrix_for` call.
+    ``base`` sums with equal weights.  ``over`` anneals the weight vector
+    against AUC on the given truth labels: geometric cooling,
+    single-weight Gaussian proposals, Metropolis acceptance, best weights
+    kept; each single-predictor basis vector and the equal-weight vector
+    are also evaluated, so the result never falls below them on the
+    training labels.
     """
     if mode not in ("base", "over"):
         raise MrkError(f"unknown ensemble mode {mode!r}")
@@ -202,10 +203,9 @@ def ensemble(
         raise MrkError("ensemble needs at least two score tables")
     keys = np.asarray(candidate_keys, dtype=np.int64)
     # One C-ordered (keys, tables) matrix, filled and normalised in place.
-    # The column reductions, and so their rounding, depend on that layout.
-    z = np.empty((len(keys), len(tables)))
-    for j, t in enumerate(tables):
-        z[:, j] = t.scores_for(keys, space)
+    # The column reductions, and so their rounding, depend on that layout
+    # and on the row order of the keys.
+    z = ScoreTable.matrix_for(tables, keys, space)
     _zscore_columns(z)
     nm = len(tables)
 
@@ -245,4 +245,4 @@ def ensemble(
                 best, best_auc = basis, a
         weights = best
 
-    return ScoreTable(f"ensemble-{mode}", space, keys, z @ weights)
+    return z @ weights

@@ -185,11 +185,25 @@ def _read_rules(path: str) -> List[Rule]:
     return rules
 
 
-def _miner_config(sigma: int, max_nodes: int, budget: int) -> MinerConfig:
+def _miner_config(sigma: Optional[int], max_nodes: int,
+                  budget: int) -> MinerConfig:
+    """The mining parameters, checked before any input is read.  An unset
+    support stands at 1 until :func:`_resolve_support` sets it."""
     try:
-        return MinerConfig(min_support=sigma, max_nodes=max_nodes, budget=budget)
+        return MinerConfig(min_support=1 if sigma is None else sigma,
+                           max_nodes=max_nodes, budget=budget)
     except ValueError as exc:
         raise MrkError(str(exc))
+
+
+def _resolve_support(manifest: RunManifest, config: MinerConfig,
+                     g: MultiplexGraph) -> MinerConfig:
+    """``config`` with the default support, the smallest layer's node
+    count, when the command was given none; the manifest records it."""
+    if manifest.params["support"] is not None:
+        return config
+    sigma = manifest.params["support"] = max(g.smallest_layer_size(), 1)
+    return replace(config, min_support=sigma)
 
 
 # -- shared options ---------------------------------------------------------
@@ -241,20 +255,21 @@ def main():
 def mine_cmd(edge_path, attr_path, directed, comune, sigma, max_nodes,
              budget, fmt, out_path):
     """Mine frequent multiplex patterns from an edge file."""
+    config = _miner_config(sigma, max_nodes, budget)
     manifest = RunManifest.of_command()
     with manifest.stage("load"):
         g = load_graph(edge_path, attr_path, directed=directed, comune=comune)
-    if sigma is None:
-        sigma = manifest.params["support"] = max(g.smallest_layer_size(), 1)
+    config = _resolve_support(manifest, config, g)
     with manifest.stage("mine"):
-        patterns = mine(g, _miner_config(sigma, max_nodes, budget))
+        patterns = mine(g, config)
     with manifest.stage("write"):
         if fmt == "lg":
             _write_text(out_path, patterns_to_lg(patterns))
         else:
             _write_json(out_path, [pattern_to_dict(p) for p in patterns])
     manifest.write(out_path + ".manifest.json", out_path)
-    click.echo(f"{len(patterns)} frequent patterns (support >= {sigma})")
+    click.echo(f"{len(patterns)} frequent patterns "
+               f"(support >= {config.min_support})")
 
 
 # -- rules ------------------------------------------------------------------
@@ -393,6 +408,7 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
     if old_new and predictor != "rules":
         raise MrkError("old-new evaluation only applies to --predictor rules")
     neg_mode, neg_k = _parse_negatives(negatives)
+    config = _miner_config(sigma, max_nodes, budget)
     manifest = RunManifest.of_command()
     with manifest.stage("load"):
         if test_path:
@@ -404,8 +420,7 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
             g = load_graph(edge_path, attr_path, directed=directed,
                            comune=comune)
             splits = split_random(g, folds=folds, seed=seed)
-    if sigma is None:
-        sigma = manifest.params["support"] = max(g.smallest_layer_size(), 1)
+    config = _resolve_support(manifest, config, g)
 
     def fold_table(train: MultiplexGraph, name: str):
         """A baseline's score table on ``train``, or mine -> build rules ->
@@ -414,7 +429,7 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
             return sharma_scores(train)
         if name in CLASSICAL_METHODS:
             return classical_on_multiplex(train, name)
-        patterns = mine(train, _miner_config(sigma, max_nodes, budget))
+        patterns = mine(train, config)
         score = score_old_new if old_new else score_links
         return score(train, build_rules(patterns, train), weighting,
                      budget=budget)
@@ -428,15 +443,17 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
                 continue
             neg = candidates(split, neg_mode, k=neg_k, seed=seed)
             if predictor.startswith("ensemble-"):
+                # Scores aligned with the positives and then the negatives,
+                # the order roc_auc reads a table in.
                 parts = ("rules", "sharma") + CLASSICAL_METHODS
                 pos = split.positive_keys()
-                table = ensemble([fold_table(split.train, p) for p in parts],
-                                 np.concatenate([pos, neg]), pos, split.space,
-                                 mode=predictor.split("-", 1)[1], seed=seed)
+                scores = ensemble([fold_table(split.train, p) for p in parts],
+                                  np.concatenate([pos, neg]), pos, split.space,
+                                  mode=predictor.split("-", 1)[1], seed=seed)
             else:
-                table = fold_table(split.train, predictor)
-            reports.append(roc_auc(table, split, neg, predictor=predictor))
-            del neg, table  # before the next fold builds its own
+                scores = fold_table(split.train, predictor)
+            reports.append(roc_auc(scores, split, neg, predictor=predictor))
+            del neg, scores  # before the next fold builds its own
     with manifest.stage("write"):
         outputs = []
         for r in reports:

@@ -5,8 +5,10 @@ graphs use the canonical orientation with src < dst.  Candidates and
 scores are int64 keys of the split's link space (``EvalSplit.space``):
 ``candidates`` returns the negatives as a sorted key array, and
 ``roc_auc`` reads a table for positive and negative keys with
-``ScoreTable.scores_for``.  Scores for candidates a predictor never
-mentions are imputed as 0.
+``ScoreTable.scores_for``, or takes scores already aligned with them,
+as ``baselines.ensemble`` returns them for a fold's positives followed
+by its negatives.  Scores for candidates a predictor never mentions are
+imputed as 0.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -239,13 +243,17 @@ def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise EvaluationError("AUC needs at least one positive and one negative")
     order = np.argsort(scores, kind="mergesort")
     s = scores[order]
-    ranks = np.empty(scores.size, dtype=float)
-    # Average ranks over tie groups (1-based).
-    _, inv, counts = np.unique(s, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    # Average ranks over tie groups (1-based).  A group starts where the
+    # sorted score changes; NaNs, sorted last, form one group.
+    new = np.empty(s.size, dtype=bool)
+    new[0] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    new[1:] &= ~np.isnan(s[:-1])
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], s.size)
     avg = (starts + ends + 1) / 2.0
-    ranks[order] = avg[inv]
+    ranks = np.empty(scores.size, dtype=float)
+    ranks[order] = avg[np.cumsum(new) - 1]
     r_pos = ranks[labels].sum()
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -310,28 +318,24 @@ def _roc_points(
 
 
 def _report(
-    table: ScoreTable,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    space: KeySpace,
+    scores: np.ndarray,
+    n_pos: int,
     fold: int,
     predictor: str,
     old_new: bool = False,
 ) -> EvalReport:
-    """Score positive and negative keys of ``space`` through the table;
-    tie-grouped ROC and its trapezoid area, identical to the rank-statistic
-    AUC."""
-    scores = table.scores_for(np.concatenate([pos, neg]), space)
+    """Tie-grouped ROC of scores whose first ``n_pos`` are positives, and
+    its trapezoid area, identical to the rank-statistic AUC."""
     labels = np.zeros(len(scores), dtype=bool)
-    labels[: len(pos)] = True
+    labels[:n_pos] = True
     pts = _roc_points(scores, labels)
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     return EvalReport(
         predictor=predictor,
         auc=float(_trapezoid(ys, xs)),
-        n_pos=len(pos),
-        n_neg=len(neg),
+        n_pos=n_pos,
+        n_neg=len(scores) - n_pos,
         roc=pts,
         fold=fold,
         old_new=old_new,
@@ -340,16 +344,18 @@ def _report(
 
 
 def roc_auc(
-    table: ScoreTable,
+    table: Union[ScoreTable, np.ndarray],
     split: EvalSplit,
     negatives: Optional[np.ndarray] = None,
     predictor: Optional[str] = None,
 ) -> EvalReport:
-    """Evaluate a link score table on one split.
+    """Evaluate link scores on one split.
 
     Positives are the split's held-out old-old edges (both endpoints known
     to the predictor); negatives are keys of ``split.space`` and default
-    to the full candidate set.
+    to the full candidate set.  ``table`` is a score table, read for the
+    positives followed by the negatives, or the scores of exactly those
+    keys in that order, which need a ``predictor`` name.
     """
     pos = split.positive_keys()
     if negatives is None:
@@ -360,8 +366,18 @@ def roc_auc(
             f"fold {split.fold}: need positives and negatives "
             f"(got {len(pos)} / {len(neg)})"
         )
-    return _report(table, pos, neg, split.space, split.fold,
-                   predictor or table.scheme)
+    if isinstance(table, ScoreTable):
+        predictor = predictor or table.scheme
+        table = table.scores_for(np.concatenate([pos, neg]), split.space)
+    scores = np.asarray(table, dtype=float)
+    if scores.shape != (len(pos) + len(neg),):
+        raise EvaluationError(
+            f"fold {split.fold}: {scores.shape} scores for {len(pos)} "
+            f"positives and {len(neg)} negatives"
+        )
+    if predictor is None:
+        raise EvaluationError("scores without a table need a predictor name")
+    return _report(scores, len(pos), split.fold, predictor)
 
 
 def evaluate_old_new(
@@ -398,7 +414,8 @@ def evaluate_old_new(
         allowed[:, :, DIRECTIONS.index("in")] = True
     allowed = allowed.reshape(-1)
     allowed[pos] = False
-    return _report(table, pos, np.flatnonzero(allowed), space, split.fold,
+    keys = np.concatenate([pos, np.flatnonzero(allowed)])
+    return _report(table.scores_for(keys, space), len(pos), split.fold,
                    predictor or table.scheme, old_new=True)
 
 

@@ -103,9 +103,17 @@ class KeySpace:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ids here of the names behind ``other``'s keys ``q``, -1 where a
         name is not on this space's axis."""
+        return self.ids_of(other.ids(q), other)
+
+    def ids_of(
+        self, ids: Tuple[np.ndarray, ...], other: "KeySpace"
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids here of the names behind ``other``'s id triples ``ids``, -1
+        where a name is not on this space's axis.  An axis equal to
+        ``other``'s returns its ids array itself."""
         return tuple(
             i if mine == theirs else _positions(mine, theirs)[i]
-            for mine, theirs, i in zip(self.axes, other.axes, other.ids(q))
+            for mine, theirs, i in zip(self.axes, other.axes, ids)
         )
 
     def encode(self, triples: Sequence[Tuple[str, str, str]]) -> np.ndarray:

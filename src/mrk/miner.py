@@ -546,6 +546,8 @@ class MinerConfig:
                 f"max pattern size must be <= {MAX_SLOTS} (canonical codes "
                 f"number slots with one digit), got {self.max_nodes}"
             )
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
 
 
 @dataclass

@@ -36,16 +36,6 @@ def _by_key(keys, values) -> Tuple[np.ndarray, np.ndarray]:
     return keys, values
 
 
-def _look_up(keys: np.ndarray, values: np.ndarray, q: np.ndarray,
-             ask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the values of the asked ``q`` found among the
-    sorted ``keys``; return where they were found."""
-    pos = keys.searchsorted(q)
-    found = ask & (keys.take(pos, mode="clip") == q)
-    out[found] = values[pos[found]]
-    return found
-
-
 @dataclass(frozen=True)
 class Contributors:
     """Contributing rules per scored key, in CSR form.
@@ -144,20 +134,61 @@ class ScoreTable:
         Each key is looked up by its names.  A link the table lacks falls
         back to its layer-less pair in canonical (min, max) order, so
         single-layer tables answer multiplex queries.  Keys found neither
-        way score 0.
+        way score 0.  This is :meth:`matrix_for` with one table.
+        """
+        return ScoreTable.matrix_for([self], keys, space)[:, 0]
+
+    @staticmethod
+    def matrix_for(tables: Sequence["ScoreTable"], keys,
+                   space: KeySpace) -> np.ndarray:
+        """Scores of ``space``'s ``keys`` in every table, as a C-ordered
+        float array with one row per key and one column per table: column
+        ``j`` holds ``tables[j].scores_for(keys, space)``.
+
+        The keys are split into ids once, the ids are mapped once into
+        each distinct table space, and each distinct key array is searched
+        once, so tables holding equal keys in equal spaces (the classical
+        indices' pair keys) share one search.
         """
         q = np.asarray(keys, dtype=np.int64)
-        a, b, c = self.space.ids_from(q, space)
-        known = (a >= 0) & (b >= 0)
-        out = np.zeros(len(q))
-        found = np.zeros(len(q), dtype=bool)
-        if self.keys.size:
-            found = _look_up(self.keys, self.values, self.space.key(a, b, c),
-                             known & (c >= 0), out)
-        if self.pair_keys.size:
-            pairs = self.space.pair(np.minimum(a, b), np.maximum(a, b))
-            _look_up(self.pair_keys, self.pair_values, pairs, known & ~found,
-                     out)
+        ids = space.ids(q)
+        mapped: Dict[KeySpace, Tuple[np.ndarray, ...]] = {}
+        searches: List[tuple] = []  # (space, pairs, held, found, positions)
+
+        def search(sp: KeySpace, pairs: bool, held: np.ndarray):
+            """Where the query keys of ``sp`` are among the sorted ``held``
+            keys, and their positions there."""
+            for s_sp, s_pairs, s_held, found, at in searches:
+                if (s_sp == sp and s_pairs == pairs
+                        and np.array_equal(s_held, held)):
+                    return found, at
+            if sp not in mapped:
+                mapped[sp] = sp.ids_of(ids, space)
+            a, b, c = mapped[sp]
+            ask = (a >= 0) & (b >= 0)
+            if pairs:
+                qk = sp.pair(np.minimum(a, b), np.maximum(a, b))
+            else:
+                qk, ask = sp.key(a, b, c), ask & (c >= 0)
+            pos = held.searchsorted(qk)
+            found = ask & (held.take(pos, mode="clip") == qk)
+            at = pos[found]
+            searches.append((sp, pairs, held, found, at))
+            return found, at
+
+        out = np.zeros((len(q), len(tables)))
+        for j, t in enumerate(tables):
+            col = out[:, j]
+            found = None
+            if t.keys.size:
+                found, at = search(t.space, False, t.keys)
+                col[found] = t.values[at]
+            if t.pair_keys.size:
+                hit, at = search(t.space, True, t.pair_keys)
+                if found is not None:  # pairs answer only the links missed
+                    at = at[~found[hit]]
+                    hit = hit & ~found
+                col[hit] = t.pair_values[at]
         return out
 
 

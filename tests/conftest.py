@@ -231,6 +231,24 @@ def oracle_auc(pos: Sequence[float], neg: Sequence[float]) -> float:
     return wins / (pos_a.size * neg_a.size)
 
 
+def oracle_mann_whitney(scores: Sequence[float], labels: Sequence[bool]) -> float:
+    """Rank-statistic AUC whose tie groups come from ``np.unique`` on the
+    sorted scores (all NaNs one group), added in the library's order, so
+    it must match ``mann_whitney_auc`` bit for bit."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=bool)
+    n_pos = int(labels.sum())
+    n_neg = int(labels.size - n_pos)
+    order = np.argsort(scores, kind="mergesort")
+    _, inv, counts = np.unique(scores[order], return_inverse=True,
+                               return_counts=True)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    ranks = np.empty(scores.size, dtype=float)
+    ranks[order] = ((starts + ends + 1) / 2.0)[inv]
+    return (ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 # -- negative-candidate and classical-index oracles -------------------------
 
 

@@ -357,10 +357,10 @@ def _ensemble_ordering(g, sigma=None, max_nodes=3):
     keys = np.concatenate([pos, candidates(split, "full")])
     labels = np.array([True] * len(pos) + [False] * (len(keys) - len(pos)))
 
-    def auc_of(table):
-        return mann_whitney_auc(table.scores_for(keys, split.space), labels)
+    def auc_of(scores):
+        return mann_whitney_auc(scores, labels)
 
-    individual = max(auc_of(t) for t in tables)
+    individual = max(auc_of(t.scores_for(keys, split.space)) for t in tables)
     base = auc_of(ensemble(tables, keys, pos, split.space, mode="base"))
     over = auc_of(ensemble(tables, keys, pos, split.space, mode="over", seed=0))
     return individual, base, over

@@ -545,6 +545,33 @@ def test_evaluate_past_the_slot_limit_exits_2(tmp_path, capsys, band_file):
     assert not (out_dir / "summary.json").exists()
 
 
+@pytest.mark.parametrize("cmd,flags,fragment", [
+    ("evaluate", ["--max-size", "11"], "<= 10"),
+    ("evaluate", ["--budget", "0"], "budget must be"),
+    ("evaluate", ["--support", "0"], "support threshold"),
+    ("evaluate", ["--test-input", "TEST", "--max-size", "1"], ">= 2"),
+    ("mine", ["--max-size", "11"], "<= 10"),
+    ("mine", ["--budget", "-1"], "budget must be"),
+])
+def test_bad_miner_config_fails_before_loading(
+        tmp_path, capsys, band_file, monkeypatch, cmd, flags, fragment):
+    import mrk.cli
+    import mrk.evaluation
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(mrk.cli, "load_graph", no_load)
+    monkeypatch.setattr(mrk.evaluation, "load_graph", no_load)
+    out = ["--out-dir", str(tmp_path / "ev")] if cmd == "evaluate" else [
+        "--out", str(tmp_path / "p.json")]
+    flags = [band_file if f == "TEST" else f for f in flags]
+    assert run([cmd, "--input", band_file, *flags, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_old_new_requires_rules(tmp_path, capsys, band_file):
     assert run(["evaluate", "--input", band_file, "--old-new",
                 "--predictor", "cn", "--out-dir", str(tmp_path / "ev")]) == 2

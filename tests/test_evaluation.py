@@ -22,9 +22,22 @@ from mrk.evaluation import (
     summary_dict,
 )
 from mrk.graph import MultiplexGraph, write_edge_file
-from mrk.predictor import OldNewScoreTable, ScoreTable
-from mrk.baselines import classical_on_multiplex, sharma_scores
-from tests.conftest import oracle_auc, oracle_candidates, oracle_lookup, rand_host
+from mrk.miner import MinerConfig, mine
+from mrk.predictor import OldNewScoreTable, ScoreTable, score_links
+from mrk.baselines import (
+    CLASSICAL_METHODS,
+    classical_on_multiplex,
+    ensemble,
+    sharma_scores,
+)
+from mrk.rules import build_rules
+from tests.conftest import (
+    oracle_auc,
+    oracle_candidates,
+    oracle_lookup,
+    oracle_mann_whitney,
+    rand_host,
+)
 
 
 # -- splitting --------------------------------------------------------------
@@ -291,6 +304,27 @@ def test_mann_whitney_matches_pairwise_oracle(rng):
         assert abs(got - want) <= 1e-12
 
 
+def test_mann_whitney_tie_groups_match_unique_oracle(rng):
+    n = 400
+    heavy = rng.integers(0, 4, n).astype(float)
+    signed = rng.choice([0.0, -0.0, 1.0, -1.0], n)  # 0.0 and -0.0 tie
+    nan = np.where(rng.random(n) < 0.3, np.nan, rng.integers(0, 3, n))
+    edges = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], n)
+    cases = [heavy, signed, nan, edges, np.full(n, 2.5), np.full(n, np.nan),
+             rng.permutation(n).astype(float), rng.normal(size=n)]
+    for scores in cases:
+        for _ in range(3):
+            labels = rng.random(n) < rng.uniform(0.05, 0.95)
+            labels[:2] = True, False
+            got = mann_whitney_auc(scores, labels)
+            want = oracle_mann_whitney(scores, labels)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # All NaNs rank as one tie group, as np.unique groups them.
+    y = np.array([True, False, True, False])
+    assert mann_whitney_auc(np.array([np.nan, np.nan, 1.0, 0.0]), y) == 0.625
+    assert mann_whitney_auc(np.array([np.nan] * 4), y) == 0.5
+
+
 def test_mann_whitney_needs_both_classes():
     with pytest.raises(EvaluationError):
         mann_whitney_auc(np.ones(3), np.array([True, True, True]))
@@ -318,6 +352,40 @@ def test_roc_auc_equals_rank_statistic(scored_split, rng):
     scores, labels = rep.raw
     assert abs(rep.auc - mann_whitney_auc(scores, labels)) <= 1e-12
     assert abs(rep.auc - oracle_auc(scores[labels], scores[~labels])) <= 1e-12
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("mode", ["base", "over"])
+def test_ensemble_scores_report_as_their_table(rng, directed, mode):
+    # The fold report of the ensemble's aligned scores equals the report of
+    # the same scores read back through a table.
+    g = rand_host(rng, 12, 2, 40, directed=directed)
+    split = split_random(g, folds=4, seed=1)[0]
+    train = split.train
+    rules = [r for r in build_rules(mine(train, MinerConfig(2, 3)), train)
+             if not r.new_node]
+    tables = [score_links(train, rules), sharma_scores(train)]
+    tables += [classical_on_multiplex(train, m) for m in CLASSICAL_METHODS]
+    pos, neg = split.positive_keys(), candidates(split, "full")
+    assert len(pos) and len(neg)
+    keys = np.concatenate([pos, neg])
+    scores = ensemble(tables, keys, pos, split.space, mode=mode, seed=3)
+    got = roc_auc(scores, split, neg, predictor="ens")
+    want = roc_auc(ScoreTable("ens", split.space, keys, scores), split, neg)
+    assert got.to_dict() == want.to_dict()
+    assert got.roc == want.roc
+    assert got.raw[0].tolist() == want.raw[0].tolist()
+    assert got.raw[1].tolist() == want.raw[1].tolist()
+
+
+def test_roc_auc_checks_aligned_scores(scored_split):
+    split, neg = scored_split
+    n = len(split.positive_keys()) + len(neg)
+    with pytest.raises(EvaluationError, match="positives"):
+        roc_auc(np.zeros(n - 1), split, neg, predictor="p")
+    with pytest.raises(EvaluationError, match="predictor name"):
+        roc_auc(np.zeros(n), split, neg)
+    assert roc_auc(np.zeros(n), split, neg, predictor="p").auc == 0.5
 
 
 def test_roc_curve_shape(scored_split, rng):

@@ -747,6 +747,9 @@ def test_config_validation():
     assert MinerConfig(min_support=1, max_nodes=10).max_nodes == 10
     with pytest.raises(ValueError, match="<= 10"):
         MinerConfig(min_support=1, max_nodes=11)
+    assert MinerConfig(min_support=1, budget=1).budget == 1
+    with pytest.raises(ValueError, match="budget"):
+        MinerConfig(min_support=1, budget=0)
 
 
 def test_pattern_requires_valid_edges():

@@ -21,7 +21,7 @@ from mrk.predictor import (
     write_scores_csv,
 )
 from mrk.rules import Rule, build_rules, rule_from_dict, rule_to_dict
-from tests.conftest import rand_host
+from tests.conftest import oracle_lookup, rand_host
 
 D = ATTR_DEFAULT
 
@@ -487,6 +487,66 @@ def test_scores_for_pair_fallback():
     keys = space.encode([("7", "a", "out"), ("7", "a", "in"), ("8", "a", "out"),
                          ("7", "b", "out")])
     assert on.scores_for(keys, space).tolist() == [2.0, 0.0, 0.0, 0.0]
+
+
+def _random_table(rng, scheme, space, links=0.0, pairs=0.0):
+    """A table over ``space`` holding each link and each pair key with the
+    given odds, with scores that include exact zeros."""
+    n, _, nl = space.shape
+    lk = np.flatnonzero(rng.random(n * n * nl) < links)
+    pk = np.flatnonzero(rng.random(n * n) < pairs)
+    return ScoreTable(scheme, space, lk, rng.integers(0, 4, len(lk)) / 2.0,
+                      pk, rng.integers(0, 4, len(pk)) / 2.0)
+
+
+def test_matrix_for_matches_per_key_oracle(rng):
+    # Names hold code separators; the query space has nodes and layers some
+    # tables lack, and the tables have names the query never asks about.
+    nodes = ("%", "|", ",", ">", ":", ";", "=", "::", "a::b", "x")
+    layers = (":", "::", "=;")
+    space = KeySpace.links(tuple(sorted(nodes)), tuple(sorted(layers)))
+    part = KeySpace.links(tuple(sorted(nodes[2:] + ("zz",))),
+                          tuple(sorted(layers[1:] + ("new",))))
+    # Equal to ``part`` but a distinct object, as each classical index
+    # builds its own space.
+    twin = KeySpace.links(tuple(part.axes[0]), tuple(part.axes[2]))
+    links = _random_table(rng, "links", part, links=0.3)
+    pairs = _random_table(rng, "pairs", part, pairs=0.5)
+    mixed = _random_table(rng, "mixed", space, links=0.2, pairs=0.4)
+    moved = pairs.pair_keys.copy()
+    moved[len(moved) // 2] = next(k for k in range(part.shape[0] ** 2)
+                                  if k not in set(moved.tolist()))
+    tables = [
+        links,
+        pairs,
+        mixed,
+        ScoreTable("empty", space),
+        # Equal key arrays with other values, in an equal space.
+        ScoreTable("same-links", twin, links.keys, links.values[::-1]),
+        ScoreTable("same-pairs", twin, pair_keys=pairs.pair_keys,
+                   pair_values=pairs.pair_values + 1.0),
+        # Unequal key arrays in the same space: as long as ``pairs``'s,
+        # one key moved; and a prefix of it.
+        ScoreTable("moved", part, pair_keys=np.sort(moved),
+                   pair_values=pairs.pair_values * 3.0),
+        ScoreTable("prefix", part, pair_keys=pairs.pair_keys[:-3],
+                   pair_values=pairs.pair_values[:-3] - 1.0),
+        ScoreTable("mixed-prefix", space, mixed.keys[:-2], mixed.values[:-2],
+                   mixed.pair_keys[1:], mixed.pair_values[1:]),
+        _random_table(rng, "links-too", space, links=0.3),
+        OldNewScoreTable.from_scores("slots", {(":", "::", "out"): 2.0}),
+    ]
+    n, _, nl = space.shape
+    q = rng.integers(0, n * n * nl, 600)  # any order, repeats
+    names = space.decode(q)
+    got = ScoreTable.matrix_for(tables, q, space)
+    assert got.shape == (len(q), len(tables)) and got.flags.c_contiguous
+    for j, t in enumerate(tables):
+        want = [oracle_lookup(t, k) for k in names]
+        assert got[:, j].tolist() == want, t.scheme
+        assert t.scores_for(q, space).tolist() == want, t.scheme
+    assert ScoreTable.matrix_for(tables, [], space).shape == (0, len(tables))
+    assert ScoreTable.matrix_for([], q, space).shape == (len(q), 0)
 
 
 def test_scores_csv_round_trip(tmp_path, mined_directed):
