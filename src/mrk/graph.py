@@ -33,6 +33,11 @@ COUPLING_LAYER = "1"
 INTRA_LAYER = "2"
 _REPLICA_SEP = "::"
 
+# Most keys a link space may have for :class:`GraphArrays` to hold its
+# boolean edge mask: 2^24 keys, 16 MiB.  Evaluation already allocates one
+# boolean per key of a split's link space for its negatives.
+LINK_MASK_CAP = 1 << 24
+
 
 @dataclass
 class LoadReport:
@@ -143,6 +148,12 @@ class GraphArrays:
     holds every stored edge as its key in the graph's link space,
     sorted.  ``attr`` holds each node's attribute id; ``attr_ids`` maps
     names to ids.
+
+    ``mask`` is a read-only boolean array over the whole link space, true
+    at the key of each stored edge, so :meth:`is_edge` is one gather.  It
+    is built when the space has at most :data:`LINK_MASK_CAP` keys (one
+    byte each) and is None above that, where :meth:`is_edge` falls back
+    to a binary search among ``keys``.
     """
 
     n: int
@@ -153,9 +164,12 @@ class GraphArrays:
     in_ptr: np.ndarray
     in_nbr: np.ndarray
     keys: np.ndarray
+    mask: Optional[np.ndarray]
 
     def is_edge(self, q: np.ndarray) -> np.ndarray:
-        """Elementwise: is key ``q[i]`` a stored edge?"""
+        """Elementwise: is key ``q[i]`` of the link space a stored edge?"""
+        if self.mask is not None:
+            return self.mask[q]
         if not self.keys.size:
             return np.zeros(q.shape, dtype=bool)
         return self.keys.take(self.keys.searchsorted(q), mode="clip") == q
@@ -276,12 +290,18 @@ class MultiplexGraph:
         attr_ids = {a: i for i, a in enumerate(sorted(set(self.attrs)))}
         out_ptr, out_nbr = _csr(l * n + u, v, nl * n)
         in_ptr, in_nbr = _csr(l * n + v, u, nl * n)
+        keys = np.sort(self.space.key(u, v, l))
+        mask = None
+        if n * n * nl <= LINK_MASK_CAP:
+            mask = np.zeros(n * n * nl, dtype=bool)
+            mask[keys] = True
+            mask.flags.writeable = False
         return GraphArrays(
             n=n,
             attr=np.array([attr_ids[a] for a in self.attrs], dtype=np.int64),
             attr_ids=attr_ids,
             out_ptr=out_ptr, out_nbr=out_nbr, in_ptr=in_ptr, in_nbr=in_nbr,
-            keys=np.sort(self.space.key(u, v, l)),
+            keys=keys, mask=mask,
         )
 
     def node_layers(self, u: int) -> Tuple[int, ...]:

@@ -12,8 +12,10 @@ CSR adjacency in the manner of FSG's embedding lists (Kuramochi & Karypis
 2001).  A table grows by one :func:`_step` at a time: a new slot expands
 the host nodes of an already placed neighbour slot through the CSR and
 filters the candidate rows by attribute, by the pattern's other edges back
-to placed slots (a binary search among sorted edge keys) and by
-injectivity; a closing edge filters the rows by that edge alone.
+to placed slots and by injectivity.  A closing edge filters the rows by
+that edge alone, in :func:`_close`, which tests every closing child of one
+parent table together.  An edge test is one
+:meth:`~mrk.graph.GraphArrays.is_edge` lookup.
 
 :func:`mine` grows the tables along the lattice: each child's table is one
 step from the table of the parent that first grew it, and the returned
@@ -380,58 +382,51 @@ def _step(
     table: np.ndarray,
     g: MultiplexGraph,
     edges: Sequence[Tuple[int, int, int]],
-    want: Optional[int],
+    want: int,
     budget: int,
     p: Pattern,
     used: int = 0,
 ) -> Tuple[np.ndarray, int]:
-    """One join step of ``p``'s table; returns the new table and rows used.
+    """One join step of ``p``'s table: a new last column with attribute id
+    ``want``.  Returns the new table and rows used.
 
-    ``edges`` are pattern edges ``(a, b, layer id)`` between columns of the
-    table.  With ``want`` None the step closes them: every edge joins two
-    placed columns, and the rows whose host nodes lack it are dropped.
-    Otherwise the step places a new last column with attribute id ``want``:
-    the first edge expands the host node of its other column through the
-    layer's CSR (with no edge, every node of the attribute extends every
-    row), and the candidate rows are filtered by attribute, by the other
-    edges (a lookup among the sorted edge keys) and by injectivity.
+    ``edges`` are pattern edges ``(a, b, layer id)`` between the new column
+    and the table's columns.  The first edge expands the host node of its
+    other column through the layer's CSR (with no edge, every node of the
+    attribute extends every row), and the candidate rows are filtered by
+    attribute, by the other edges (:meth:`GraphArrays.is_edge`) and by
+    injectivity.
 
-    The candidate rows (the table's own for a closing step) are added to
-    ``used`` before the step allocates them; past ``budget`` it raises
-    :class:`MiningBudgetError` naming ``p``.  Rows keep the table's order
-    and, within one of its rows, ascending new-node order, so a sorted
-    table gives a sorted result.
+    The candidate rows are added to ``used`` before the step allocates
+    them; past ``budget`` it raises :class:`MiningBudgetError` naming
+    ``p``.  Rows keep the table's order and, within one of its rows,
+    ascending new-node order, so a sorted table gives a sorted result.
     """
     ix = g.arrays
     m, c = table.shape
-    rows, new, others = table, None, ()
-    if want is None:  # a closing step checks the table's own rows
-        total = m
-    else:
-        if edges:
-            (a, b, l), edges = edges[0], edges[1:]
-            if a == c:  # the new column is the edge's source
-                col, ptr, nbr = b, ix.in_ptr, ix.in_nbr
-            else:
-                col, ptr, nbr = a, ix.out_ptr, ix.out_nbr
-            row = l * ix.n + table[:, col]
-            lo, hi = ptr[row], ptr[row + 1]
-            # Hosts have no self loops: a neighbour is never the anchor's node.
-            others = [j for j in range(c) if j != col]
+    if edges:
+        (a, b, l), edges = edges[0], edges[1:]
+        if a == c:  # the new column is the edge's source
+            col, ptr, nbr = b, ix.in_ptr, ix.in_nbr
         else:
-            nbr = np.flatnonzero(ix.attr == want)
-            lo, hi = np.zeros(m, dtype=np.int64), np.full(m, len(nbr))
-            others = range(c)
-        cnt = hi - lo
-        total = int(cnt.sum())
+            col, ptr, nbr = a, ix.out_ptr, ix.out_nbr
+        row = l * ix.n + table[:, col]
+        lo, hi = ptr[row], ptr[row + 1]
+        # Hosts have no self loops: a neighbour is never the anchor's node.
+        others = [j for j in range(c) if j != col]
+    else:
+        nbr = np.flatnonzero(ix.attr == want)
+        lo, hi = np.zeros(m, dtype=np.int64), np.full(m, len(nbr))
+        others = range(c)
+    cnt = hi - lo
+    total = int(cnt.sum())
     used += total
     if used > budget:
         raise MiningBudgetError(p.code, budget)
-    if want is not None:
-        new = nbr[np.arange(total) + (lo - cnt.cumsum() + cnt).repeat(cnt)]
-        rows = table[np.arange(m).repeat(cnt)]
+    new = nbr[np.arange(total) + (lo - cnt.cumsum() + cnt).repeat(cnt)]
+    rows = table[np.arange(m).repeat(cnt)]
     masks = []
-    if new is not None and len(ix.attr_ids) > 1:  # else every node matches
+    if len(ix.attr_ids) > 1:  # else every node matches
         masks.append(ix.attr[new] == want)
     for a, b, l in edges:
         src = new if a == c else rows[:, a]
@@ -440,11 +435,46 @@ def _step(
     masks += [rows[:, j] != new for j in others]
     if masks:
         keep = np.logical_and.reduce(masks)
-        rows = rows[keep]
-        new = None if new is None else new[keep]
-    if new is not None:
-        rows = np.concatenate((rows, new[:, None]), axis=1)
-    return rows, used
+        rows, new = rows[keep], new[keep]
+    return np.concatenate((rows, new[:, None]), axis=1), used
+
+
+def _close(
+    table: np.ndarray,
+    g: MultiplexGraph,
+    edges: Sequence[Tuple[int, int, int]],
+    children: Sequence[Pattern],
+    budget: int,
+    sigma: int,
+) -> List[Tuple[int, Optional[np.ndarray]]]:
+    """The closing steps of several children of one parent ``table``:
+    child i adds the edge ``edges[i] = (a, b, layer id)`` between two of
+    the table's columns.
+
+    Returns, per child, its support and, when that reaches ``sigma``, its
+    table: the rows whose host nodes have its edge, in the parent's order.
+    Each child checks all of the table's rows, which count against its
+    budget before anything is allocated; past ``budget`` it raises
+    :class:`MiningBudgetError` naming the first child.  One key column
+    serves every edge between the same two columns, each child's rows are
+    one :meth:`GraphArrays.is_edge` mask, and the supports of all children
+    are read off their masks together, so a child below ``sigma`` never
+    materialises its table.
+    """
+    m = len(table)
+    if m > budget:
+        raise MiningBudgetError(children[0].code, budget)
+    ix = g.arrays
+    keep = np.empty((len(edges), m), dtype=bool)
+    by_pair: Dict[Tuple[int, int], List[int]] = {}
+    for i, (a, b, _) in enumerate(edges):
+        by_pair.setdefault((a, b), []).append(i)
+    for (a, b), at in by_pair.items():
+        base = g.space.key(table[:, a], table[:, b], 0)
+        for i in at:
+            keep[i] = ix.is_edge(base + edges[i][2])
+    return [(sup, table[hit] if sup >= sigma else None)
+            for sup, hit in zip(_supports(table, keep, ix.n), keep)]
 
 
 def _join(
@@ -501,17 +531,29 @@ def embeddings(
     ]
 
 
-def _support(table: np.ndarray) -> int:
-    if not table.size:
-        return 0
-    return min(int(np.count_nonzero(np.bincount(col))) for col in table.T)
+def _support(table: np.ndarray, n: int) -> int:
+    return _supports(table, np.ones((1, len(table)), dtype=bool), n)[0]
+
+
+def _supports(table: np.ndarray, keep: np.ndarray, n: int) -> List[int]:
+    """The support of ``table[keep[i]]`` for every row mask ``keep[i]``:
+    per column, the distinct node ids among its rows (all below ``n``),
+    and the least count over columns."""
+    at, rows = np.nonzero(keep)
+    sup = np.zeros(len(keep), dtype=np.int64)
+    for j, col in enumerate(table.T):
+        seen = np.zeros((len(keep), n), dtype=bool)
+        seen[at, col[rows]] = True
+        count = np.count_nonzero(seen, axis=1)
+        sup = count if j == 0 else np.minimum(sup, count)
+    return sup.tolist()
 
 
 def min_image_support(
     p: Pattern, g: MultiplexGraph, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Minimum over slots of the number of distinct host images."""
-    return _support(embedding_table(p, g, budget))
+    return _support(embedding_table(p, g, budget), g.n_nodes)
 
 
 # -- level-wise mining ------------------------------------------------------
@@ -556,7 +598,9 @@ class MiningStats:
 
     ``rows_generated`` sums the candidate rows of every join step mining
     ran; ``max_rows`` is the most rows any one pattern used, the figure
-    the budget caps.
+    the budget caps.  ``rows_kept`` sums the rows of the candidate tables
+    mining materialised: every single-edge and new-slot candidate's, and a
+    closing candidate's only when it is frequent.
     """
 
     frequent_per_level: List[int] = field(default_factory=list)
@@ -566,10 +610,14 @@ class MiningStats:
     support_pairs: List[Tuple[int, int]] = field(default_factory=list)
     rows_generated: int = 0
     max_rows: int = 0
+    rows_kept: int = 0
 
-    def count_rows(self, rows: int) -> None:
+    def count_rows(self, rows: int, table: Optional[np.ndarray]) -> None:
+        """Count a candidate's ``rows`` and its table, if materialised."""
         self.rows_generated += rows
         self.max_rows = max(self.max_rows, rows)
+        if table is not None:
+            self.rows_kept += len(table)
 
 
 def _single_edge_supports(g: MultiplexGraph) -> Dict[Tuple[str, str, str], int]:
@@ -635,13 +683,16 @@ def _next_level(
     """Every child the frontier grows, deduplicated by canonical code.
 
     Returns code -> (child, the parent that first grew it, the edge it
-    added) and code -> the support of every parent that grew it.  One
-    :func:`canonical_forms` batch covers all children; the duplicates are
-    dropped on return.
+    added) and code -> the support of every parent that grew it, in the
+    order they grew it.  A child with the same attributes and edges as an
+    earlier one is dropped as it is grown; one :func:`canonical_forms`
+    batch covers the distinct ones.
     """
-    children = [(child, p, e) for p in frontier
+    first: Dict[Tuple[Tuple[str, ...], FrozenSet[PatternEdge]], Pattern] = {}
+    children = [(first.setdefault((child.attrs, child.edges), child), p, e)
+                for p in frontier
                 for child, e in _grow(p, max_slots, by_pair, by_src, by_dst)]
-    canonical_forms(child for child, _, _ in children)
+    canonical_forms(first.values())
     grown: Dict[str, Tuple[Pattern, Pattern, PatternEdge]] = {}
     parents_of: Dict[str, List[int]] = {}
     for child, p, e in children:
@@ -657,17 +708,21 @@ def _child_table(
     parent: Pattern, child: Pattern, e: PatternEdge, g: MultiplexGraph,
     budget: int,
 ) -> Tuple[np.ndarray, int]:
-    """The child's table, one :func:`_step` from the table its parent
-    carries; ``e`` is the edge :func:`_grow` added.
+    """The child's table, one step from the table its parent carries, and
+    the rows that step used; ``e`` is the edge :func:`_grow` added.
 
     The child keeps the parent's slot numbers, so the parent's columns are
-    its first columns and a new slot is the last one; rows stay sorted.
+    its first columns and a new slot is the last one, placed by
+    :func:`_step`; a closing edge is a :func:`_close` of this one child.
+    Rows stay sorted.
     """
     a, b, lay = e
-    new = child.n_slots > parent.n_slots
-    want = g.arrays.attr_ids[child.attrs[-1]] if new else None
-    return _step(parent.mined_on[1], g, [(a, b, g.layer_id(lay))], want,
-                 budget, child)
+    edge, table = (a, b, g.layer_id(lay)), parent.mined_on[1]
+    if child.n_slots > parent.n_slots:
+        return _step(table, g, [edge], g.arrays.attr_ids[child.attrs[-1]],
+                     budget, child)
+    [(_, closed)] = _close(table, g, [edge], [child], budget, 0)
+    return closed, len(table)
 
 
 def _carrying(p: Pattern, support: int, g: MultiplexGraph,
@@ -693,7 +748,9 @@ def mine(
     child's embedding table is one join step from the table of the parent
     that first grew it, whose slot numbering the child keeps; its support
     comes from that table, and it is kept when the support reaches the
-    threshold.  The support of each child is
+    threshold.  The children a parent first grew by closing an edge are
+    tested together, in one :func:`_close` of its table, when the first
+    of them in code order comes up.  The support of each child is
     checked against every parent that produced it; a child exceeding a
     parent's support would contradict the anti-monotone support measure
     and raises immediately.
@@ -727,7 +784,7 @@ def mine(
         p = firsts[code]
         table, rows = _join(p, g, cfg.budget)
         if stats is not None:
-            stats.count_rows(rows)
+            stats.count_rows(rows, table)
         frontier.append(_carrying(p, p.support, g, table))
     result: List[Pattern] = list(frontier)
     if stats is not None:
@@ -737,13 +794,31 @@ def mine(
     while frontier:
         grown, parents_of = _next_level(frontier, cfg.max_nodes, by_pair,
                                         by_src, by_dst)
+        codes = sorted(grown)
+        # (code, child, edge) of the closing children, by parent code.
+        closing: Dict[str, List[Tuple[str, Pattern, tuple]]] = {}
+        for code in codes:
+            child, parent, (a, b, lay) = grown[code]
+            if child.n_slots == parent.n_slots:
+                closing.setdefault(parent.code, []).append(
+                    (code, child, (a, b, g.layer_id(lay))))
+        closed: Dict[str, Tuple[int, Optional[np.ndarray]]] = {}
         nxt: List[Pattern] = []
-        for code in sorted(grown):
+        for code in codes:
             child, parent, e = grown[code]
-            table, rows = _child_table(parent, child, e, g, cfg.budget)
-            sup = _support(table)
+            if child.n_slots > parent.n_slots:
+                table, rows = _child_table(parent, child, e, g, cfg.budget)
+                sup = _support(table, g.n_nodes)
+            else:
+                if code not in closed:
+                    batch, kids, edges = zip(*closing[parent.code])
+                    closed.update(zip(batch, _close(
+                        parent.mined_on[1], g, edges, kids, cfg.budget,
+                        sigma)))
+                sup, table = closed.pop(code)
+                rows = len(parent.mined_on[1])
             if stats is not None:
-                stats.count_rows(rows)
+                stats.count_rows(rows, table)
                 stats.candidates_tested += 1
                 for psup in parents_of[code]:
                     stats.antimonotone_checks += 1

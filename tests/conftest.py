@@ -58,6 +58,23 @@ def rand_host(
     )
 
 
+def adversarial_host(rng, directed: bool, n_attrs: int) -> MultiplexGraph:
+    """A random host whose node, layer and attribute names hold code
+    separators and ``::``, with isolated nodes and a layer named only by
+    self loops (which the host drops, so it has no edge on it)."""
+    names = [f"{c}{i}::{c}" for i, c in enumerate("%|,>:;=%|,>:;=%|")]
+    layers = ["L|0", "L::1", "L%2;"]
+    values = ["v:a", "v=b", "v%c|"][:n_attrs]
+    triples = set()
+    while len(triples) < 34:
+        u, v = rng.choice(len(names), 2, replace=False)
+        triples.add((names[u], names[v], layers[int(rng.integers(3))]))
+    triples = sorted(triples) + [(names[0], names[0], "only>loops")]
+    attrs = {x: values[int(rng.integers(n_attrs))] for x in names}
+    return MultiplexGraph(triples, attrs=attrs, directed=directed,
+                          extra_nodes=["iso,1", "iso::2"])
+
+
 # -- embedding / support oracles -------------------------------------------
 
 

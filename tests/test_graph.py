@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mrk import graph
 from mrk.errors import CoupledGraphError, GraphFormatError
 from mrk.graph import (
     ATTR_DEFAULT,
@@ -16,7 +17,7 @@ from mrk.graph import (
     write_attr_file,
     write_edge_file,
 )
-from tests.conftest import pad_names, rand_host
+from tests.conftest import adversarial_host, pad_names, rand_host
 
 
 def write(path, text):
@@ -127,6 +128,30 @@ def test_smallest_layer_size():
         [("1", "2", "a"), ("2", "3", "a"), ("1", "2", "b")], directed=True
     )
     assert g.smallest_layer_size() == 2
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("over_cap", [False, True])
+def test_is_edge_equals_the_edge_set(rng, monkeypatch, directed, over_cap):
+    # The dense mask when the link space fits under the cap, the sorted
+    # search past it.  The host has isolated nodes and a layer named only
+    # by self loops, which it drops.
+    g = adversarial_host(rng, directed, 2)
+    assert "only>loops" not in g.layer_names
+    size = g.n_nodes ** 2 * g.n_layers
+    monkeypatch.setattr(graph, "LINK_MASK_CAP", size - over_cap)
+    ix = g.arrays
+    assert (ix.mask is None) == over_cap
+    if not over_cap:
+        assert ix.mask.shape == (size,) and not ix.mask.flags.writeable
+    edges = {(g.node_names[u], g.node_names[v], g.layer_names[l])
+             for u, v, l in g.edges}
+    keys = np.arange(size)
+    want = [t in edges for t in g.space.decode(keys)]
+    assert ix.is_edge(keys).tolist() == want
+    assert ix.is_edge(keys[::-1]).tolist() == want[::-1]
+    assert ix.is_edge(np.array([0, size - 1])).tolist() == [False, False]
+    assert sum(want) == g.n_edges
 
 
 # -- collapse ---------------------------------------------------------------

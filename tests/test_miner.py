@@ -27,6 +27,7 @@ from mrk.miner import (
     single_edge_pattern,
 )
 from tests.conftest import (
+    adversarial_host,
     nx_embeddings,
     oracle_canonical_form,
     oracle_embeddings,
@@ -450,7 +451,7 @@ def test_canonical_forms_match_scan_oracle(names, layers):
 def test_canonical_forms_match_scan_oracle_on_mined_patterns(rng, directed,
                                                              max_nodes):
     # Every mined pattern and every one-edge-deletion remainder of one.
-    g = _adversarial_host(rng, directed, 2)
+    g = adversarial_host(rng, directed, 2)
     out = mine(g, MinerConfig(min_support=1, max_nodes=max_nodes))
     assert sum(p.n_slots == max_nodes for p in out) > 10
     rests = []
@@ -686,29 +687,14 @@ def test_mine_stats_count_rows_per_step():
     assert stats.rows_generated == (6 + 4) + (3 * 3 + 1) + 2
     assert stats.max_rows == 6
     assert max(len(p.mined_on[1]) for p in out) == 3
-
-
-def _adversarial_host(rng, directed: bool, n_attrs: int) -> MultiplexGraph:
-    """A random host whose node, layer and attribute names hold code
-    separators and ``::``, with isolated nodes and a layer named only by
-    self loops (which the host drops, so no pattern can use it)."""
-    names = [f"{c}{i}::{c}" for i, c in enumerate("%|,>:;=%|,>:;=%|")]
-    layers = ["L|0", "L::1", "L%2;"]
-    values = ["v:a", "v=b", "v%c|"][:n_attrs]
-    triples = set()
-    while len(triples) < 34:
-        u, v = rng.choice(len(names), 2, replace=False)
-        triples.add((names[u], names[v], layers[int(rng.integers(3))]))
-    triples = sorted(triples) + [(names[0], names[0], "only>loops")]
-    attrs = {x: values[int(rng.integers(n_attrs))] for x in names}
-    return MultiplexGraph(triples, attrs=attrs, directed=directed,
-                          extra_nodes=["iso,1", "iso::2"])
+    # Kept: the x and y tables (3 + 1) and the x/y 2-cycle's 1 row.
+    assert stats.rows_kept == (3 + 1) + 1
 
 
 @pytest.mark.parametrize("directed", [True, False])
 @pytest.mark.parametrize("n_attrs", [1, 2, 3])
 def test_mined_tables_equal_fresh_joins(rng, directed, n_attrs):
-    g = _adversarial_host(rng, directed, n_attrs)
+    g = adversarial_host(rng, directed, n_attrs)
     assert "only>loops" not in g.layer_names
     out = mine(g, MinerConfig(min_support=1, max_nodes=3))
     assert sum(p.n_slots == 3 for p in out) > 10
@@ -720,6 +706,56 @@ def test_mined_tables_equal_fresh_joins(rng, directed, n_attrs):
         assert np.array_equal(table, fresh), p.code
         assert table.tolist() == [list(e) for e in nx_embeddings(p, g)], p.code
         assert p.table_in(g) is table
+
+
+def _assert_closing_pass_matches_fresh_joins(g, monkeypatch, sigma,
+                                            max_nodes):
+    """Every closing child ``mine`` tests, at every level and frequent or
+    not, gets the support of a fresh join from the batch pass, and each
+    table the pass keeps equals the fresh join's.  Returns the batches as
+    (edges, children, supports)."""
+    batches = []
+    real = miner._close
+
+    def spy(table, g_, edges, children, budget, sigma_):
+        out = real(table, g_, edges, children, budget, sigma_)
+        batches.append((edges, children, [sup for sup, _ in out]))
+        for child, (sup, kept) in zip(children, out):
+            assert sup == min_image_support(child, g), child.code
+            if sup < sigma:
+                assert kept is None, child.code
+            else:
+                assert np.array_equal(kept, embedding_table(child, g)), \
+                    child.code
+        return out
+
+    monkeypatch.setattr(miner, "_close", spy)
+    mine(g, MinerConfig(min_support=sigma, max_nodes=max_nodes))
+    return batches
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("n_attrs", [1, 2, 3])
+def test_closing_pass_matches_fresh_joins(rng, monkeypatch, directed,
+                                          n_attrs):
+    g = adversarial_host(rng, directed, n_attrs)
+    batches = _assert_closing_pass_matches_fresh_joins(g, monkeypatch, 2, 3)
+    # Several levels, infrequent children that still have embeddings, and
+    # batches closing edges between different slot pairs.
+    assert len({c.n_edges for _, cs, _ in batches for c in cs}) >= 2
+    assert any(0 < sup < 2 for _, _, sups in batches for sup in sups)
+    assert any(len({e[:2] for e in edges}) > 1 for edges, _, _ in batches)
+
+
+def test_closing_pass_matches_fresh_joins_on_a_hub(monkeypatch):
+    # Every pattern with the hub has support 1, and at support 2 every
+    # closing child is infrequent; at support 1 the stars close b edges
+    # between their spokes.
+    for sigma in (1, 2):
+        batches = _assert_closing_pass_matches_fresh_joins(
+            _hub_host(12), monkeypatch, sigma, 4)
+        assert any(len(edges) > 1 for edges, _, _ in batches)
+        monkeypatch.undo()
 
 
 def test_mined_patterns_carry_their_canonical_forms(rng, monkeypatch):
