@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -99,7 +99,9 @@ def _two_hop_pairs(edges: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return nbr[first], nbr[second]
 
 
-def classical_scores(sg: SimpleGraph, method: str) -> ScoreTable:
+def classical_scores(
+    sg: SimpleGraph, method: Union[str, Sequence[str]]
+) -> Union[ScoreTable, List[ScoreTable]]:
     """Neighborhood index over all non-adjacent pairs of the simple graph.
 
     cn: common neighbors.  aa: sum of 1/ln(degree) over common neighbors,
@@ -107,16 +109,24 @@ def classical_scores(sg: SimpleGraph, method: str) -> ScoreTable:
     ja: Jaccard overlap of neighborhoods (empty union scores 0).  The
     table holds one pair key (u < v) per non-adjacent pair.
 
+    ``method`` names one index, which is returned as a table, or is a
+    sequence of names, returned as a list of tables in that order.  The
+    indices of one call share the pair set, the common-neighbour counts
+    and the neighbourhood intersections, and each table equals the one
+    its own call returns.
+
     cn, pa and ja are integer counts and one division, so they are
     computed over arrays.  aa and ra add floats in the iteration order of
     the adjacency-set intersection, which fixes their rounding, so they
     keep that Python sum, over the pairs with a common neighbour only.
     """
-    if method not in CLASSICAL_METHODS:
-        raise MrkError(
-            f"unknown classical method {method!r}; "
-            f"expected one of {', '.join(CLASSICAL_METHODS)}"
-        )
+    methods = [method] if isinstance(method, str) else list(method)
+    for m in methods:
+        if m not in CLASSICAL_METHODS:
+            raise MrkError(
+                f"unknown classical method {m!r}; "
+                f"expected one of {', '.join(CLASSICAL_METHODS)}"
+            )
     n, space = sg.n_nodes, KeySpace.links(sg.node_names, ())
     edges = np.array(sorted(sg.edges), dtype=np.int64).reshape(-1, 2)
     deg = np.bincount(edges.ravel(), minlength=n)
@@ -129,30 +139,41 @@ def classical_scores(sg: SimpleGraph, method: str) -> ScoreTable:
     at = pairs.searchsorted(hop)
     near = pairs.take(at, mode="clip") == hop  # drops adjacent pairs
     at = at[near]
-    if method in ("aa", "ra"):
+    cn = np.zeros(len(pairs))
+    cn[at] = counts[near]
+    common: List[Set[int]] = []
+    if "aa" in methods or "ra" in methods:
         adj = sg.adj
-        if method == "aa":
+        common = [adj[a] & adj[b]
+                  for a, b in zip(u[at].tolist(), v[at].tolist())]
+
+    def index(m: str) -> np.ndarray:
+        if m == "cn":
+            return cn
+        if m == "pa":
+            return (deg[u] * deg[v]).astype(float)
+        if m == "ja":
+            union = deg[u] + deg[v] - cn
+            return np.divide(cn, union, out=np.zeros(len(pairs)),
+                             where=union > 0)
+        if m == "aa":
             w = [1.0 / math.log(d) if d > 1 else 0.0 for d in deg.tolist()]
-        else:
+        else:  # ra
             w = [1.0 / d if d else 0.0 for d in deg.tolist()]
         s = np.zeros(len(pairs))
-        s[at] = [sum(w[z] for z in adj[a] & adj[b])
-                 for a, b in zip(u[at].tolist(), v[at].tolist())]
-    elif method == "pa":
-        s = (deg[u] * deg[v]).astype(float)
-    else:
-        cn = np.zeros(len(pairs))
-        cn[at] = counts[near]
-        if method == "cn":
-            s = cn
-        else:  # ja
-            union = deg[u] + deg[v] - cn
-            s = np.divide(cn, union, out=np.zeros(len(pairs)), where=union > 0)
-    return ScoreTable(method, space, pair_keys=pairs, pair_values=s)
+        s[at] = [sum(w[z] for z in c) for c in common]
+        return s
+
+    tables = [ScoreTable(m, space, pair_keys=pairs, pair_values=index(m))
+              for m in methods]
+    return tables[0] if isinstance(method, str) else tables
 
 
-def classical_on_multiplex(g: MultiplexGraph, method: str) -> ScoreTable:
-    """Convenience wrapper: collapse, then score."""
+def classical_on_multiplex(
+    g: MultiplexGraph, method: Union[str, Sequence[str]]
+) -> Union[ScoreTable, List[ScoreTable]]:
+    """Convenience wrapper: collapse once, then score one index or each of
+    a sequence of them (see :func:`classical_scores`)."""
     return classical_scores(collapse(g), method)
 
 

@@ -444,12 +444,14 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
             neg = candidates(split, neg_mode, k=neg_k, seed=seed)
             if predictor.startswith("ensemble-"):
                 # Scores aligned with the positives and then the negatives,
-                # the order roc_auc reads a table in.
-                parts = ("rules", "sharma") + CLASSICAL_METHODS
+                # the order roc_auc reads a table in.  The classical
+                # indices come from one collapse and one pair set.
+                tables = [fold_table(split.train, p) for p in ("rules", "sharma")]
+                tables += classical_on_multiplex(split.train, CLASSICAL_METHODS)
                 pos = split.positive_keys()
-                scores = ensemble([fold_table(split.train, p) for p in parts],
-                                  np.concatenate([pos, neg]), pos, split.space,
-                                  mode=predictor.split("-", 1)[1], seed=seed)
+                scores = ensemble(tables, np.concatenate([pos, neg]), pos,
+                                  split.space, mode=predictor.split("-", 1)[1],
+                                  seed=seed)
             else:
                 scores = fold_table(split.train, predictor)
             reports.append(roc_auc(scores, split, neg, predictor=predictor))

@@ -8,7 +8,9 @@ scores are int64 keys of the split's link space (``EvalSplit.space``):
 ``ScoreTable.scores_for``, or takes scores already aligned with them,
 as ``baselines.ensemble`` returns them for a fold's positives followed
 by its negatives.  Scores for candidates a predictor never mentions are
-imputed as 0.
+imputed as 0.  A fold's scores are reduced once to :class:`ScoreGroups`,
+from which its ROC, its rank AUC and the pooled AUC of several folds are
+read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import json
 import logging
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -229,41 +232,94 @@ def candidates(
 # -- ROC and AUC ------------------------------------------------------------
 
 
+class ScoreGroups(NamedTuple):
+    """Scored candidates reduced to their distinct scores.
+
+    ``score`` holds the distinct scores in ascending order, all NaNs as
+    one group after every number; ``pos`` and ``neg`` hold the positives
+    and negatives at each score as int64 counts.  0.0 and -0.0 are one
+    group, whose score is the zero that came last in the input, the
+    threshold a stable descending sort puts at the group's end.
+    """
+
+    score: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+
+
+def _group_starts(s: np.ndarray) -> np.ndarray:
+    """First index of each tie group of ascending ``s`` (NaNs last, one
+    group)."""
+    new = np.empty(s.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    new[1:] &= ~np.isnan(s[:-1])
+    return np.flatnonzero(new)
+
+
+def _groups(scores: np.ndarray, labels: np.ndarray) -> ScoreGroups:
+    """Group ``scores`` by value, counting the ``labels``-true ones as
+    positives."""
+    s = np.sort(scores)
+    starts = _group_starts(s)
+    score = s[starts]
+    total = np.diff(np.append(starts, s.size))
+    pos = np.bincount(score.searchsorted(scores[labels]),
+                      minlength=score.size)
+    zero = score.searchsorted(0.0)
+    if zero < score.size and score[zero] == 0.0:
+        is_zero = scores == 0.0
+        score[zero] = scores[scores.size - 1 - np.argmax(is_zero[::-1])]
+    return ScoreGroups(score, pos, total - pos)
+
+
+def _merge(groups: Sequence[ScoreGroups]) -> ScoreGroups:
+    """One set of groups for several, with the counts of equal scores
+    added."""
+    score = np.concatenate([g.score for g in groups])
+    order = np.argsort(score)
+    s = score[order]
+    starts = _group_starts(s)
+    pos = np.concatenate([g.pos for g in groups])[order]
+    neg = np.concatenate([g.neg for g in groups])[order]
+    return ScoreGroups(s[starts], np.add.reduceat(pos, starts),
+                       np.add.reduceat(neg, starts))
+
+
+def _rank_auc(g: ScoreGroups) -> float:
+    """U/(n_pos·n_neg) with U the exact integer Mann-Whitney count: each
+    positive beats the negatives of lower groups and ties half of its
+    own group's, NaNs ranking highest."""
+    n_pos, n_neg = int(g.pos.sum()), int(g.neg.sum())
+    if n_pos == 0 or n_neg == 0:
+        raise EvaluationError("AUC needs at least one positive and one negative")
+    below = np.cumsum(g.neg) - g.neg
+    two_u = int(np.dot(g.pos, 2 * below + g.neg))
+    # Halving is exact, so this is the float the half-integer rank sum
+    # gave; both are the correctly rounded quotient of the same rational.
+    return two_u / (2 * n_pos * n_neg)
+
+
 def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """AUC as the tie-corrected rank statistic.
 
     Equals the probability that a random positive outscores a random
-    negative, ties counting half.
+    negative, ties counting half; all NaNs tie and rank above every
+    number.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
-    n_pos = int(labels.sum())
-    n_neg = int(labels.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise EvaluationError("AUC needs at least one positive and one negative")
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    # Average ranks over tie groups (1-based).  A group starts where the
-    # sorted score changes; NaNs, sorted last, form one group.
-    new = np.empty(s.size, dtype=bool)
-    new[0] = True
-    np.not_equal(s[1:], s[:-1], out=new[1:])
-    new[1:] &= ~np.isnan(s[:-1])
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], s.size)
-    avg = (starts + ends + 1) / 2.0
-    ranks = np.empty(scores.size, dtype=float)
-    ranks[order] = avg[np.cumsum(new) - 1]
-    r_pos = ranks[labels].sum()
-    return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _rank_auc(_groups(scores, labels))
 
 
 @dataclass
 class EvalReport:
     """ROC points, area, and the counts behind them.
 
-    ``raw`` keeps the (scores, labels) arrays so several folds can be
-    pooled into one curve; it stays out of the serialized form.
+    ``groups`` holds the fold's (score, positives, negatives) counts, from
+    which the ROC was read, so several folds pool into one rank AUC by
+    merging groups; ``raw`` keeps the (scores, labels) arrays.  Both stay
+    out of the serialized form.
     """
 
     predictor: str
@@ -276,6 +332,7 @@ class EvalReport:
     raw: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False
     )
+    groups: Optional[ScoreGroups] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -294,27 +351,20 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _roc_points(
-    scores: np.ndarray, labels: np.ndarray
-) -> List[Tuple[float, float, float]]:
-    """ROC curve with one point per distinct score, descending.
+def _roc_points(g: ScoreGroups) -> List[Tuple[float, float, float]]:
+    """ROC curve with one point per score group, descending, NaNs first.
 
     Tied scores collapse into a single point, giving the diagonal segment
-    a random tie-break would average over.
+    a random tie-break would average over.  Each point's rates are the
+    cumulative integer counts divided once.
     """
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order].astype(float)
-    tp = np.cumsum(y)
-    fp = np.cumsum(1.0 - y)
-    # Last index of each tie group.
-    distinct = np.nonzero(np.diff(s))[0]
-    idx = np.r_[distinct, s.size - 1]
-    n_pos, n_neg = tp[-1], fp[-1]
-    pts = [(0.0, 0.0, float("inf"))]
-    for i in idx:
-        pts.append((float(fp[i] / n_neg), float(tp[i] / n_pos), float(s[i])))
-    return pts
+    tp = np.cumsum(g.pos[::-1])
+    fp = np.cumsum(g.neg[::-1])
+    fpr = (fp / fp[-1]).tolist()
+    tpr = (tp / tp[-1]).tolist()
+    return [(0.0, 0.0, float("inf"))] + list(
+        zip(fpr, tpr, g.score[::-1].tolist())
+    )
 
 
 def _report(
@@ -325,10 +375,11 @@ def _report(
     old_new: bool = False,
 ) -> EvalReport:
     """Tie-grouped ROC of scores whose first ``n_pos`` are positives, and
-    its trapezoid area, identical to the rank-statistic AUC."""
+    its trapezoid area, the rank-statistic AUC up to rounding."""
     labels = np.zeros(len(scores), dtype=bool)
     labels[:n_pos] = True
-    pts = _roc_points(scores, labels)
+    groups = _groups(scores, labels)
+    pts = _roc_points(groups)
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     return EvalReport(
@@ -340,6 +391,7 @@ def _report(
         fold=fold,
         old_new=old_new,
         raw=(scores, labels),
+        groups=groups,
     )
 
 
@@ -420,13 +472,12 @@ def evaluate_old_new(
 
 
 def pooled_auc(reports: Sequence[EvalReport]) -> Optional[float]:
-    """AUC of all folds' scored candidates thrown on one pile."""
-    raws = [r.raw for r in reports if r.raw is not None]
-    if not raws:
+    """AUC of all folds' scored candidates thrown on one pile, from the
+    folds' merged score groups."""
+    groups = [r.groups for r in reports if r.groups is not None]
+    if not groups:
         return None
-    scores = np.concatenate([s for s, _ in raws])
-    labels = np.concatenate([l for _, l in raws])
-    return mann_whitney_auc(scores, labels)
+    return _rank_auc(_merge(groups))
 
 
 def summary_dict(reports: Sequence[EvalReport]) -> dict:

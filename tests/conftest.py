@@ -266,6 +266,37 @@ def oracle_mann_whitney(scores: Sequence[float], labels: Sequence[bool]) -> floa
     return (ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def oracle_roc_points(
+    scores: np.ndarray, labels: np.ndarray
+) -> List[Tuple[float, float, float]]:
+    """The per-candidate ROC that evaluation used before score groups: a
+    stable descending sort, float cumulative counts, one point at the
+    last index of each run of equal scores.  Every NaN, and every
+    repeated infinity (whose difference is NaN), is a point of its own;
+    NaNs come last."""
+    order = np.argsort(-scores, kind="mergesort")
+    s = scores[order]
+    y = labels[order].astype(float)
+    tp = np.cumsum(y)
+    fp = np.cumsum(1.0 - y)
+    # Last index of each tie group.
+    distinct = np.nonzero(np.diff(s))[0]
+    idx = np.r_[distinct, s.size - 1]
+    n_pos, n_neg = tp[-1], fp[-1]
+    pts = [(0.0, 0.0, float("inf"))]
+    for i in idx:
+        pts.append((float(fp[i] / n_neg), float(tp[i] / n_pos), float(s[i])))
+    return pts
+
+
+def oracle_pooled_auc(raws: Sequence[Tuple[np.ndarray, np.ndarray]]) -> float:
+    """The pooled AUC that evaluation used before score groups: every
+    fold's (scores, labels) concatenated and ranked again."""
+    scores = np.concatenate([s for s, _ in raws])
+    labels = np.concatenate([l for _, l in raws])
+    return oracle_mann_whitney(scores, labels)
+
+
 # -- negative-candidate and classical-index oracles -------------------------
 
 

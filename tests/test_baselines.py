@@ -267,6 +267,35 @@ def test_classical_matches_set_oracle_bit_for_bit(rng):
                 sg, method), method
 
 
+def test_classical_tables_of_one_call_equal_separate_calls(rng):
+    # One call for several indices shares the pair set, the two-hop
+    # counts and the intersections; every table must be bitwise the one
+    # its own call builds, in the order asked for.
+    wide = generate(SynthConfig(
+        layer_sizes=(200, 150, 100), communities=4,
+        p_in=(0.03, 0.05, 0.1), p_out=0.002, backbone=(1, 2), seed=3,
+    ))
+    hosts = [wide, rand_host(rng, 30, 3, 120, directed=True),
+             rand_host(rng, 9, 2, 4, directed=False),
+             MultiplexGraph([], extra_nodes=["a", "b", "c"])]
+    orders = [CLASSICAL_METHODS, CLASSICAL_METHODS[::-1], ("ra", "cn"),
+              ("ja",), ()]
+    for g in hosts:
+        for methods in orders:
+            got = classical_on_multiplex(g, methods)
+            assert isinstance(got, list) and len(got) == len(methods)
+            for m, t in zip(methods, got):
+                want = classical_on_multiplex(g, m)
+                assert t.scheme == m
+                assert t.space == want.space
+                for part in ("keys", "values", "pair_keys", "pair_values"):
+                    a, b = getattr(t, part), getattr(want, part)
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes(), (m, part)
+    with pytest.raises(MrkError, match="katz"):
+        classical_on_multiplex(wide, ("cn", "katz"))
+
+
 # -- ensemble ---------------------------------------------------------------
 
 

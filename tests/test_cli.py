@@ -12,7 +12,7 @@ import pytest
 
 from mrk import __version__
 from mrk.baselines import classical_on_multiplex, sharma_scores
-from mrk.cli import run
+from mrk.cli import PREDICTORS, run
 from mrk.graph import ATTR_DEFAULT, load_graph
 from mrk.miner import DEFAULT_BUDGET, MinerConfig, mine, pattern_from_dict, \
     pattern_to_dict
@@ -513,6 +513,18 @@ def test_evaluate_other_predictors(tmp_path, band_file, predictor):
     summary = json.load(open(out_dir / "summary.json"))
     assert summary["predictor"] == predictor
     assert 0.0 <= summary["auc_mean"] <= 1.0
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_evaluate_replay_is_byte_identical(tmp_path, band_file, predictor):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["evaluate", "--input", band_file, "--folds", "2",
+                    "--seed", "7", "--support", "2", "--max-size", "3",
+                    "--predictor", predictor, "--out-dir", str(out)]) == 0
+    names = ["roc_fold00.csv", "roc_fold01.csv", "summary.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_evaluate_sampled_negatives(tmp_path, band_file):

@@ -10,7 +10,10 @@ from mrk.evaluation import (
     CAT_NEW_NEW,
     CAT_OLD_NEW,
     CAT_OLD_OLD,
+    EvalReport,
     EvalSplit,
+    _report,
+    _trapezoid,
     candidates,
     evaluate_old_new,
     load_temporal,
@@ -36,6 +39,8 @@ from tests.conftest import (
     oracle_candidates,
     oracle_lookup,
     oracle_mann_whitney,
+    oracle_pooled_auc,
+    oracle_roc_points,
     rand_host,
 )
 
@@ -333,6 +338,105 @@ def test_mann_whitney_needs_both_classes():
 
 
 # -- ROC evaluation ---------------------------------------------------------
+
+
+def _roc_bytes(pts):
+    """The ROC CSV and the trapezoid area of a point list, as bytes."""
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    auc = np.float64(_trapezoid(ys, xs)).tobytes()
+    return EvalReport("x", 0.0, 0, 0, pts).roc_csv().encode(), auc
+
+
+def test_grouped_roc_matches_per_candidate_oracle(rng):
+    # The ROC read from score groups writes the same CSV and area as the
+    # per-candidate sort it replaced, and the pooled AUC of merged groups
+    # equals the rank AUC of the folds' scores concatenated.
+    def draws(n):
+        yield rng.integers(0, 4, n).astype(float)  # heavy ties
+        yield rng.choice([0.0, -0.0, 1.0, -1.0], n)  # 0.0 and -0.0 tie
+        yield rng.choice([0.0, -0.0, 0.5, 2.0], n)
+        yield rng.normal(size=n)
+        yield np.full(n, 1.5)
+        infs = rng.integers(0, 3, n).astype(float)  # each infinity once
+        infs[rng.choice(n, 2, replace=False)] = np.inf, -np.inf
+        yield infs
+
+    for _ in range(40):
+        reports = []
+        for fold in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(2, 80))
+            for scores in draws(n):
+                n_pos = int(rng.integers(1, n))
+                rep = _report(scores, n_pos, fold, "x")
+                labels = rep.raw[1]
+                got = rep.roc_csv().encode(), np.float64(rep.auc).tobytes()
+                assert got == _roc_bytes(oracle_roc_points(scores, labels))
+                reports.append(rep)
+        want = oracle_pooled_auc([r.raw for r in reports])
+        assert (np.float64(pooled_auc(reports)).tobytes()
+                == np.float64(want).tobytes())
+    assert pooled_auc([]) is None
+
+
+def test_zero_group_threshold_is_its_last_zero():
+    # A group's threshold is its last member in input order, which for
+    # the tie of 0.0 and -0.0 decides the sign written.
+    for scores, last in (([0.0, 1.0, -0.0, 0.0, -0.0], "-0.0"),
+                         ([-0.0, 1.0, 0.0, -0.0, 0.0], "0.0")):
+        scores = np.array(scores)
+        rep = _report(scores, 2, 0, "x")
+        assert rep.roc_csv().splitlines()[-1] == f"1.0,1.0,{last}"
+        assert rep.roc == oracle_roc_points(scores, rep.raw[1])
+
+
+def test_roc_ranks_nans_as_one_top_group(rng):
+    # NaNs are one ROC point, above every number, as the rank AUC ranks
+    # them; the per-candidate ROC made each NaN a point at the bottom and
+    # gave this input the area 0.0.
+    scores = np.array([np.nan, np.nan, 1.0, 0.0, 0.5])
+    rep = _report(scores, 2, 0, "x")
+    assert rep.roc[1][:2] == (0.0, 1.0) and np.isnan(rep.roc[1][2])
+    assert rep.auc == 1.0
+    assert mann_whitney_auc(scores, rep.raw[1]) == 1.0
+    assert pooled_auc([rep]) == 1.0
+    old = oracle_roc_points(scores, rep.raw[1])
+    assert _roc_bytes(old)[1] == np.float64(0.0).tobytes()
+    for _ in range(60):
+        # With both class sizes powers of two the trapezoid's arithmetic
+        # is exact, so the ROC area is the rank AUC bit for bit.
+        n_pos, n_neg = (int(2 ** rng.integers(0, 6)) for _ in range(2))
+        n = n_pos + n_neg
+        scores = np.where(rng.random(n) < rng.uniform(0.1, 0.9), np.nan,
+                          rng.integers(0, 3, n).astype(float))
+        rep = _report(scores, n_pos, 0, "x")
+        labels = rep.raw[1]
+        nan_points = sum(np.isnan(t) for _, _, t in rep.roc)
+        assert nan_points == np.isnan(scores).any()
+        want = np.float64(mann_whitney_auc(scores, labels)).tobytes()
+        assert np.float64(rep.auc).tobytes() == want
+        assert np.float64(oracle_mann_whitney(scores, labels)).tobytes() == want
+        # Other sizes agree within the trapezoid's rounding.
+        rep = _report(np.append(scores, np.nan), int(rng.integers(1, n + 1)),
+                      0, "x")
+        s, y = rep.raw
+        assert abs(rep.auc - mann_whitney_auc(s, y)) <= 1e-12
+        assert abs(rep.auc - oracle_mann_whitney(s, y)) <= 1e-12
+
+
+def test_roc_groups_repeated_infinities(rng):
+    # Equal infinities are one ROC point; the per-candidate ROC split
+    # them because inf - inf is NaN.
+    for _ in range(30):
+        n = int(rng.integers(4, 60))
+        scores = rng.choice([np.inf, -np.inf, 0.0, 1.0], n)
+        scores[:2] = np.inf, np.inf
+        rep = _report(scores, int(rng.integers(1, n)), 0, "x")
+        thresholds = [t for _, _, t in rep.roc[1:]]
+        assert len(thresholds) == len(set(thresholds))
+        s, y = rep.raw
+        assert abs(rep.auc - mann_whitney_auc(s, y)) <= 1e-12
+        assert abs(rep.auc - oracle_auc(s[y], s[~y])) <= 1e-12
 
 
 @pytest.fixture
