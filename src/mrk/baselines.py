@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +25,9 @@ CLASSICAL_METHODS = ("cn", "aa", "ra", "pa", "ja")
 class LayerCooccurrence:
     """Conditional pair-overlap between layers.
 
+    ``pairs`` holds the node pairs linked on some layer as ascending
+    ``space.pair`` keys (ordered pairs when directed, u < v else), and
+    ``present[i, l]`` says whether pair i is linked on layer l.
     ``prob[i, j]`` estimates the probability that a pair linked on layer i
     is also linked on layer j, as the overlap ratio of the layers' pair
     sets.  Rows of empty layers are zero.
@@ -32,30 +35,24 @@ class LayerCooccurrence:
 
     layer_names: Tuple[str, ...]
     prob: np.ndarray
-    pair_sets: List[Set[Tuple[int, int]]]
-
-
-def _layer_pairs(g: MultiplexGraph) -> List[Set[Tuple[int, int]]]:
-    """Pair set per layer: ordered pairs when directed, canonical else."""
-    sets: List[Set[Tuple[int, int]]] = [set() for _ in range(g.n_layers)]
-    for u, v, l in g.edges:
-        if g.directed:
-            sets[l].add((u, v))
-        else:
-            sets[l].add((u, v) if u < v else (v, u))
-    return sets
+    pairs: np.ndarray
+    present: np.ndarray
 
 
 def layer_cooccurrence(g: MultiplexGraph) -> LayerCooccurrence:
-    pairs = _layer_pairs(g)
-    nl = g.n_layers
-    prob = np.zeros((nl, nl))
-    for i in range(nl):
-        if not pairs[i]:
-            continue
-        for j in range(nl):
-            prob[i, j] = len(pairs[i] & pairs[j]) / len(pairs[i])
-    return LayerCooccurrence(g.layer_names, prob, pairs)
+    u, v, l = g.space.ids(g.arrays.keys)
+    if not g.directed:
+        unit = u < v  # one key per edge unit
+        u, v, l = u[unit], v[unit], l[unit]
+    pairs, row = np.unique(g.space.pair(u, v), return_inverse=True)
+    present = np.zeros((len(pairs), g.n_layers), dtype=bool)
+    present[row, l] = True
+    counts = present.astype(np.int64)
+    overlap = counts.T @ counts  # exact integers, so each ratio is too
+    size = overlap.diagonal()[:, None]
+    prob = np.divide(overlap, size, out=np.zeros(overlap.shape),
+                     where=size > 0)
+    return LayerCooccurrence(g.layer_names, prob, pairs, present)
 
 
 def sharma_scores(g: MultiplexGraph) -> ScoreTable:
@@ -64,21 +61,16 @@ def sharma_scores(g: MultiplexGraph) -> ScoreTable:
     A pair linked on some layers scores, for every layer it lacks, the sum
     over its linked layers of the probability that links there co-occur
     with links on the target layer.  Pairs linked nowhere score nothing.
+    The sums add the source layers in ascending order.
     """
     co = layer_cooccurrence(g)
-    linked: Dict[Tuple[int, int], List[int]] = {}
-    for l, pset in enumerate(co.pair_sets):
-        for pair in pset:
-            linked.setdefault(pair, []).append(l)
-    keys: List[int] = []
-    values: List[float] = []
-    for (u, v), present in linked.items():
-        absent = [l for l in range(g.n_layers) if l not in present]
-        for tgt in absent:
-            s = sum(co.prob[src, tgt] for src in present)
-            keys.append(g.space.key(u, v, tgt))
-            values.append(float(s))
-    return ScoreTable("sharma", g.space, keys, values)
+    s = np.zeros(co.present.shape)
+    for src in range(g.n_layers):
+        s += co.present[:, src, None] * co.prob[src]
+    absent = ~co.present
+    row, tgt = np.nonzero(absent)
+    u, v = np.divmod(co.pairs[row], g.n_nodes)
+    return ScoreTable("sharma", g.space, g.space.key(u, v, tgt), s[absent])
 
 
 def _two_hop_pairs(edges: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:

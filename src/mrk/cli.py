@@ -377,6 +377,8 @@ def _parse_negatives(spec: str) -> Tuple[str, Optional[int]]:
             k = int(spec.split(":", 1)[1])
         except ValueError:
             raise MrkError(f"bad sample size in --negatives {spec!r}")
+        if k < 1:
+            raise MrkError(f"--negatives needs a positive sample size: {spec!r}")
         return "sampled", k
     raise MrkError(f"--negatives must be 'full' or 'sampled:K', got {spec!r}")
 
@@ -407,6 +409,10 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
     """Cross-validate a predictor; write per-fold ROC CSVs and a summary."""
     if old_new and predictor != "rules":
         raise MrkError("old-new evaluation only applies to --predictor rules")
+    if seed < 0:
+        raise MrkError(f"--seed must be non-negative, got {seed}")
+    if folds < 2 and not test_path:
+        raise MrkError(f"--folds must be at least 2, got {folds}")
     neg_mode, neg_k = _parse_negatives(negatives)
     config = _miner_config(sigma, max_nodes, budget)
     manifest = RunManifest.of_command()
@@ -455,7 +461,7 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
             else:
                 scores = fold_table(split.train, predictor)
             reports.append(roc_auc(scores, split, neg, predictor=predictor))
-            del neg, scores  # before the next fold builds its own
+            del neg, scores  # reports keep only groups: free before next fold
     with manifest.stage("write"):
         outputs = []
         for r in reports:

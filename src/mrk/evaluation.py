@@ -257,15 +257,14 @@ def _group_starts(s: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _groups(scores: np.ndarray, labels: np.ndarray) -> ScoreGroups:
-    """Group ``scores`` by value, counting the ``labels``-true ones as
-    positives."""
+def _groups(scores: np.ndarray, positives: np.ndarray) -> ScoreGroups:
+    """Group ``scores`` by value, counting ``positives``, the scores of
+    the positives among them, in their groups; the rest are negatives."""
     s = np.sort(scores)
     starts = _group_starts(s)
     score = s[starts]
     total = np.diff(np.append(starts, s.size))
-    pos = np.bincount(score.searchsorted(scores[labels]),
-                      minlength=score.size)
+    pos = np.bincount(score.searchsorted(positives), minlength=score.size)
     zero = score.searchsorted(0.0)
     if zero < score.size and score[zero] == 0.0:
         is_zero = scores == 0.0
@@ -309,7 +308,7 @@ def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
-    return _rank_auc(_groups(scores, labels))
+    return _rank_auc(_groups(scores, scores[labels]))
 
 
 @dataclass
@@ -318,8 +317,8 @@ class EvalReport:
 
     ``groups`` holds the fold's (score, positives, negatives) counts, from
     which the ROC was read, so several folds pool into one rank AUC by
-    merging groups; ``raw`` keeps the (scores, labels) arrays.  Both stay
-    out of the serialized form.
+    merging groups.  They are all a report keeps of its scores, and they
+    stay out of the serialized form.
     """
 
     predictor: str
@@ -329,9 +328,6 @@ class EvalReport:
     roc: List[Tuple[float, float, float]]  # (fpr, tpr, threshold)
     fold: int = 0
     old_new: bool = False
-    raw: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, repr=False
-    )
     groups: Optional[ScoreGroups] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
@@ -351,8 +347,9 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _roc_points(g: ScoreGroups) -> List[Tuple[float, float, float]]:
-    """ROC curve with one point per score group, descending, NaNs first.
+def _roc_points(g: ScoreGroups) -> Tuple[np.ndarray, ...]:
+    """The fpr, tpr and threshold arrays of the ROC curve: (0, 0, inf),
+    then one point per score group, descending, NaNs first.
 
     Tied scores collapse into a single point, giving the diagonal segment
     a random tie-break would average over.  Each point's rates are the
@@ -360,11 +357,8 @@ def _roc_points(g: ScoreGroups) -> List[Tuple[float, float, float]]:
     """
     tp = np.cumsum(g.pos[::-1])
     fp = np.cumsum(g.neg[::-1])
-    fpr = (fp / fp[-1]).tolist()
-    tpr = (tp / tp[-1]).tolist()
-    return [(0.0, 0.0, float("inf"))] + list(
-        zip(fpr, tpr, g.score[::-1].tolist())
-    )
+    return (np.append(0.0, fp / fp[-1]), np.append(0.0, tp / tp[-1]),
+            np.append(np.inf, g.score[::-1]))
 
 
 def _report(
@@ -376,21 +370,16 @@ def _report(
 ) -> EvalReport:
     """Tie-grouped ROC of scores whose first ``n_pos`` are positives, and
     its trapezoid area, the rank-statistic AUC up to rounding."""
-    labels = np.zeros(len(scores), dtype=bool)
-    labels[:n_pos] = True
-    groups = _groups(scores, labels)
-    pts = _roc_points(groups)
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
+    groups = _groups(scores, scores[:n_pos])
+    fpr, tpr, thr = _roc_points(groups)
     return EvalReport(
         predictor=predictor,
-        auc=float(_trapezoid(ys, xs)),
+        auc=float(_trapezoid(tpr, fpr)),
         n_pos=n_pos,
         n_neg=len(scores) - n_pos,
-        roc=pts,
+        roc=list(zip(fpr.tolist(), tpr.tolist(), thr.tolist())),
         fold=fold,
         old_new=old_new,
-        raw=(scores, labels),
         groups=groups,
     )
 

@@ -776,12 +776,11 @@ def mine(
     edges = [Pattern((sa, da), frozenset({(0, 1, lay)}), sup)
              for (sa, da, lay), sup in sorted(singles.items())]
     canonical_forms(edges)
-    firsts: Dict[str, Pattern] = {}
-    for p in edges:
-        firsts.setdefault(p.code, p)
+    # Distinct (attr, attr, layer) triples are never isomorphic, so the
+    # codes are distinct; their order decides which parent first grows
+    # each child of the next level.
     frontier: List[Pattern] = []
-    for code in sorted(firsts):
-        p = firsts[code]
+    for p in sorted(edges, key=lambda p: p.code):
         table, rows = _join(p, g, cfg.budget)
         if stats is not None:
             stats.count_rows(rows, table)

@@ -59,6 +59,8 @@ class SynthConfig:
         if any(o >= i for i, o in zip(self._per_layer("p_in"),
                                       self._per_layer("p_out"))):
             raise ValueError("intra-community probability must exceed inter")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def _norm_backbone(self) -> Tuple:
         steps = tuple(self.backbone)

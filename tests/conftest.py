@@ -379,6 +379,34 @@ def oracle_classical(sg, method: str) -> Dict[Tuple[str, str], float]:
     return scores
 
 
+def oracle_sharma(g: MultiplexGraph) -> Tuple[np.ndarray, Dict[int, float]]:
+    """Layer co-occurrence ``prob`` and Sharma scores by key, from Python
+    pair sets per layer (the implementation the key arrays replaced):
+    each score is a Python sum over the pair's layers in ascending
+    order."""
+    nl = g.n_layers
+    pairs: List[Set[Tuple[int, int]]] = [set() for _ in range(nl)]
+    for u, v, l in g.edges:
+        pairs[l].add((u, v) if g.directed or u < v else (v, u))
+    prob = np.zeros((nl, nl))
+    for i in range(nl):
+        if not pairs[i]:
+            continue
+        for j in range(nl):
+            prob[i, j] = len(pairs[i] & pairs[j]) / len(pairs[i])
+    linked: Dict[Tuple[int, int], List[int]] = {}
+    for l, pset in enumerate(pairs):
+        for pair in pset:
+            linked.setdefault(pair, []).append(l)
+    scores: Dict[int, float] = {}
+    for (u, v), present in linked.items():
+        for tgt in range(nl):
+            if tgt not in present:
+                s = sum(prob[src, tgt] for src in present)
+                scores[int(g.space.key(u, v, tgt))] = float(s)
+    return prob, scores
+
+
 # -- acceptance reporting ---------------------------------------------------
 
 

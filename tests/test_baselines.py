@@ -19,7 +19,13 @@ from mrk.evaluation import mann_whitney_auc
 from mrk.graph import KeySpace, MultiplexGraph, collapse
 from mrk.predictor import ScoreTable
 from mrk.synth import SynthConfig, generate
-from tests.conftest import oracle_classical, oracle_lookup, rand_host
+from tests.conftest import (
+    adversarial_host,
+    oracle_classical,
+    oracle_lookup,
+    oracle_sharma,
+    rand_host,
+)
 
 
 # -- layer co-occurrence ----------------------------------------------------
@@ -83,6 +89,24 @@ def test_cooccurrence_matches_set_arithmetic(rng):
             for j, lj in enumerate(co.layer_names):
                 want = len(pairs[li] & pairs[lj]) / len(pairs[li])
                 assert co.prob[i, j] == pytest.approx(want)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("n_attrs", [1, 2, 3])
+def test_sharma_arrays_match_pair_set_oracle(rng, directed, n_attrs):
+    # The key-array co-occurrence and scores equal the pair-set sums bit
+    # for bit: keys, values and prob.  Six layers let sums of three or
+    # more terms show their order.
+    hosts = [adversarial_host(rng, directed, n_attrs) for _ in range(4)]
+    hosts.append(rand_host(rng, 20, 6, 400, directed))
+    for g in hosts:
+        prob, want = oracle_sharma(g)
+        assert layer_cooccurrence(g).prob.tobytes() == prob.tobytes()
+        t = sharma_scores(g)
+        keys = sorted(want)
+        assert t.keys.tolist() == keys
+        assert t.values.tobytes() == np.array(
+            [want[k] for k in keys], dtype=np.float64).tobytes()
 
 
 # -- cross-layer pair scoring -----------------------------------------------

@@ -564,6 +564,10 @@ def test_evaluate_past_the_slot_limit_exits_2(tmp_path, capsys, band_file):
     ("evaluate", ["--test-input", "TEST", "--max-size", "1"], ">= 2"),
     ("mine", ["--max-size", "11"], "<= 10"),
     ("mine", ["--budget", "-1"], "budget must be"),
+    ("evaluate", ["--seed", "-1"], "--seed must be non-negative"),
+    ("evaluate", ["--test-input", "TEST", "--seed", "-1"], "non-negative"),
+    ("evaluate", ["--folds", "1"], "--folds must be at least 2"),
+    ("evaluate", ["--negatives", "sampled:0"], "positive sample size"),
 ])
 def test_bad_miner_config_fails_before_loading(
         tmp_path, capsys, band_file, monkeypatch, cmd, flags, fragment):
@@ -704,6 +708,15 @@ def test_gen_synth_bad_sizes_exits_2(tmp_path, capsys):
     assert run(["gen-synth", "--sizes", "8,12", "--communities", "2",
                 "--pin", "0.9", "--pout", "0.01", "--out", str(out)]) == 2
     assert "non-increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_synth_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "synth.txt"
+    assert run(["gen-synth", "--sizes", "12,8", "--communities", "2",
+                "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be non-negative" in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Splits, negative candidates, and ROC/AUC evaluation."""
 
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mrk.evaluation import (
     CAT_OLD_OLD,
     EvalReport,
     EvalSplit,
+    _groups,
     _report,
     _trapezoid,
     candidates,
@@ -259,6 +261,24 @@ def _differential_splits(rng):
     return splits
 
 
+def _aligned(table, split, neg):
+    """The scores ``roc_auc`` reads from ``table``: the split's positives,
+    then the negatives ``neg``."""
+    keys = np.concatenate([split.positive_keys(), neg])
+    return table.scores_for(keys, split.space)
+
+
+def _labels(n, n_pos):
+    """The labels of ``n`` scores whose first ``n_pos`` are positives."""
+    return np.arange(n) < n_pos
+
+
+def _same_groups(a, b):
+    """Score groups equal array for array, dtype and bytes."""
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
 def test_candidates_match_name_oracle(rng):
     for split in _differential_splits(rng):
         full = candidates(split, "full")
@@ -282,8 +302,10 @@ def test_roc_auc_reads_tables_by_name(rng):
         for table in (sharma_scores(split.train),
                       classical_on_multiplex(split.train, "cn")):
             rep = roc_auc(table, split, neg)
-            want = [oracle_lookup(table, k) for k in keys]
-            assert rep.raw[0].tolist() == want
+            scores = _aligned(table, split, neg)
+            assert scores.tolist() == [oracle_lookup(table, k) for k in keys]
+            n_pos = len(split.positives_of(CAT_OLD_OLD))
+            assert _same_groups(rep.groups, _groups(scores, scores[:n_pos]))
 
 
 # -- rank-statistic AUC -----------------------------------------------------
@@ -363,17 +385,18 @@ def test_grouped_roc_matches_per_candidate_oracle(rng):
         yield infs
 
     for _ in range(40):
-        reports = []
+        reports, raws = [], []
         for fold in range(int(rng.integers(1, 5))):
             n = int(rng.integers(2, 80))
             for scores in draws(n):
                 n_pos = int(rng.integers(1, n))
                 rep = _report(scores, n_pos, fold, "x")
-                labels = rep.raw[1]
+                labels = _labels(n, n_pos)
                 got = rep.roc_csv().encode(), np.float64(rep.auc).tobytes()
                 assert got == _roc_bytes(oracle_roc_points(scores, labels))
                 reports.append(rep)
-        want = oracle_pooled_auc([r.raw for r in reports])
+                raws.append((scores, labels))
+        want = oracle_pooled_auc(raws)
         assert (np.float64(pooled_auc(reports)).tobytes()
                 == np.float64(want).tobytes())
     assert pooled_auc([]) is None
@@ -387,7 +410,7 @@ def test_zero_group_threshold_is_its_last_zero():
         scores = np.array(scores)
         rep = _report(scores, 2, 0, "x")
         assert rep.roc_csv().splitlines()[-1] == f"1.0,1.0,{last}"
-        assert rep.roc == oracle_roc_points(scores, rep.raw[1])
+        assert rep.roc == oracle_roc_points(scores, _labels(5, 2))
 
 
 def test_roc_ranks_nans_as_one_top_group(rng):
@@ -398,9 +421,9 @@ def test_roc_ranks_nans_as_one_top_group(rng):
     rep = _report(scores, 2, 0, "x")
     assert rep.roc[1][:2] == (0.0, 1.0) and np.isnan(rep.roc[1][2])
     assert rep.auc == 1.0
-    assert mann_whitney_auc(scores, rep.raw[1]) == 1.0
+    assert mann_whitney_auc(scores, _labels(5, 2)) == 1.0
     assert pooled_auc([rep]) == 1.0
-    old = oracle_roc_points(scores, rep.raw[1])
+    old = oracle_roc_points(scores, _labels(5, 2))
     assert _roc_bytes(old)[1] == np.float64(0.0).tobytes()
     for _ in range(60):
         # With both class sizes powers of two the trapezoid's arithmetic
@@ -410,16 +433,17 @@ def test_roc_ranks_nans_as_one_top_group(rng):
         scores = np.where(rng.random(n) < rng.uniform(0.1, 0.9), np.nan,
                           rng.integers(0, 3, n).astype(float))
         rep = _report(scores, n_pos, 0, "x")
-        labels = rep.raw[1]
+        labels = _labels(n, n_pos)
         nan_points = sum(np.isnan(t) for _, _, t in rep.roc)
         assert nan_points == np.isnan(scores).any()
         want = np.float64(mann_whitney_auc(scores, labels)).tobytes()
         assert np.float64(rep.auc).tobytes() == want
         assert np.float64(oracle_mann_whitney(scores, labels)).tobytes() == want
         # Other sizes agree within the trapezoid's rounding.
-        rep = _report(np.append(scores, np.nan), int(rng.integers(1, n + 1)),
-                      0, "x")
-        s, y = rep.raw
+        s = np.append(scores, np.nan)
+        n_pos = int(rng.integers(1, n + 1))
+        rep = _report(s, n_pos, 0, "x")
+        y = _labels(n + 1, n_pos)
         assert abs(rep.auc - mann_whitney_auc(s, y)) <= 1e-12
         assert abs(rep.auc - oracle_mann_whitney(s, y)) <= 1e-12
 
@@ -431,10 +455,11 @@ def test_roc_groups_repeated_infinities(rng):
         n = int(rng.integers(4, 60))
         scores = rng.choice([np.inf, -np.inf, 0.0, 1.0], n)
         scores[:2] = np.inf, np.inf
-        rep = _report(scores, int(rng.integers(1, n)), 0, "x")
+        n_pos = int(rng.integers(1, n))
+        rep = _report(scores, n_pos, 0, "x")
         thresholds = [t for _, _, t in rep.roc[1:]]
         assert len(thresholds) == len(set(thresholds))
-        s, y = rep.raw
+        s, y = scores, _labels(n, n_pos)
         assert abs(rep.auc - mann_whitney_auc(s, y)) <= 1e-12
         assert abs(rep.auc - oracle_auc(s[y], s[~y])) <= 1e-12
 
@@ -453,7 +478,10 @@ def test_roc_auc_equals_rank_statistic(scored_split, rng):
         "rand", {k: float(rng.integers(0, 5)) for k in keys}
     )
     rep = roc_auc(table, split, neg)
-    scores, labels = rep.raw
+    scores = _aligned(table, split, neg)
+    assert scores.tolist() == [oracle_lookup(table, k) for k in keys]
+    labels = _labels(len(scores), rep.n_pos)
+    assert _same_groups(rep.groups, _groups(scores, scores[:rep.n_pos]))
     assert abs(rep.auc - mann_whitney_auc(scores, labels)) <= 1e-12
     assert abs(rep.auc - oracle_auc(scores[labels], scores[~labels])) <= 1e-12
 
@@ -475,11 +503,42 @@ def test_ensemble_scores_report_as_their_table(rng, directed, mode):
     keys = np.concatenate([pos, neg])
     scores = ensemble(tables, keys, pos, split.space, mode=mode, seed=3)
     got = roc_auc(scores, split, neg, predictor="ens")
-    want = roc_auc(ScoreTable("ens", split.space, keys, scores), split, neg)
+    want_table = ScoreTable("ens", split.space, keys, scores)
+    want = roc_auc(want_table, split, neg)
     assert got.to_dict() == want.to_dict()
     assert got.roc == want.roc
-    assert got.raw[0].tolist() == want.raw[0].tolist()
-    assert got.raw[1].tolist() == want.raw[1].tolist()
+    assert _same_groups(got.groups, want.groups)
+    assert _aligned(want_table, split, neg).tolist() == scores.tolist()
+
+
+def _array_bytes(report):
+    """Bytes of the numpy arrays reachable from ``report``'s fields, the
+    arrays that views among them look into included."""
+    total, stack = 0, [getattr(report, f.name) for f in fields(report)]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, np.ndarray):
+            total += x.nbytes
+            stack.append(x.base)
+        elif isinstance(x, (tuple, list)):
+            stack.extend(x)
+    return total
+
+
+def test_reports_retain_no_candidates(rng):
+    # A report keeps its score groups, not its candidates: three distinct
+    # scores over about 10k candidates leave well under 1 KiB of arrays.
+    scores = rng.integers(0, 3, 10_000).astype(float)
+    assert _array_bytes(_report(scores, 100, 0, "x")) < 1024
+    split = split_random(rand_host(rng, 72, 2, 300, True), folds=4, seed=0)[0]
+    neg = candidates(split, "full")
+    keys = np.concatenate([split.positive_keys(), neg])
+    assert len(keys) > 9_000
+    values = rng.integers(0, 3, len(keys)).astype(float)
+    for table in (ScoreTable("t", split.space, keys, values), values):
+        rep = roc_auc(table, split, neg, predictor="t")
+        assert rep.n_pos + rep.n_neg == len(keys)
+        assert _array_bytes(rep) < 1024
 
 
 def test_roc_auc_checks_aligned_scores(scored_split):
@@ -603,7 +662,7 @@ def test_old_new_undirected_single_direction(rng):
 def test_summary_and_pooling(rng):
     g = rand_host(rng, 14, 2, 40, directed=True)
     splits = split_random(g, folds=3, seed=4)
-    reports = []
+    reports, raws = [], []
     for s in splits:
         neg = candidates(s, "sampled", k=40, seed=s.fold)
         table = ScoreTable.from_scores(
@@ -611,6 +670,8 @@ def test_summary_and_pooling(rng):
         )
         reports.append(roc_auc(table, s, neg))
         assert reports[-1].n_neg == 40
+        scores = _aligned(table, s, neg)
+        raws.append((scores, _labels(len(scores), reports[-1].n_pos)))
     out = summary_dict(reports)
     assert out["folds"] == 3
     assert out["auc_mean"] == pytest.approx(
@@ -620,8 +681,8 @@ def test_summary_and_pooling(rng):
     assert 0.0 <= out["auc_pooled"] <= 1.0
     assert [d["fold"] for d in out["per_fold"]] == [0, 1, 2]
 
-    scores = np.concatenate([r.raw[0] for r in reports])
-    labels = np.concatenate([r.raw[1] for r in reports])
+    scores = np.concatenate([s for s, _ in raws])
+    labels = np.concatenate([y for _, y in raws])
     assert pooled_auc(reports) == pytest.approx(
         mann_whitney_auc(scores, labels)
     )
