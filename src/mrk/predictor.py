@@ -12,6 +12,7 @@ scored graph itself, and joined afresh otherwise.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -19,7 +20,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MrkError
-from .graph import ATTR_DEFAULT, DIRECTIONS, KeySpace, MultiplexGraph
+from .graph import (
+    ATTR_DEFAULT,
+    DIRECTIONS,
+    LINK_MASK_CAP,
+    KeySpace,
+    MultiplexGraph,
+)
 from .miner import DEFAULT_BUDGET
 from .rules import Rule
 
@@ -234,56 +241,94 @@ def _inverse_map(rule: Rule) -> Dict[int, int]:
     return {c: a for a, c in enumerate(rule.antecedent_map)}
 
 
+def _rank(flat: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct keys among ``flat`` (sorted) and each entry's index
+    among them.
+
+    A space of at most :data:`LINK_MASK_CAP` keys is ranked through
+    a presence mask over the whole space, so nothing is sorted; a larger
+    space falls back to ``np.unique``.
+    """
+    if size > LINK_MASK_CAP:
+        return np.unique(flat, return_inverse=True)
+    seen = np.zeros(size, dtype=bool)
+    seen[flat] = True
+    ukeys = np.flatnonzero(seen)
+    del seen
+    rank = np.empty(size, dtype=np.int32)
+    rank[ukeys] = np.arange(len(ukeys), dtype=np.int32)
+    return ukeys, rank[flat]
+
+
 def _aggregate(
     scheme: str,
     rules: Sequence[Rule],
-    keys: Sequence[np.ndarray],
-    hits: Sequence[np.ndarray],
+    keys: List[np.ndarray],
+    hits: List[np.ndarray],
     per_embedding: bool,
+    size: int,
 ) -> Tuple[np.ndarray, np.ndarray, Contributors]:
     """Combine the rules' proposals under one weighting scheme.
 
-    ``keys[i]`` holds the distinct integer keys that ``rules[i]`` proposes
-    and ``hits[i]`` how many embeddings propose each.  A rule adds its
-    weight once per key, or once per proposing embedding with
-    ``per_embedding``.  ``np.bincount`` adds in array order, which is rule
-    order, so every sum is the one taken rule by rule.
+    ``keys[i]`` holds the distinct keys, out of a space of ``size``, that
+    ``rules[i]`` proposes and ``hits[i]`` how many embeddings propose
+    each; both lists are emptied once read.  A rule adds its weight once
+    per key, or once per proposing embedding with ``per_embedding``.
+    Entries stay in rule order, and ``np.bincount`` adds in array order,
+    so every sum is the one taken rule by rule.
 
     Returns the scored keys (sorted), their scores, and their contributing
-    rules.  Lift schemes skip rules whose lift is NaN, and drop keys that
-    only such rules propose.
+    rules.  Lift schemes skip rules whose lift is NaN: they neither score
+    nor contribute, and keys that only such rules propose are dropped.
     """
     rids = tuple(r.rid for r in rules)
     if not keys:
         empty = np.empty(0, dtype=np.int64)
         return empty, np.empty(0), Contributors(rids, np.zeros(1, np.int64), empty)
-    ukeys, at = np.unique(np.concatenate(keys), return_inverse=True)
+    lengths = [len(k) for k in keys]
+    flat = np.concatenate(keys)
+    keys.clear()
+    ukeys, at = _rank(flat, size)
+    del flat
+    rule_of = np.repeat(np.arange(len(rules), dtype=np.int32), lengths)
+    times = np.concatenate(hits) if per_embedding else None
+    hits.clear()
     m = len(ukeys)
-    rule_of = np.repeat(np.arange(len(rules)), [len(k) for k in keys])
-    times = np.concatenate(hits) if per_embedding else np.ones(len(at), np.int64)
-    if scheme.startswith("lift"):
-        weight = np.array([r.lift for r in rules])[rule_of]
-        use = ~np.isnan(weight)
-    else:
-        weight = np.array([r.confidence for r in rules])[rule_of]
-        use = slice(None)
-    n_hits = np.bincount(at[use], weights=times[use], minlength=m)
+    weight = np.array([r.lift if scheme.startswith("lift") else r.confidence
+                       for r in rules])
+    skip = np.isnan(weight)
+    if skip.any():
+        use = ~skip[rule_of]
+        at, rule_of = at[use], rule_of[use]
+        if times is not None:
+            times = times[use]
+        del use
+    counts = np.bincount(at, minlength=m)
+    n_hits = counts if times is None else np.bincount(at, times, minlength=m)
     if scheme == "count":
-        score = n_hits
+        score = n_hits.astype(np.float64)
     else:
-        score = np.bincount(at[use], weights=(weight * times)[use], minlength=m)
+        w = weight[rule_of]
+        score = np.bincount(at, w if times is None else w * times, minlength=m)
+        del w
+    del times
     kept = n_hits > 0
     score, n_hits = score[kept], n_hits[kept]
     if scheme.endswith("-mean"):
         score = score / n_hits
-    del weight, times  # the contributors need neither; frees them first
-    # Contributors of the kept keys: entries grouped by key, in rule order.
-    order = np.argsort(at, kind="stable")
-    if not kept.all():
-        order = order[kept[at[order]]]
-    ptr = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(at, minlength=m)[kept], out=ptr[1:])
-    return ukeys[kept], score, Contributors(rids, ptr, rule_of[order])
+    # Contributors: every entry left is a kept key's.  A rule proposes a
+    # key at most once, so ``at * R + rule`` is distinct per entry and its
+    # sort groups the entries by key, in rule order within a key.
+    order = at.astype(np.int64)
+    del at
+    order *= len(rules)
+    order += rule_of
+    del rule_of
+    order.sort()
+    order %= len(rules)
+    ptr = np.zeros(len(score) + 1, dtype=np.int64)
+    np.cumsum(counts[kept], out=ptr[1:])
+    return ukeys[kept], score, Contributors(rids, ptr, order)
 
 
 def score_links(
@@ -301,15 +346,22 @@ def score_links(
     canonicalized to one orientation.  With ``per_embedding`` every
     proposing embedding contributes instead of each rule once.
 
-    Each rule's proposals are one column pair of its antecedent's
-    embedding table, reduced to distinct keys of the graph's link space.
-    Rules mined on ``g`` itself read the tables mining carried; others
-    join their antecedent afresh, once for a run of rules sharing one
-    antecedent object.
+    Work goes by antecedent.  Rules sharing an antecedent object come in
+    one run (as ``build_rules`` and the CLI's rule reader give them); its
+    embedding table is read once per run, from the table mining carried
+    when the rules were mined on ``g`` itself and by a fresh join
+    otherwise.  Each distinct column pair the run's rules read is reduced
+    once to its distinct node pairs, as link keys on layer 0 with their
+    embedding counts, and is dropped when the run ends.  A rule adds its
+    layer id to its pair's keys and keeps those that one ``is_edge``
+    gather finds missing.  The rules' keys are then ranked on the link
+    space (a presence mask, no sort, on spaces the edge mask covers) and
+    summed per key in rule order.
     """
     _check_scheme(scheme)
-    ix = g.arrays
+    ix, n_layers = g.arrays, g.n_layers
     last = None  # the antecedent whose table ``emb`` holds
+    reduced: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
     used: List[Rule] = []
     keys: List[np.ndarray] = []
     hits: List[np.ndarray] = []
@@ -324,17 +376,32 @@ def score_links(
             continue
         if rule.antecedent is not last:
             last, emb = rule.antecedent, rule.antecedent.table_in(g, budget)
-        u, v = emb[:, inv[ds]], emb[:, inv[dd]]
+            reduced = {}
+        cols = (inv[ds], inv[dd])
         if not g.directed:
-            # Symmetric storage: (u, v) is an edge iff (v, u) is.
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        key, times = np.unique(g.space.key(u, v, lid), return_counts=True)
-        missing = ~ix.is_edge(key)
-        if missing.any():
+            # Symmetric storage: (u, v) is an edge iff (v, u) is.  Links
+            # are taken as (min, max), so both orientations of a slot pair
+            # share one reduction.
+            cols = tuple(sorted(cols))
+        if cols not in reduced:
+            u, v = emb[:, cols[0]], emb[:, cols[1]]
+            if not g.directed:
+                u, v = np.minimum(u, v), np.maximum(u, v)
+            pair, times = np.unique(g.space.pair(u, v), return_counts=True)
+            pair *= n_layers  # link (u, v, l) has key pair(u, v) * L + l
+            reduced[cols] = pair, times
+        base, times = reduced[cols]
+        key = base + lid
+        present = ix.is_edge(key)
+        if present.any():
+            missing = ~present
+            key, times = key[missing], times[missing]
+        if key.size:
             used.append(rule)
-            keys.append(key[missing])
-            hits.append(times[missing])
-    ukeys, scores, contrib = _aggregate(scheme, used, keys, hits, per_embedding)
+            keys.append(key)
+            hits.append(times)
+    ukeys, scores, contrib = _aggregate(scheme, used, keys, hits, per_embedding,
+                                        math.prod(g.space.shape))
     return ScoreTable(scheme, g.space, ukeys, scores, contributors=contrib)
 
 
@@ -354,13 +421,18 @@ def score_old_new(
     orientation at the anchor ("out" when the anchor is the source);
     undirected graphs collapse both orientations to "out".  Slots are keys
     of a slot space over the graph's nodes and the layers of the graph and
-    of the rules.  Antecedent tables are read as in :func:`score_links`.
+    of the rules.  Work goes by antecedent as in :func:`score_links`: each
+    distinct anchor column of a run's table is reduced once to its
+    distinct nodes with their embedding counts, and the rules' keys are
+    ranked and summed by the same helper.
     """
     _check_scheme(scheme)
     growth = [r for r in rules if r.new_node]
     layers = sorted(set(g.layer_names) | {r.delta_edge[2] for r in growth})
+    layer_of = {x: i for i, x in enumerate(layers)}
     space = KeySpace.slots(g.node_names, tuple(layers))
     last = None  # the antecedent whose table ``emb`` holds
+    reduced: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     used: List[Rule] = []
     keys: List[np.ndarray] = []
     hits: List[np.ndarray] = []
@@ -378,14 +450,18 @@ def score_old_new(
             direction = "out"
         if rule.antecedent is not last:
             last, emb = rule.antecedent, rule.antecedent.table_in(g, budget)
-        node, times = np.unique(emb[:, anchor], return_counts=True)
+            reduced = {}
+        if anchor not in reduced:
+            reduced[anchor] = np.unique(emb[:, anchor], return_counts=True)
+        node, times = reduced[anchor]
         if node.size:
             used.append(rule)
-            keys.append(space.key(node, layers.index(dl),
+            keys.append(space.key(node, layer_of[dl],
                                   DIRECTIONS.index(direction)))
             hits.append(times)
             fresh.append(rule.consequent.attrs[new])
-    ukeys, scores, contrib = _aggregate(scheme, used, keys, hits, per_embedding)
+    ukeys, scores, contrib = _aggregate(scheme, used, keys, hits, per_embedding,
+                                        math.prod(space.shape))
     return OldNewScoreTable(scheme, space, ukeys, scores, contributors=contrib,
                             fresh=tuple(fresh))
 

@@ -14,8 +14,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 import pytest
 
-from mrk.graph import MultiplexGraph
-from mrk.miner import Pattern, canonical_forms
+from mrk.graph import ATTR_DEFAULT, MultiplexGraph
+from mrk.miner import Pattern, canonical_forms, embedding_table
 
 
 # -- random hosts -----------------------------------------------------------
@@ -195,6 +195,110 @@ def oracle_frequent(
         if p.code not in by_code:
             by_code[p.code] = oracle_mis(p, g)
     return {c: s for c, s in by_code.items() if s >= sigma}
+
+
+# -- rule-scoring oracle ----------------------------------------------------
+
+
+def oracle_rule_scores(g: MultiplexGraph, rules, scheme: str,
+                       per_embedding: bool = False, old_new: bool = False):
+    """What ``score_links`` (with ``old_new``, ``score_old_new``) returns,
+    by a dict walk: a dict of ``keys``, ``values``, ``ptr``, ``index`` and
+    ``rids``, plus ``new_attrs`` with ``old_new``.
+
+    Rules are walked in the given order, each over the rows of a fresh
+    ``embedding_table`` of its antecedent.  A close rule maps a row to
+    the link its delta edge names (undirected links as (min, max)) and
+    skips stored edges by ``g.has_edge``; a new-node rule maps it to the
+    slot (anchor node, delta layer, direction at the anchor, "out" in
+    undirected hosts).  Each rule collects its distinct keys with their
+    hit counts, and a rule with any key is used: ``rids`` lists the used
+    rules.  Each key then adds its rules' weights (the lift for lift
+    schemes, else the confidence, times the hits with ``per_embedding``)
+    as Python floats in rule order.  Lift schemes skip NaN lifts, and a
+    key left without a hit is dropped.  ``index`` lists the rules that
+    scored each kept key, by position in ``rids``.
+    """
+    n = g.n_nodes
+    growth = [r for r in rules if r.new_node]
+    layers = sorted(set(g.layer_names) | {r.delta_edge[2] for r in growth})
+    rids: List[str] = []
+    fresh: List[str] = []
+    weight: List[float] = []
+    per_key: Dict[int, List[Tuple[int, int]]] = {}  # key -> (rule, hits)
+    for rule in rules:
+        if rule.new_node != old_new:
+            continue
+        inv = {c: a for a, c in enumerate(rule.antecedent_map)}
+        ds, dd, lay = rule.delta_edge
+        if old_new:
+            if ds in inv:
+                anchor, d, new = inv[ds], 1, dd
+            elif dd in inv:
+                anchor, d, new = inv[dd], 0, ds
+            else:
+                continue
+            d = d if g.directed else 1
+        elif lay not in g.layer_names:
+            continue
+        hits: Dict[int, int] = {}
+        for row in embedding_table(rule.antecedent, g).tolist():
+            if old_new:
+                key = (row[anchor] * len(layers) + layers.index(lay)) * 2 + d
+            else:
+                u, v, l = row[inv[ds]], row[inv[dd]], g.layer_id(lay)
+                if not g.directed:
+                    u, v = min(u, v), max(u, v)
+                if g.has_edge(u, v, l):
+                    continue
+                key = (u * n + v) * g.n_layers + l
+            hits[key] = hits.get(key, 0) + 1
+        if not hits:
+            continue
+        for key, times in hits.items():
+            per_key.setdefault(key, []).append((len(rids), times))
+        rids.append(rule.rid)
+        if old_new:
+            fresh.append(rule.consequent.attrs[new])
+        weight.append(rule.lift if scheme.startswith("lift")
+                      else rule.confidence)
+    keys, values, ptr, index = [], [], [0], []
+    new_attrs = {}
+    for key in sorted(per_key):
+        score, n_hits, scored = 0.0, 0.0, []
+        for i, times in per_key[key]:
+            if math.isnan(weight[i]):
+                continue
+            t = times if per_embedding else 1
+            n_hits += t
+            score += weight[i] * t
+            scored.append(i)
+        if not n_hits:
+            continue
+        if scheme == "count":
+            score = n_hits
+        elif scheme.endswith("-mean"):
+            score = score / n_hits
+        keys.append(key)
+        values.append(score)
+        index.extend(scored)
+        ptr.append(len(index))
+        wanted = {fresh[i] for i in scored} - {ATTR_DEFAULT} if old_new else ()
+        if wanted:
+            node, rest = divmod(key, 2 * len(layers))
+            name = (g.node_names[node], layers[rest // 2],
+                    ("in", "out")[rest % 2])
+            new_attrs[name] = tuple(sorted(wanted))
+    out = {
+        "keys": np.array(keys, dtype=np.int64),
+        "values": np.array(values, dtype=np.float64),
+        "ptr": np.array(ptr, dtype=np.int64),
+        "index": np.array(index, dtype=np.int64),
+        "rids": tuple(rids),
+    }
+    if old_new:
+        out["new_attrs"] = new_attrs
+    return out
 
 
 # -- canonical-code oracle --------------------------------------------------

@@ -1,5 +1,6 @@
 """Link and new-neighbor scoring from rule collections."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mrk.errors import MrkError
-from mrk.graph import ATTR_DEFAULT, KeySpace, MultiplexGraph
+from mrk.graph import ATTR_DEFAULT, LINK_MASK_CAP, KeySpace, MultiplexGraph
 from mrk.evaluation import split_random
 from mrk.miner import MinerConfig, Pattern, embedding_table, mine
 from mrk.predictor import (
@@ -21,7 +22,13 @@ from mrk.predictor import (
     write_scores_csv,
 )
 from mrk.rules import Rule, build_rules, rule_from_dict, rule_to_dict
-from tests.conftest import oracle_lookup, rand_host
+from tests.conftest import (
+    adversarial_host,
+    oracle_lookup,
+    oracle_rule_scores,
+    pad_names,
+    rand_host,
+)
 
 D = ATTR_DEFAULT
 
@@ -189,6 +196,20 @@ def test_provenance_tracks_surviving_keys(three_rule_setup):
         assert set(t.provenance) == set(t.scores)
 
 
+def test_provenance_names_only_the_rules_that_scored(three_rule_setup):
+    # r2 proposes the shared key too, but its lift is NaN, so lift schemes
+    # skip it: it adds nothing to the score and is no contributor.
+    g, (r1, r2, _) = three_rule_setup
+    shared = ("2", "1", "b")
+    for scheme in ("lift", "lift-mean"):
+        t = score_links(g, [r1, r2], scheme=scheme)
+        assert t.scores[shared] == 2.0
+        assert t.provenance[shared] == (r1.rid,)
+    for scheme in ("count", "conf"):
+        t = score_links(g, [r1, r2], scheme=scheme)
+        assert t.provenance[shared] == (r1.rid, r2.rid)
+
+
 def test_unknown_scheme_rejected():
     g = MultiplexGraph([("1", "2", "a")], directed=True)
     with pytest.raises(MrkError):
@@ -251,6 +272,115 @@ def test_carried_tables_never_cross_graphs(mined_fold):
         assert np.array_equal(r.antecedent.table_in(g),
                               embedding_table(r.antecedent, g))
         assert r.antecedent.table_in(train) is r.antecedent.mined_on[1]
+
+
+# -- both scoring functions against the dict oracle -------------------------
+
+
+def assert_is_oracle(t, want):
+    """``t`` holds the oracle's keys, value bytes and contributors."""
+    assert np.array_equal(t.keys, want["keys"])
+    assert t.values.tobytes() == want["values"].tobytes()
+    c = t.contributors
+    assert np.array_equal(c.ptr, want["ptr"])
+    assert np.array_equal(c.index, want["index"])
+    assert c.rids == want["rids"]
+    if "new_attrs" in want:
+        assert t.new_attrs == want["new_attrs"]
+
+
+def check_oracle(host, rules):
+    """Both scoring functions equal the oracle under every scheme, with and
+    without ``per_embedding``; returns how many tables held a key."""
+    filled = 0
+    for scheme in WEIGHTING_SCHEMES:
+        for per_embedding in (False, True):
+            for old_new, score in ((False, score_links), (True, score_old_new)):
+                t = score(host, rules, scheme, per_embedding)
+                assert_is_oracle(t, oracle_rule_scores(
+                    host, rules, scheme, per_embedding, old_new))
+                filled += len(t) > 0
+    return filled
+
+
+def mined_rules(host, support=2, max_nodes=3):
+    return build_rules(mine(host, MinerConfig(min_support=support,
+                                              max_nodes=max_nodes)), host)
+
+
+def test_mined_fold_scores_are_the_oracle(mined_fold):
+    g, train, rules = mined_fold
+    fresh = [rule_from_dict(rule_to_dict(r)) for r in rules]
+    for host in (train, g):
+        for rs in (rules, fresh):
+            assert check_oracle(host, rs) == 20
+
+
+def test_undirected_scores_are_the_oracle():
+    g = rand_host(np.random.default_rng(5), 18, 2, 36, directed=False,
+                  attr_values="mn")
+    rules = mined_rules(g)
+    assert any(r.new_node for r in rules) and any(not r.new_node for r in rules)
+    assert check_oracle(g, rules) == 20
+
+
+@pytest.mark.parametrize("directed, support", [(True, 1), (False, 2)])
+def test_adversarial_host_scores_are_the_oracle(directed, support):
+    g = adversarial_host(np.random.default_rng(11), directed, 2)
+    rules = mined_rules(g, support)
+    assert any(not r.new_node for r in rules)
+    assert check_oracle(g, rules) > 0
+
+
+def test_shuffled_rules_score_as_the_oracle(mined_fold):
+    # Runs of one antecedent are broken up, so an antecedent recurs in
+    # separate runs and its table is read again for each.
+    g, train, rules = mined_fold
+    order = np.random.default_rng(3).permutation(len(rules))
+    shuffled = [rules[i] for i in order]
+    starts = [r.antecedent for i, r in enumerate(shuffled)
+              if i == 0 or r.antecedent is not shuffled[i - 1].antecedent]
+    assert len(starts) > len({id(a) for a in starts})
+    for host in (train, g):
+        assert check_oracle(host, shuffled) == 20
+
+
+def test_rules_on_a_layer_the_host_lacks_score_as_the_oracle(mined_fold):
+    # A close rule on the absent layer proposes nothing; a new-node rule
+    # on it scores slots of that layer.  Both have NaN lift, as a layer
+    # without edges gives, and sit inside their antecedent's run.
+    g, train, rules = mined_fold
+
+    def elsewhere(rule):
+        ds, dd, lay = rule.delta_edge
+        cons = rule.consequent
+        edges = (cons.edges - {rule.delta_edge}) | {(ds, dd, "zz")}
+        return dataclasses.replace(
+            rule, delta_edge=(ds, dd, "zz"), lift=math.nan,
+            consequent=Pattern(cons.attrs, frozenset(edges), cons.support))
+
+    moved = list(rules)
+    for kind in (False, True):
+        at = next(i for i, r in enumerate(moved) if r.new_node == kind)
+        moved.insert(at + 1, elsewhere(moved[at]))
+    t = score_old_new(train, moved, "count")
+    assert any(lay == "zz" for _, lay, _ in t.scores)
+    assert check_oracle(train, moved) == 20
+
+
+def test_scores_past_the_mask_cap_are_the_oracle():
+    # About 2,100 nodes on 4 layers: 17.6M link keys, past the 2^24 cap,
+    # so the host has no edge mask and scoring ranks keys by np.unique.
+    core = rand_host(np.random.default_rng(2), 12, 4, 40, directed=True,
+                     attr_values="mn")
+    g = MultiplexGraph(list(core.name_triples()), attrs=dict(core.attr_map()),
+                       directed=True,
+                       extra_nodes=pad_names(2100, "x") + list(core.node_names))
+    assert math.prod(g.space.shape) > LINK_MASK_CAP
+    assert g.arrays.mask is None
+    rules = mined_rules(g)
+    assert any(not r.new_node for r in rules)
+    assert check_oracle(g, rules) == 20
 
 
 # -- insert-and-match oracle on a mined host --------------------------------
