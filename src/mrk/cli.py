@@ -393,7 +393,7 @@ def _parse_negatives(spec: str) -> Tuple[str, Optional[int]]:
 @click.option("--folds", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--negatives", default="full", show_default=True,
-              help="'full' or 'sampled:K'.")
+              help="'full' or 'sampled:K' (links only).")
 @click.option("--support", "sigma", type=int, default=None,
               help="Mining support; default: smallest layer's node count.")
 @click.option("--max-size", "max_nodes", type=int, default=4, show_default=True)
@@ -409,6 +409,9 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
     """Cross-validate a predictor; write per-fold ROC CSVs and a summary."""
     if old_new and predictor != "rules":
         raise MrkError("old-new evaluation only applies to --predictor rules")
+    if old_new and negatives != "full":
+        raise MrkError("old-new evaluation scores every slot, so it takes "
+                       f"only --negatives full, got {negatives!r}")
     if seed < 0:
         raise MrkError(f"--seed must be non-negative, got {seed}")
     if folds < 2 and not test_path:

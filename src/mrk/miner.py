@@ -594,13 +594,18 @@ class MinerConfig:
 
 @dataclass
 class MiningStats:
-    """Counters filled by :func:`mine` when a sink is passed in.
+    """Counters of one :func:`mine` run, kept whether or not the caller
+    passes a sink.
 
-    ``rows_generated`` sums the candidate rows of every join step mining
-    ran; ``max_rows`` is the most rows any one pattern used, the figure
-    the budget caps.  ``rows_kept`` sums the rows of the candidate tables
-    mining materialised: every single-edge and new-slot candidate's, and a
-    closing candidate's only when it is frequent.
+    Every growth of a child from a parent is one anti-monotone check, and
+    ``support_pairs`` lists each as (parent support, child support):
+    parent by parent in the order of :func:`mine`'s walk, each parent's in
+    the order it grew its children.  ``rows_generated`` sums the candidate
+    rows of every join step mining ran; ``max_rows`` is the most rows any
+    one pattern used, the figure the budget caps.  ``rows_kept`` sums the
+    rows of the candidate tables mining materialised: every single-edge
+    and new-slot candidate's, and a closing candidate's only when it is
+    frequent.
     """
 
     frequent_per_level: List[int] = field(default_factory=list)
@@ -672,38 +677,6 @@ def _grow(
     return out
 
 
-def _next_level(
-    frontier: Sequence[Pattern],
-    max_slots: int,
-    by_pair: Dict[Tuple[str, str], List[str]],
-    by_src: Dict[str, List[Tuple[str, str]]],
-    by_dst: Dict[str, List[Tuple[str, str]]],
-) -> Tuple[Dict[str, Tuple[Pattern, Pattern, PatternEdge]],
-           Dict[str, List[int]]]:
-    """Every child the frontier grows, deduplicated by canonical code.
-
-    Returns code -> (child, the parent that first grew it, the edge it
-    added) and code -> the support of every parent that grew it, in the
-    order they grew it.  A child with the same attributes and edges as an
-    earlier one is dropped as it is grown; one :func:`canonical_forms`
-    batch covers the distinct ones.
-    """
-    first: Dict[Tuple[Tuple[str, ...], FrozenSet[PatternEdge]], Pattern] = {}
-    children = [(first.setdefault((child.attrs, child.edges), child), p, e)
-                for p in frontier
-                for child, e in _grow(p, max_slots, by_pair, by_src, by_dst)]
-    canonical_forms(first.values())
-    grown: Dict[str, Tuple[Pattern, Pattern, PatternEdge]] = {}
-    parents_of: Dict[str, List[int]] = {}
-    for child, p, e in children:
-        code = child.code
-        if code not in grown:
-            grown[code] = (child, p, e)
-            parents_of[code] = []
-        parents_of[code].append(p.support)
-    return grown, parents_of
-
-
 def _child_table(
     parent: Pattern, child: Pattern, e: PatternEdge, g: MultiplexGraph,
     budget: int,
@@ -742,18 +715,19 @@ def mine(
 ) -> List[Pattern]:
     """Enumerate all frequent patterns up to ``cfg.max_nodes`` slots.
 
-    Level k holds the frequent patterns with k edges.  Children are grown
-    one edge at a time from every frequent parent and deduplicated by
-    canonical code, one :func:`canonical_forms` batch per level.  Each
-    child's embedding table is one join step from the table of the parent
-    that first grew it, whose slot numbering the child keeps; its support
-    comes from that table, and it is kept when the support reaches the
-    threshold.  The children a parent first grew by closing an edge are
-    tested together, in one :func:`_close` of its table, when the first
-    of them in code order comes up.  The support of each child is
-    checked against every parent that produced it; a child exceeding a
-    parent's support would contradict the anti-monotone support measure
-    and raises immediately.
+    Level k holds the frequent patterns with k edges.  A level grows every
+    child of the frontier one edge at a time, codes them in one
+    :func:`canonical_forms` batch, and walks the frontier in code order.
+    Each parent tests the children no earlier parent grew, from its own
+    table and in its slot numbering: its closing children in one
+    :func:`_close`, then its new-slot children through
+    :func:`_child_table`, each in code order.  Frequent children join the
+    next frontier, which is sorted by code.  Then every growth of the
+    parent is checked against its support: a child above it would
+    contradict the anti-monotone support measure and raises
+    :class:`MiningInvariantError`.  A budget error names the first child
+    over the budget in this walk.  The counters always go to a
+    :class:`MiningStats`: ``stats``, or a private one when it is None.
 
     Returns the frequent patterns sorted by code, each carrying its
     support, its canonical form and its table on ``g`` (see
@@ -762,6 +736,7 @@ def mine(
     for rule scoring.
     """
     sigma = cfg.min_support
+    stats = MiningStats() if stats is None else stats
     seen = _single_edge_supports(g)
     singles = {key: sup for key, sup in seen.items() if sup >= sigma}
 
@@ -782,58 +757,58 @@ def mine(
     frontier: List[Pattern] = []
     for p in sorted(edges, key=lambda p: p.code):
         table, rows = _join(p, g, cfg.budget)
-        if stats is not None:
-            stats.count_rows(rows, table)
+        stats.count_rows(rows, table)
         frontier.append(_carrying(p, p.support, g, table))
     result: List[Pattern] = list(frontier)
-    if stats is not None:
-        stats.frequent_per_level.append(len(frontier))
-        stats.candidates_tested += len(seen)
+    stats.frequent_per_level.append(len(frontier))
+    stats.candidates_tested += len(seen)
 
     while frontier:
-        grown, parents_of = _next_level(frontier, cfg.max_nodes, by_pair,
-                                        by_src, by_dst)
-        codes = sorted(grown)
-        # (code, child, edge) of the closing children, by parent code.
-        closing: Dict[str, List[Tuple[str, Pattern, tuple]]] = {}
-        for code in codes:
-            child, parent, (a, b, lay) = grown[code]
-            if child.n_slots == parent.n_slots:
-                closing.setdefault(parent.code, []).append(
-                    (code, child, (a, b, g.layer_id(lay))))
-        closed: Dict[str, Tuple[int, Optional[np.ndarray]]] = {}
+        # Children grown alike share one object, so each is coded once.
+        first: Dict[Tuple[tuple, FrozenSet[PatternEdge]], Pattern] = {}
+        grown = [[(first.setdefault((c.attrs, c.edges), c), e)
+                  for c, e in _grow(p, cfg.max_nodes, by_pair, by_src, by_dst)]
+                 for p in frontier]
+        canonical_forms(first.values())
+        sup_of: Dict[str, int] = {}
         nxt: List[Pattern] = []
-        for code in codes:
-            child, parent, e = grown[code]
-            if child.n_slots > parent.n_slots:
-                table, rows = _child_table(parent, child, e, g, cfg.budget)
-                sup = _support(table, g.n_nodes)
-            else:
-                if code not in closed:
-                    batch, kids, edges = zip(*closing[parent.code])
-                    closed.update(zip(batch, _close(
-                        parent.mined_on[1], g, edges, kids, cfg.budget,
-                        sigma)))
-                sup, table = closed.pop(code)
-                rows = len(parent.mined_on[1])
-            if stats is not None:
-                stats.count_rows(rows, table)
+        for p, kids in zip(frontier, grown):
+            # Untested children, each code with the first growth of it.
+            new = {c.code: (c, e) for c, e in reversed(kids)
+                   if c.code not in sup_of}
+            # Closing children first, then new-slot ones, each by code.
+            todo = sorted(new.values(),
+                          key=lambda ce: (ce[0].n_slots, ce[0].code))
+            closing = [(c, e) for c, e in todo if c.n_slots == p.n_slots]
+            table = p.mined_on[1]
+            tested = []
+            if closing:
+                children = [c for c, _ in closing]
+                lids = [(a, b, g.layer_id(lay)) for _, (a, b, lay) in closing]
+                tested = [(c, sup, t, len(table)) for c, (sup, t) in zip(
+                    children, _close(table, g, lids, children, cfg.budget,
+                                     sigma))]
+            for c, e in todo[len(closing):]:
+                t, rows = _child_table(p, c, e, g, cfg.budget)
+                tested.append((c, _support(t, g.n_nodes), t, rows))
+            for c, sup, t, rows in tested:
+                stats.count_rows(rows, t)
                 stats.candidates_tested += 1
-                for psup in parents_of[code]:
-                    stats.antimonotone_checks += 1
-                    stats.support_pairs.append((psup, sup))
-                    if sup > psup:
-                        stats.antimonotone_violations += 1
-            bad = [ps for ps in parents_of[code] if sup > ps]
-            if bad:
-                raise MiningInvariantError(
-                    f"support of {code!r} ({sup}) exceeds parent support "
-                    f"({min(bad)}): anti-monotonicity violated"
-                )
-            if sup >= sigma:
-                nxt.append(_carrying(child, sup, g, table))
-        if stats is not None:
-            stats.frequent_per_level.append(len(nxt))
+                sup_of[c.code] = sup
+                if sup >= sigma:
+                    nxt.append(_carrying(c, sup, g, t))
+            for c, _ in kids:
+                sup = sup_of[c.code]
+                stats.antimonotone_checks += 1
+                stats.support_pairs.append((p.support, sup))
+                if sup > p.support:
+                    stats.antimonotone_violations += 1
+                    raise MiningInvariantError(
+                        f"support of {c.code!r} ({sup}) exceeds parent "
+                        f"support ({p.support}): anti-monotonicity violated"
+                    )
+        nxt.sort(key=lambda p: p.code)
+        stats.frequent_per_level.append(len(nxt))
         result.extend(nxt)
         frontier = nxt
 

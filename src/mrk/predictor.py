@@ -469,11 +469,14 @@ def score_old_new(
 # -- serialization ----------------------------------------------------------
 
 
+_SCORES_HEADER = ["src", "dst", "layer", "score"]
+
+
 def write_scores_csv(table: ScoreTable, path: str) -> None:
     """Write link scores as ``src,dst,layer,score`` rows, sorted by key."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["src", "dst", "layer", "score"])
+        w.writerow(_SCORES_HEADER)
         for key in sorted(table.scores):
             if len(key) == 3:
                 src, dst, lay = key
@@ -493,12 +496,17 @@ def write_old_new_csv(table: OldNewScoreTable, path: str) -> None:
 
 
 def read_scores_csv(path: str) -> ScoreTable:
+    """Read a link score file as :func:`write_scores_csv` writes it; any
+    other header raises :class:`MrkError`."""
     scores: Dict[Tuple, float] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
         if header is None:
             raise MrkError(f"{path}: empty score file")
+        if header != _SCORES_HEADER:
+            raise MrkError(f"{path}: not a link score file: header {header!r}, "
+                           f"expected {_SCORES_HEADER!r}")
         for row in r:
             if len(row) != 4:
                 raise MrkError(f"{path}: bad score row {row!r}")

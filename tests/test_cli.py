@@ -615,6 +615,31 @@ def test_evaluate_old_new_other_predictor_fails_before_loading(
     assert "only applies to --predictor rules" in err
 
 
+def test_evaluate_old_new_sampled_negatives_fails_before_loading(
+        tmp_path, capsys, band_file, monkeypatch):
+    # Old-new evaluation scores every slot and samples no negatives, so a
+    # sampled spec would only be recorded in the manifest.
+    import mrk.cli
+    import mrk.evaluation
+
+    loaded = []
+
+    def counting_load(path, *args, **kwargs):
+        loaded.append(path)
+        return load_graph(path, *args, **kwargs)
+
+    monkeypatch.setattr(mrk.cli, "load_graph", counting_load)
+    monkeypatch.setattr(mrk.evaluation, "load_graph", counting_load)
+    out_dir = tmp_path / "ev"
+    assert run(["evaluate", "--input", band_file, "--old-new",
+                "--negatives", "sampled:5", "--out-dir", str(out_dir)]) == 2
+    assert loaded == []
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "--negatives full" in err and "'sampled:5'" in err
+
+
 def test_evaluate_temporal_split(tmp_path, temporal_files):
     train, test = temporal_files
     out_dir = tmp_path / "ev"

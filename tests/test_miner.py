@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrk import miner
-from mrk.errors import MiningBudgetError, PatternSizeError
+from mrk.errors import (
+    MiningBudgetError, MiningInvariantError, PatternSizeError,
+)
 from mrk.graph import ATTR_DEFAULT, MultiplexGraph
 from mrk.miner import (
     Embedding,
@@ -689,6 +691,48 @@ def test_mine_stats_count_rows_per_step():
     assert max(len(p.mined_on[1]) for p in out) == 3
     # Kept: the x and y tables (3 + 1) and the x/y 2-cycle's 1 row.
     assert stats.rows_kept == (3 + 1) + 1
+
+
+def test_mine_raises_on_a_planted_support_violation(rng, monkeypatch):
+    # The first new-slot child mining tests reports one more than its
+    # parent's support; the parent's check must count it and raise.
+    g = rand_host(rng, 12, 2, 30, directed=True)
+    grown = []
+    real_child_table, real_support = miner._child_table, miner._support
+
+    def child_table(parent, child, *args):
+        grown.append((parent, child))
+        return real_child_table(parent, child, *args)
+
+    def support(table, n):
+        if len(grown) == 1:
+            return grown[0][0].support + 1
+        return real_support(table, n)
+
+    monkeypatch.setattr(miner, "_child_table", child_table)
+    monkeypatch.setattr(miner, "_support", support)
+    stats = MiningStats()
+    with pytest.raises(MiningInvariantError) as err:
+        mine(g, MinerConfig(min_support=1, max_nodes=3), stats=stats)
+    parent, child = grown[0]
+    assert repr(child.code) in str(err.value)
+    assert f"({parent.support + 1})" in str(err.value)
+    assert f"parent support ({parent.support})" in str(err.value)
+    assert stats.antimonotone_violations == 1
+    assert stats.support_pairs[-1] == (parent.support, parent.support + 1)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("n_attrs", [1, 2, 3])
+def test_mine_stats_sink_changes_nothing(rng, directed, n_attrs):
+    g = adversarial_host(rng, directed, n_attrs)
+    cfg = MinerConfig(min_support=1, max_nodes=3)
+    stats = MiningStats()
+    runs = [mine(g, cfg), mine(g, cfg, stats=stats)]
+    assert stats.candidates_tested > 0
+    bare, sunk = [[(p.code, p.support, p.mined_on[1].shape,
+                    p.mined_on[1].tobytes()) for p in out] for out in runs]
+    assert bare == sunk
 
 
 @pytest.mark.parametrize("directed", [True, False])

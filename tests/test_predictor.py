@@ -705,6 +705,19 @@ def test_read_scores_csv_errors(tmp_path):
     bad.write_text("src,dst,layer,score\n1,2\n", encoding="utf-8")
     with pytest.raises(MrkError):
         read_scores_csv(str(bad))
+    # An old-new file and a foreign two-column file are not link scores.
+    old_new = tmp_path / "old_new.csv"
+    write_old_new_csv(
+        OldNewScoreTable.from_scores("count", {("n01", "l1", "out"): 2.0}),
+        str(old_new))
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\n", encoding="utf-8")
+    for path, header in ((old_new, "['node', 'layer', 'direction', 'score']"),
+                         (other, "['a', 'b']")):
+        with pytest.raises(MrkError) as err:
+            read_scores_csv(str(path))
+        assert str(path) in str(err.value)
+        assert header in str(err.value)
 
 
 def test_old_new_csv_format(tmp_path):
