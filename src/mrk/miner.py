@@ -13,22 +13,27 @@ CSR adjacency in the manner of FSG's embedding lists (Kuramochi & Karypis
 the host nodes of an already placed neighbour slot through the CSR and
 filters the candidate rows by attribute, by the pattern's other edges back
 to placed slots and by injectivity.  A closing edge filters the rows by
-that edge alone, in :func:`_close`, which tests every closing child of one
-parent table together.  An edge test is one
+that edge alone.  An edge test is one
 :meth:`~mrk.graph.GraphArrays.is_edge` lookup.
 
 :func:`mine` grows the tables along the lattice: each child's table is one
 step from the table of the parent that first grew it, and the returned
-patterns carry their tables, which rule scoring reads.
-:func:`embedding_table` joins a pattern from scratch, one step per slot,
-for patterns that carry no table for the host at hand.  The budget caps
-the candidate rows one pattern generates, which bounds its memory.
+patterns carry their tables, which rule scoring reads.  A lattice level is
+integer arrays from growth to support: :func:`_grow` grows the whole
+frontier as rows of attribute ids and edge codes, :class:`_Children`
+sorts them into isomorphism classes, and :func:`_test` tests the level's
+candidates in a few vectorised passes.  Only frequent children become
+:class:`Pattern` objects.  :func:`embedding_table` joins a pattern from
+scratch, one step per slot, for patterns that carry no table for the host
+at hand.  The budget caps the candidate rows one pattern generates, which
+bounds its memory.
 
-Candidates are deduplicated by canonical code, FSG's dedup step done in
-bulk: :func:`canonical_forms` ranks every slot permutation of a whole
-batch of patterns in one numpy kernel, and :func:`mine` calls it once per
-level, over every child the level grew.  Codes number slots with one
-digit, so patterns have at most :data:`MAX_SLOTS` slots.
+Candidates are deduplicated by canonical form, FSG's dedup step done in
+bulk: :func:`_canonical_rows` ranks every slot permutation of a whole
+batch of integer patterns in one numpy kernel, and the minimal row
+identifies a pattern up to isomorphism.  :func:`canonical_forms` writes
+code strings from it for :class:`Pattern` objects.  Codes number slots
+with one digit, so patterns have at most :data:`MAX_SLOTS` slots.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -181,6 +187,48 @@ def _permutations(k: int) -> np.ndarray:
     return perms
 
 
+class _Alphabet:
+    """Slot names and layers ranked as canonical codes compare them.
+
+    Ids are positions in ``names`` and ``layers``.  A name ranks by its
+    escaped form followed by "|", as it is followed inside a code.  A
+    layer has two ranks: ``lcmp`` by its escaped form followed by ",",
+    which orders the code's edge tokens, and ``lsort`` by the bare escaped
+    form, which sorts the edges within one permutation.  The two can
+    disagree: "x" < "x!" but "x!," < "x,".  :meth:`code` writes a minimal
+    row of :func:`_minimal_rows` as its code string.
+    """
+
+    def __init__(self, names: Sequence[str], layers: Sequence[str]):
+        nesc = [_escaped(a) + "|" for a in names]
+        lesc = [_escaped(l) for l in layers]
+        self.n_layers = len(layers)
+        self.name_rank = _ranks(nesc)
+        self.lsort = _ranks(lesc)
+        self.lcmp = _ranks([x + "," for x in lesc])
+        self.vtok = [x[:-1] for x in sorted(nesc)]
+        self.ltok = sorted(lesc, key=lambda x: x + ",")
+        self._etok: Dict[int, List[str]] = {}
+
+    def code(self, k: int, row: Sequence[int]) -> str:
+        """The code of a ``k``-slot pattern's minimal row."""
+        etok = self._etok.get(k)
+        if etok is None:
+            # Edge value (src·k + dst)·n_layers + compare rank names its token.
+            etok = self._etok[k] = [f"{a}>{b}:{l}" for a in range(k)
+                                    for b in range(k) for l in self.ltok]
+        vpart = "|".join(map(self.vtok.__getitem__, row[:k]))
+        epart = ",".join(map(etok.__getitem__, row[k:]))
+        return f"v={vpart};e={epart}"
+
+
+def _ranks(keys: Sequence[str]) -> np.ndarray:
+    """The rank of each key in ascending order."""
+    out = np.empty(len(keys), dtype=np.int64)
+    out[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return out
+
+
 def canonical_forms(
     patterns: Iterable[Pattern],
 ) -> List[Tuple[str, Tuple[SlotMap, ...]]]:
@@ -196,14 +244,11 @@ def canonical_forms(
     composing the inverse of one minimising permutation with each of them
     yields every automorphism of the pattern exactly once.
 
-    One numpy kernel ranks every permutation of a whole batch: patterns
-    are grouped by slot and edge count, and each permutation becomes one
-    integer row whose lexicographic order is the order of its code string
-    (see :func:`_permutation_rows`).  The rows tied at the row-wise
-    minimum are the minimising permutations, and the code is written once,
-    from the minimal row.  Groups are cut into chunks of :data:`_CHUNK`
-    entries, so memory does not grow with the batch.  Patterns that
-    already carry their form are skipped.
+    The patterns become integer rows over the batch's names and layers,
+    grouped by slot and edge count, and :func:`_canonical_rows` ranks
+    every permutation of a group in one numpy kernel; the code is written
+    from the minimal row.  Patterns that already carry their form are
+    skipped.
 
     Raises :class:`PatternSizeError` for a pattern of more than
     :data:`MAX_SLOTS` slots.
@@ -217,43 +262,52 @@ def canonical_forms(
             raise PatternSizeError(p.attrs, MAX_SLOTS)
         groups.setdefault((len(p.attrs), len(p.edges)), []).append(p)
     todo = [p for grp in groups.values() for p in grp]
-    names = set(chain.from_iterable(p.attrs for p in todo))
-    layers = set(map(itemgetter(2), chain.from_iterable(p.edges for p in todo)))
-    esc = {x: _escaped(x) for x in names | layers}
-    # Names are ranked as they compare inside the code: a slot's name is
-    # followed by "|" and an edge's layer by ",".  Within one permutation
-    # the edges are sorted by (src, dst, escaped layer), which can order
-    # two layers the other way: "x" < "x!" but "x!," < "x,".
-    names = sorted(names, key=lambda a: esc[a] + "|")
-    layers = sorted(layers, key=lambda l: esc[l] + ",")
-    rank = {a: i for i, a in enumerate(names)}
+    names = sorted(set(chain.from_iterable(p.attrs for p in todo)))
+    layers = sorted(set(map(itemgetter(2),
+                            chain.from_iterable(p.edges for p in todo))))
+    alpha = _Alphabet(names, layers)
+    nid = {a: i for i, a in enumerate(names)}
     lid = {l: i for i, l in enumerate(layers)}
-    by_sort = sorted(range(len(layers)), key=lambda i: esc[layers[i]])
-    lsort = np.empty(len(layers), dtype=np.int64)
-    lsort[by_sort] = np.arange(len(layers))
-    vtok = [esc[a] for a in names]
     for (k, n_edges), grp in groups.items():
         n = len(grp)
-        slots = np.fromiter(map(rank.__getitem__, chain.from_iterable(
+        attrs = np.fromiter(map(nid.__getitem__, chain.from_iterable(
             p.attrs for p in grp)), dtype=np.int64, count=n * k)
-        flat = list(chain.from_iterable(p.edges for p in grp))
-
-        def column(f) -> np.ndarray:
-            return np.fromiter(map(f, flat), dtype=np.int64,
-                               count=len(flat)).reshape(n, n_edges)
-
-        lay = column(lambda e: lid[e[2]])
-        # Edge value (src·k + dst)·len(layers) + layer rank names its token.
-        etok = [f"{a}>{b}:{esc[l]}" for a in range(k) for b in range(k)
-                for l in layers]
-        rows = _minimal_rows(slots.reshape(n, k), column(itemgetter(0)),
-                             column(itemgetter(1)), lsort[lay], lay,
-                             len(layers))
-        for p, (row, won) in zip(grp, rows):
-            vpart = "|".join(map(vtok.__getitem__, row[:k]))
-            epart = ",".join(map(etok.__getitem__, row[k:]))
-            p.__dict__["_canonical"] = (f"v={vpart};e={epart}", won)
+        edges = np.fromiter(
+            ((a * k + b) * len(layers) + lid[l] for p in grp
+             for a, b, l in p.edges), dtype=np.int64, count=n * n_edges)
+        rows, at, j = _canonical_rows(alpha, attrs.reshape(n, k),
+                                      edges.reshape(n, n_edges))
+        for p, row, won in zip(grp, rows.tolist(),
+                               _slot_maps(k, at, j, np.arange(n))):
+            p.__dict__["_canonical"] = (alpha.code(k, row), won)
     return [p.__dict__["_canonical"] for p in patterns]
+
+
+def _canonical_rows(
+    alpha: _Alphabet, attrs: np.ndarray, edges: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimal rows and minimising permutations (see
+    :func:`_minimal_rows`) of ``k``-slot patterns given as integer rows:
+    ``attrs`` is ``(n, k)`` name ids of ``alpha`` and ``edges`` is
+    ``(n, e)`` edge values ``(src·k + dst)·alpha.n_layers + layer id``,
+    in any order."""
+    k = attrs.shape[1]
+    ab, lay = np.divmod(edges, max(alpha.n_layers, 1))
+    src, dst = np.divmod(ab, max(k, 1))
+    return _minimal_rows(alpha.name_rank[attrs], src, dst, alpha.lsort[lay],
+                         alpha.lcmp[lay], alpha.n_layers)
+
+
+def _slot_maps(
+    k: int, at: np.ndarray, j: np.ndarray, which: np.ndarray,
+) -> List[Tuple[SlotMap, ...]]:
+    """The minimising permutations :func:`_minimal_rows` lists as
+    ``(at, j)`` for each pattern index in ``which``, as tuples."""
+    lo = at.searchsorted(which)
+    cnt = at.searchsorted(which, "right") - lo
+    tied = _permutations(k)[j[_ranges(lo, cnt)]].tolist()
+    return [tuple(map(tuple, tied[e - c:e]))
+            for e, c in zip(cnt.cumsum().tolist(), cnt.tolist())]
 
 
 def _permutation_rows(
@@ -289,44 +343,55 @@ def _permutation_rows(
 def _minimal_rows(
     slots: np.ndarray, src: np.ndarray, dst: np.ndarray, lsort: np.ndarray,
     lcmp: np.ndarray, n_layers: int,
-) -> Iterator[Tuple[List[int], Tuple[SlotMap, ...]]]:
-    """Per pattern, in order, its minimal row of :func:`_permutation_rows`
-    and every permutation attaining it, ascending.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per pattern its minimal row of :func:`_permutation_rows`, and every
+    permutation attaining it.
 
-    Patterns share a chunk when all their permutations fit in
-    :data:`_CHUNK` entries; otherwise a chunk holds one pattern and a
-    block of its permutations, and the block minima are merged.
+    Returns ``(rows, at, j)``: the ``(patterns, k + e)`` minimal rows, and
+    one pair ``(at[t], j[t])`` per minimising permutation, pattern
+    ``at[t]`` and row ``j[t]`` of :func:`_permutations`, ascending by
+    pattern and then permutation.  Patterns share a chunk when all their
+    permutations fit in :data:`_CHUNK` entries; otherwise a chunk holds
+    one pattern and a block of its permutations, and the block minima are
+    merged.
     """
     n, k = slots.shape
     perms = _permutations(k)
     width = max(k + src.shape[1], 1)
     step = max(1, _CHUNK // (len(perms) * width))
     block = min(len(perms), max(1, _CHUNK // width))
+    out = np.empty((n, k + src.shape[1]), dtype=np.int64)
+    ats: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    js: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        best: List[Optional[List[int]]] = [None] * (hi - lo)
-        ties: List[List[List[int]]] = [[] for _ in range(hi - lo)]
+        best: Optional[List[int]] = None
         for b0 in range(0, len(perms), block):
-            some = perms[b0:b0 + block]
             rows = _permutation_rows(slots[lo:hi], src[lo:hi], dst[lo:hi],
-                                     lsort[lo:hi], lcmp[lo:hi], n_layers, some)
+                                     lsort[lo:hi], lcmp[lo:hi], n_layers,
+                                     perms[b0:b0 + block])
             win = np.ones(rows.shape[:2], dtype=bool)
             for col in rows.transpose(2, 0, 1):
                 low = np.where(win, col, _INT64_MAX).min(axis=1, keepdims=True)
                 win &= col == low
             at, j = np.nonzero(win)
-            tied = some[j].tolist()
-            mins = rows[np.arange(hi - lo), win.argmax(axis=1)].tolist()
-            o = 0
-            for i, (row, c) in enumerate(zip(
-                    mins, np.bincount(at, minlength=hi - lo).tolist())):
-                if best[i] is None or row < best[i]:
-                    best[i], ties[i] = row, []
-                if row == best[i]:
-                    ties[i] += tied[o:o + c]
-                o += c
-        for row, t in zip(best, ties):
-            yield row, tuple(map(tuple, t))
+            mins = rows[np.arange(hi - lo), win.argmax(axis=1)]
+            if block == len(perms):
+                out[lo:hi] = mins
+                ats.append(at + lo)
+                js.append(j)
+                continue
+            # One pattern, its permutations in blocks.
+            row = mins[0].tolist()
+            if best is None or row < best:
+                best, tied = row, []
+            if row == best:
+                tied.append(j + b0)
+        if best is not None:
+            out[lo] = best
+            js.append(np.concatenate(tied))
+            ats.append(np.full(len(js[-1]), lo))
+    return out, np.concatenate(ats), np.concatenate(js)
 
 
 def canonical_code(p: Pattern) -> str:
@@ -384,11 +449,11 @@ def _step(
     edges: Sequence[Tuple[int, int, int]],
     want: int,
     budget: int,
-    p: Pattern,
+    name: Callable[[], str],
     used: int = 0,
 ) -> Tuple[np.ndarray, int]:
-    """One join step of ``p``'s table: a new last column with attribute id
-    ``want``.  Returns the new table and rows used.
+    """One join step of a pattern's table: a new last column with
+    attribute id ``want``.  Returns the new table and rows used.
 
     ``edges`` are pattern edges ``(a, b, layer id)`` between the new column
     and the table's columns.  The first edge expands the host node of its
@@ -398,9 +463,10 @@ def _step(
     injectivity.
 
     The candidate rows are added to ``used`` before the step allocates
-    them; past ``budget`` it raises :class:`MiningBudgetError` naming
-    ``p``.  Rows keep the table's order and, within one of its rows,
-    ascending new-node order, so a sorted table gives a sorted result.
+    them; past ``budget`` it raises :class:`MiningBudgetError` naming the
+    pattern's code, ``name()``.  Rows keep the table's order and, within
+    one of its rows, ascending new-node order, so a sorted table gives a
+    sorted result.
     """
     ix = g.arrays
     m, c = table.shape
@@ -422,8 +488,8 @@ def _step(
     total = int(cnt.sum())
     used += total
     if used > budget:
-        raise MiningBudgetError(p.code, budget)
-    new = nbr[np.arange(total) + (lo - cnt.cumsum() + cnt).repeat(cnt)]
+        raise MiningBudgetError(name(), budget)
+    new = nbr[_ranges(lo, cnt)]
     rows = table[np.arange(m).repeat(cnt)]
     masks = []
     if len(ix.attr_ids) > 1:  # else every node matches
@@ -439,42 +505,196 @@ def _step(
     return np.concatenate((rows, new[:, None]), axis=1), used
 
 
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges ``start[i] .. start[i] + count[i] - 1``, concatenated."""
+    end = count.cumsum()
+    return (np.arange(end[-1] if len(end) else 0)
+            + (start - end + count).repeat(count))
+
+
+def _passes(size: np.ndarray, cap: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive runs ``[lo, hi)`` of items whose sizes add up to at most
+    ``cap``; an item larger than ``cap`` is a run of its own."""
+    ends = size.cumsum()
+    lo = 0
+    while lo < len(size):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(ends.searchsorted(base + cap, "right")))
+        yield lo, hi
+        lo = hi
+
+
+# Candidate rows one pass of :func:`_test` handles, and cells of one
+# support count in :func:`_least_images`: both bound memory whatever the
+# size of a lattice level.
+_PASS_ROWS = 1 << 15
+_SEEN_CELLS = 1 << 20
+
+
+class _Tested(NamedTuple):
+    """Per tested child: its support, the candidate rows its join step
+    generated, the rows of its table, and the table itself when the
+    child is frequent (else None)."""
+
+    sup: np.ndarray
+    rows: np.ndarray
+    kept: np.ndarray
+    tables: List[Optional[np.ndarray]]
+
+
 def _close(
-    table: np.ndarray,
+    frame: np.ndarray, g: MultiplexGraph, k: int, of: np.ndarray,
+    edges: np.ndarray, start: np.ndarray, count: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of closing children that have their edge.
+
+    Child i closes the edge ``edges[i] = (a, b, layer id)`` over the rows
+    ``start[i] ..`` (``count[i]`` of them) of ``frame``, the ``k``-column
+    tables of the parents ``of`` end to end (``of`` ascending).  Returns,
+    for every row a child keeps, the child and the frame row, by child and
+    then row.  Per parent, one key column serves each run of children
+    closing the same slot pair, and one :meth:`GraphArrays.is_edge` mask
+    covers all its children.
+    """
+    a, b, l = edges.T
+    new_pair = np.diff((of * k + a) * k + b, prepend=-1) != 0
+    pid = new_pair.cumsum() - 1
+    ua, ub = a[new_pair], b[new_pair]
+    kids = np.flatnonzero(np.diff(of, prepend=-1))
+    cb = kids.tolist() + [len(of)]
+    pb = pid[kids].tolist() + [len(ua)]
+    rb, mb = start[kids].tolist(), count[kids].tolist()
+    who, r = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for c0, c1, p0, p1, r0, m in zip(cb, cb[1:], pb, pb[1:], rb, mb):
+        t = frame[r0:r0 + m]
+        base = g.space.key(t[:, ua[p0:p1]].T, t[:, ub[p0:p1]].T, 0)
+        i, j = np.nonzero(g.arrays.is_edge(base[pid[c0:c1] - p0]
+                                           + l[c0:c1, None]))
+        who.append(i + c0)
+        r.append(j + r0)
+    return np.concatenate(who), np.concatenate(r)
+
+
+def _extend(
+    frame: np.ndarray, g: MultiplexGraph, k: int, edges: np.ndarray,
+    want: np.ndarray, start: np.ndarray, count: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of new-slot children, as in :func:`_close`.
+
+    Child i adds a last slot with attribute id ``want[i]``, joined to its
+    parent's rows ``start[i] ..`` (``count[i]`` of them) of ``frame`` by
+    the edge ``edges[i] = (a, b, layer id)``, one of whose ends is slot
+    ``k``.  Each row fans out to the neighbours of its anchor node through
+    the edge's CSR, and the candidates are filtered by attribute and
+    injectivity, as in :func:`_step`.  Returns, for every candidate kept,
+    the child, the frame row and the new node, by child, row and node.
+    """
+    ix = g.arrays
+    r = _ranges(start, count)
+    who = np.arange(len(start)).repeat(count)
+    a, b, l = edges.T
+    inn = (a == k)[who]  # the new slot is the edge's source
+    at = l[who] * ix.n + frame.ravel()[r * k + np.where(a == k, b, a)[who]]
+    head = np.where(inn, ix.in_ptr[at], ix.out_ptr[at])
+    cnt = np.where(inn, ix.in_ptr[at + 1], ix.out_ptr[at + 1]) - head
+    pos = _ranges(head, cnt)
+    inn, who, r = inn.repeat(cnt), who.repeat(cnt), r.repeat(cnt)
+    new = np.where(inn, ix.in_nbr[pos], ix.out_nbr[pos])
+    # Hosts have no self loops, so the anchor column never equals the new
+    # node and every column can be tested.
+    hit = np.logical_and.reduce([frame[:, j][r] != new for j in range(k)])
+    if len(ix.attr_ids) > 1:  # else every node matches
+        hit &= ix.attr[new] == want[who]
+    return who[hit], r[hit], new[hit]
+
+
+def _test(
+    parents: Sequence[Pattern],
     g: MultiplexGraph,
+    of: Sequence[int],
     edges: Sequence[Tuple[int, int, int]],
-    children: Sequence[Pattern],
+    attrs: Sequence[int],
     budget: int,
     sigma: int,
-) -> List[Tuple[int, Optional[np.ndarray]]]:
-    """The closing steps of several children of one parent ``table``:
-    child i adds the edge ``edges[i] = (a, b, layer id)`` between two of
-    the table's columns.
+    name: Callable[[Sequence[int]], str],
+) -> _Tested:
+    """Support and table of many children of mined parents in a few
+    vectorised passes, a lattice level at a time.
 
-    Returns, per child, its support and, when that reaches ``sigma``, its
-    table: the rows whose host nodes have its edge, in the parent's order.
-    Each child checks all of the table's rows, which count against its
-    budget before anything is allocated; past ``budget`` it raises
-    :class:`MiningBudgetError` naming the first child.  One key column
-    serves every edge between the same two columns, each child's rows are
-    one :meth:`GraphArrays.is_edge` mask, and the supports of all children
-    are read off their masks together, so a child below ``sigma`` never
-    materialises its table.
+    Child i grows from ``parents[of[i]]`` by the edge ``edges[i] = (a, b,
+    layer id)``.  With ``attrs[i] = -1`` the edge closes two of the
+    parent's slots, and the child checks every row of the table the parent
+    carries.  Otherwise it attaches a new last slot with attribute id
+    ``attrs[i]`` (:func:`_extend`).  Each table keeps the order of
+    :func:`_step`: the parent's rows in order, new nodes ascending within
+    each.
+
+    ``of`` is ascending and a parent's closing children come before its
+    new-slot ones.  The rows every child generates are known before
+    anything is allocated.  The children of the parents before the first
+    parent with a child over ``budget`` are tested and returned.  When
+    that parent is the first, :class:`MiningBudgetError` is raised naming
+    ``name(children)``: all its closing children when their rows are over
+    the budget, else its new-slot children over it.  Children are tested
+    in passes of at most :data:`_PASS_ROWS` candidate rows (or one child),
+    each over a copy of its parents' tables end to end, and a child below
+    ``sigma`` never keeps its table.
     """
-    m = len(table)
-    if m > budget:
-        raise MiningBudgetError(children[0].code, budget)
     ix = g.arrays
-    keep = np.empty((len(edges), m), dtype=bool)
-    by_pair: Dict[Tuple[int, int], List[int]] = {}
-    for i, (a, b, _) in enumerate(edges):
-        by_pair.setdefault((a, b), []).append(i)
-    for (a, b), at in by_pair.items():
-        base = g.space.key(table[:, a], table[:, b], 0)
-        for i in at:
-            keep[i] = ix.is_edge(base + edges[i][2])
-    return [(sup, table[hit] if sup >= sigma else None)
-            for sup, hit in zip(_supports(table, keep, ix.n), keep)]
+    of = np.asarray(of, dtype=np.int64)
+    e = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    want = np.asarray(attrs, dtype=np.int64)
+    tables = [p.mined_on[1] for p in parents]
+    m = np.array([len(t) for t in tables], dtype=np.int64)
+    k_of = np.array([p.n_slots for p in parents], dtype=np.int64)[of]
+    grows = want >= 0
+    # The rows each child generates: its parent's, or its edge's fan-out.
+    rows = m[of]
+    for i in np.flatnonzero(grows).tolist():
+        a, b, l = e[i].tolist()
+        inn = a == k_of[i]  # the new slot is the edge's source
+        ptr = ix.in_ptr if inn else ix.out_ptr
+        at = l * ix.n + tables[of[i]][:, b if inn else a]
+        rows[i] = int((ptr[at + 1] - ptr[at]).sum())
+    over = np.flatnonzero(rows > budget)
+    cut = int(of.searchsorted(of[over[0]])) if len(over) else len(of)
+    if cut == 0 and len(over):
+        batch = 2 * of + grows
+        raise MiningBudgetError(
+            name(over[batch[over] == batch[over[0]]].tolist()), budget)
+    of, k_of, grows = of[:cut], k_of[:cut], grows[:cut]
+
+    sup = np.zeros(cut, dtype=np.int64)
+    kept = np.zeros(cut, dtype=np.int64)
+    out: List[Optional[np.ndarray]] = [None] * cut
+    for k in np.unique(k_of).tolist():
+        for growing in (False, True):
+            sel = np.flatnonzero((k_of == k) & (grows == growing))
+            for lo, hi in _passes(rows[sel], _PASS_ROWS):
+                s = sel[lo:hi]
+                # The pass's parent tables end to end, and each child's
+                # first row and row count in that frame.
+                ps, at = np.unique(of[s], return_inverse=True)
+                frame = np.concatenate([tables[p] for p in ps.tolist()])
+                start = (m[ps].cumsum() - m[ps])[at.reshape(-1)]
+                count = m[of[s]]
+                if growing:
+                    who, r, new = _extend(frame, g, k, e[s], want[s], start,
+                                          count)
+                else:
+                    who, r = _close(frame, g, k, of[s], e[s], start, count)
+                cols = [frame[:, j][r] for j in range(k)]
+                if growing:
+                    cols.append(new)
+                sup[s] = _least_images(who, cols, len(s), ix.n)
+                kept[s] = np.bincount(who, minlength=len(s))
+                frequent = sup[s] >= sigma
+                held = frequent[who]
+                parts = np.split(np.stack([c[held] for c in cols], axis=1),
+                                 kept[s][frequent].cumsum()[:-1])
+                for i, t in zip(s[frequent].tolist(), parts):
+                    out[i] = t
+    return _Tested(sup, rows[:cut], kept, out)
 
 
 def _join(
@@ -495,7 +715,8 @@ def _join(
     for pos, slot in enumerate(order):
         if not len(table):
             return np.empty((0, k), dtype=np.int64), used
-        table, used = _step(table, g, back[pos], want[slot], budget, p, used)
+        table, used = _step(table, g, back[pos], want[slot], budget,
+                            lambda: p.code, used)
     table = table[:, [order.index(s) for s in range(k)]]
     if k and len(table) > 1:
         table = table[np.lexsort(table.T[::-1])]
@@ -532,21 +753,30 @@ def embeddings(
 
 
 def _support(table: np.ndarray, n: int) -> int:
-    return _supports(table, np.ones((1, len(table)), dtype=bool), n)[0]
+    return int(_least_images(np.zeros(len(table), dtype=np.int64),
+                             list(table.T), 1, n)[0])
 
 
-def _supports(table: np.ndarray, keep: np.ndarray, n: int) -> List[int]:
-    """The support of ``table[keep[i]]`` for every row mask ``keep[i]``:
-    per column, the distinct node ids among its rows (all below ``n``),
-    and the least count over columns."""
-    at, rows = np.nonzero(keep)
-    sup = np.zeros(len(keep), dtype=np.int64)
-    for j, col in enumerate(table.T):
-        seen = np.zeros((len(keep), n), dtype=bool)
-        seen[at, col[rows]] = True
-        count = np.count_nonzero(seen, axis=1)
-        sup = count if j == 0 else np.minimum(sup, count)
-    return sup.tolist()
+def _least_images(ids: np.ndarray, cols: Sequence[np.ndarray], count: int,
+                  n: int) -> np.ndarray:
+    """Per table ``i < count``, made of the rows with ``ids == i`` of the
+    node columns ``cols`` (ids ascending, node ids below ``n``): the least
+    number of distinct nodes in a column, its support (0 for a table
+    without rows or columns).  Tables are counted in chunks of at most
+    :data:`_SEEN_CELLS` (table, column, node) cells."""
+    w = len(cols)
+    out = np.zeros(count, dtype=np.int64)
+    step = max(1, _SEEN_CELLS // max(w * n, 1))
+    for lo in range(0, count if w else 0, step):
+        hi = min(lo + step, count)
+        a, b = ids.searchsorted([lo, hi]).tolist()
+        seen = np.zeros((hi - lo, w, n), dtype=bool)
+        cell = (ids[a:b] - lo) * (w * n)
+        for col in cols:
+            seen.reshape(-1)[cell + col[a:b]] = True
+            cell += n
+        out[lo:hi] = np.count_nonzero(seen, axis=2).min(axis=1)
+    return out
 
 
 def min_image_support(
@@ -600,12 +830,13 @@ class MiningStats:
     Every growth of a child from a parent is one anti-monotone check, and
     ``support_pairs`` lists each as (parent support, child support):
     parent by parent in the order of :func:`mine`'s walk, each parent's in
-    the order it grew its children.  ``rows_generated`` sums the candidate
+    the order :func:`_grow` grew its children.  ``candidates_tested``
+    counts the distinct children (one per isomorphism class and level)
+    and the single-edge types.  ``rows_generated`` sums the candidate
     rows of every join step mining ran; ``max_rows`` is the most rows any
     one pattern used, the figure the budget caps.  ``rows_kept`` sums the
-    rows of the candidate tables mining materialised: every single-edge
-    and new-slot candidate's, and a closing candidate's only when it is
-    frequent.
+    rows that survive the join step of every single-edge and new-slot
+    candidate, and of a closing candidate only when it is frequent.
     """
 
     frequent_per_level: List[int] = field(default_factory=list)
@@ -642,60 +873,165 @@ def _single_edge_supports(g: MultiplexGraph) -> Dict[Tuple[str, str, str], int]:
     return {key: min(len(srcs[key]), len(dsts[key])) for key in srcs}
 
 
+@dataclass
+class _Rows:
+    """Patterns as integer rows over a host's attribute and layer ids.
+
+    ``attrs`` is ``(n, K)``: pattern i's attribute ids in its first
+    ``k[i]`` columns, then the pad id, one past the host's last attribute
+    id.  ``src``, ``dst`` and ``lay`` are ``(n, e)``: the edges
+    ``(a, b, layer id)`` of each pattern.
+    """
+
+    attrs: np.ndarray
+    k: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    lay: np.ndarray
+
+
 def _grow(
-    p: Pattern,
-    max_slots: int,
-    by_pair: Dict[Tuple[str, str], List[str]],
-    by_src: Dict[str, List[Tuple[str, str]]],
-    by_dst: Dict[str, List[Tuple[str, str]]],
-) -> List[Tuple[Pattern, PatternEdge]]:
-    """One-edge extensions of ``p`` whose new edge is a frequent edge type,
-    each with that edge.
+    front: _Rows, ok: np.ndarray, max_slots: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every one-edge extension of every frontier pattern whose new edge is
+    a frequent edge type, in one pass over the frontier.
 
-    Either closes an edge between two existing slots or attaches a brand-new
-    slot, mirroring the two growth moves of the search.  A child keeps
-    ``p``'s slot numbers; a new slot is number ``p.n_slots``.
+    ``ok[x, y, l]`` is true when the edge type from attribute id x to y on
+    layer l is frequent; the pad id has none.  A child either closes an
+    edge between two of its parent's slots or attaches a brand-new slot,
+    numbered ``k``, its parent's slot count; it keeps the parent's slot
+    numbers.  Returns per growth the parent's index, the new edge
+    ``(a, b, layer id)`` and the new slot's attribute id (-1 for a closing
+    edge).  Growths come parent by parent: a parent's closing edges by
+    ``(a, b, layer)``, then per slot i the new slots attached by its
+    attribute's outgoing edge types (edge ``i -> k``) and then by its
+    incoming ones (``k -> i``), each by (attribute, layer).
     """
-    out: List[Tuple[Pattern, PatternEdge]] = []
-    k = p.n_slots
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            for lay in by_pair.get((p.attrs[i], p.attrs[j]), ()):
-                e = (i, j, lay)
-                if e not in p.edges:
-                    out.append((Pattern(p.attrs, p.edges | {e}), e))
-    if k < max_slots:
-        for i in range(k):
-            for dst_attr, lay in by_src.get(p.attrs[i], ()):
-                e = (i, k, lay)
-                out.append((Pattern(p.attrs + (dst_attr,), p.edges | {e}), e))
-            for src_attr, lay in by_dst.get(p.attrs[i], ()):
-                e = (k, i, lay)
-                out.append((Pattern(p.attrs + (src_attr,), p.edges | {e}), e))
-    return out
+    n, K = front.attrs.shape
+    at = front.attrs
+    close = ok[at[:, :, None], at[:, None, :]]  # (parents, K, K, layers)
+    close[:, np.arange(K), np.arange(K)] = False
+    close[np.arange(n)[:, None], front.src, front.dst, front.lay] = False
+    cp, ca, cb, cl = np.nonzero(close)
+    # (parents, K, direction, attribute, layers): out-types, then in-types.
+    new = np.stack((ok[at], ok[:, at].transpose(1, 2, 0, 3)), axis=2)
+    new[front.k >= max_slots] = False
+    npar, ni, nd, nattr, nl = np.nonzero(new)
+    nk = front.k[npar]
+    order = np.argsort(np.concatenate((2 * cp, 2 * npar + 1)), kind="stable")
+    return tuple(np.concatenate(pair)[order] for pair in (
+        (cp, npar), (ca, np.where(nd == 0, ni, nk)),
+        (cb, np.where(nd == 0, nk, ni)), (cl, nl),
+        (np.full(len(cp), -1), nattr)))
 
 
-def _child_table(
-    parent: Pattern, child: Pattern, e: PatternEdge, g: MultiplexGraph,
-    budget: int,
-) -> Tuple[np.ndarray, int]:
-    """The child's table, one step from the table its parent carries, and
-    the rows that step used; ``e`` is the edge :func:`_grow` added.
+def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order, and the
+    index of each row among them."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    inv = np.empty(len(rows), dtype=np.int64)
+    inv[order] = new.cumsum() - 1
+    return srt[new], inv
 
-    The child keeps the parent's slot numbers, so the parent's columns are
-    its first columns and a new slot is the last one, placed by
-    :func:`_step`; a closing edge is a :func:`_close` of this one child.
-    Rows stay sorted.
+
+class _Children:
+    """The children one lattice level grows, as integer rows, and their
+    isomorphism classes.
+
+    Growth t (see :func:`_grow`) has parent ``par[t]``, new edge
+    ``edge[t]`` and new slot attribute ``attr[t]`` (-1 if none); the
+    child has ``k[t]`` slots with attribute ids ``attrs[t]`` (padded as in
+    :class:`_Rows`) and edges ``codes[t]``, the sorted values
+    ``(a·k + b)·layers + layer id``.  The growths of each slot count are
+    deduplicated as labelled rows, each distinct one is ranked by
+    :func:`_canonical_rows` over the host's alphabet, and children with
+    equal minimal rows, which are exactly the isomorphic ones, share a
+    class ``cls[t]``.  No code string is written until :meth:`code` asks.
     """
-    a, b, lay = e
-    edge, table = (a, b, g.layer_id(lay)), parent.mined_on[1]
-    if child.n_slots > parent.n_slots:
-        return _step(table, g, [edge], g.arrays.attr_ids[child.attrs[-1]],
-                     budget, child)
-    [(_, closed)] = _close(table, g, [edge], [child], budget, 0)
-    return closed, len(table)
+
+    def __init__(self, front: _Rows, ok: np.ndarray, max_slots: int,
+                 alpha: _Alphabet):
+        self.alpha = alpha
+        par, a, b, lay, attr = _grow(front, ok, max_slots)
+        self.par, self.attr = par, attr
+        self.edge = np.stack((a, b, lay), axis=1)
+        k = self.k = front.k[par] + (attr >= 0)
+        cols = [np.concatenate((x[par], y[:, None]), axis=1)
+                for x, y in ((front.src, a), (front.dst, b), (front.lay, lay))]
+        self.codes = np.sort((cols[0] * k[:, None] + cols[1])
+                             * alpha.n_layers + cols[2], axis=1)
+        self.attrs = np.concatenate(
+            (front.attrs[par], np.full((len(par), 1), ok.shape[0] - 1)), axis=1)
+        grown = np.flatnonzero(attr >= 0)
+        self.attrs[grown, front.k[par[grown]]] = attr[grown]
+        self.cls = np.empty(len(par), dtype=np.int64)
+        self.row = np.empty(len(par), dtype=np.int64)
+        # Slot count -> the minimal rows of its distinct labelled rows and
+        # their minimising permutations (see _minimal_rows).
+        self.groups: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        n_classes = 0
+        for kk in np.unique(k).tolist():
+            sel = np.flatnonzero(k == kk)
+            labelled, inv = _distinct_rows(
+                np.concatenate((self.attrs[sel, :kk], self.codes[sel]), axis=1))
+            rows, at, j = _canonical_rows(alpha, labelled[:, :kk],
+                                          labelled[:, kk:])
+            distinct, cls = _distinct_rows(rows)
+            self.row[sel] = inv
+            self.cls[sel] = cls[inv] + n_classes
+            n_classes += len(distinct)
+            self.groups[kk] = (rows, at, j)
+        self.n_classes = n_classes
+
+    def code(self, t: int) -> str:
+        """The canonical code of child ``t``."""
+        k = int(self.k[t])
+        return self.alpha.code(k, self.groups[k][0][self.row[t]].tolist())
+
+    def first_code(self, ts: np.ndarray) -> Callable[[Sequence[int]], str]:
+        """For a budget error: the smallest code among ``ts[i]``, i given."""
+        return lambda over: min(self.code(ts[i]) for i in over)
+
+    def testers(self) -> np.ndarray:
+        """The growth that first grows each class, ascending."""
+        return np.sort(np.unique(self.cls, return_index=True)[1])
+
+    def rows(self, ts: np.ndarray) -> _Rows:
+        """Children ``ts`` as a frontier of integer rows."""
+        k = self.k[ts]
+        ab, lay = np.divmod(self.codes[ts], self.alpha.n_layers)
+        src, dst = np.divmod(ab, k[:, None])
+        return _Rows(self.attrs[ts, :k.max(initial=0)], k, src, dst, lay)
+
+    def patterns(self, ts: np.ndarray, codes: Sequence[str],
+                 sups: Sequence[int], tables: Sequence[np.ndarray],
+                 g: MultiplexGraph, names: Sequence[str]) -> List[Pattern]:
+        """Children ``ts`` as patterns with their codes, the minimising
+        permutations of their own labelling, and their supports and
+        read-only tables on ``g``."""
+        front = self.rows(ts)
+        perms: List[Tuple[SlotMap, ...]] = [()] * len(ts)
+        for kk, (_, at, j) in self.groups.items():
+            sel = np.flatnonzero(front.k == kk)
+            for i, won in zip(sel.tolist(),
+                              _slot_maps(kk, at, j, self.row[ts[sel]])):
+                perms[i] = won
+        ln = g.layer_names
+        out = []
+        for i, (code, sup, table) in enumerate(zip(codes, sups, tables)):
+            table.flags.writeable = False
+            q = Pattern(
+                tuple(map(names.__getitem__,
+                          front.attrs[i, :front.k[i]].tolist())),
+                frozenset(zip(front.src[i].tolist(), front.dst[i].tolist(),
+                              map(ln.__getitem__, front.lay[i].tolist()))),
+                sup, (g, table))
+            q.__dict__["_canonical"] = (code, perms[i])
+            out.append(q)
+        return out
 
 
 def _carrying(p: Pattern, support: int, g: MultiplexGraph,
@@ -716,18 +1052,23 @@ def mine(
     """Enumerate all frequent patterns up to ``cfg.max_nodes`` slots.
 
     Level k holds the frequent patterns with k edges.  A level grows every
-    child of the frontier one edge at a time, codes them in one
-    :func:`canonical_forms` batch, and walks the frontier in code order.
-    Each parent tests the children no earlier parent grew, from its own
-    table and in its slot numbering: its closing children in one
-    :func:`_close`, then its new-slot children through
-    :func:`_child_table`, each in code order.  Frequent children join the
-    next frontier, which is sorted by code.  Then every growth of the
-    parent is checked against its support: a child above it would
-    contradict the anti-monotone support measure and raises
-    :class:`MiningInvariantError`.  A budget error names the first child
-    over the budget in this walk.  The counters always go to a
-    :class:`MiningStats`: ``stats``, or a private one when it is None.
+    child of the frontier in one :func:`_grow` pass, as integer rows, and
+    sorts them into isomorphism classes by their minimal rows of the
+    canonical kernel (:class:`_Children`), with no code string written.
+    The frontier is walked in code order, and each class is tested at its
+    first growth: by the first parent that grows it, from that parent's
+    table and in its slot numbering.  :func:`_test` tests all of them in
+    a few passes, each parent's closing children before its new-slot
+    ones.  Then every growth of every parent is checked against the
+    parent's support: a child above it would contradict the anti-monotone
+    support measure and raises :class:`MiningInvariantError`, naming the
+    first such growth in the walk.  A budget error names the first child
+    over the budget in this walk, the one with the smallest code when
+    several children of one parent's batch are over it; it is raised
+    after the checks of the parents before it.  Only frequent children
+    become :class:`Pattern` objects, with codes; sorted by code, they are
+    the next frontier.  The counters always go to a :class:`MiningStats`:
+    ``stats``, or a private one when it is None.
 
     Returns the frequent patterns sorted by code, each carrying its
     support, its canonical form and its table on ``g`` (see
@@ -739,14 +1080,6 @@ def mine(
     stats = MiningStats() if stats is None else stats
     seen = _single_edge_supports(g)
     singles = {key: sup for key, sup in seen.items() if sup >= sigma}
-
-    by_pair: Dict[Tuple[str, str], List[str]] = {}
-    by_src: Dict[str, List[Tuple[str, str]]] = {}
-    by_dst: Dict[str, List[Tuple[str, str]]] = {}
-    for (sa, da, lay) in sorted(singles):
-        by_pair.setdefault((sa, da), []).append(lay)
-        by_src.setdefault(sa, []).append((da, lay))
-        by_dst.setdefault(da, []).append((sa, lay))
 
     edges = [Pattern((sa, da), frozenset({(0, 1, lay)}), sup)
              for (sa, da, lay), sup in sorted(singles.items())]
@@ -763,54 +1096,72 @@ def mine(
     stats.frequent_per_level.append(len(frontier))
     stats.candidates_tested += len(seen)
 
+    aid = g.arrays.attr_ids
+    names = sorted(aid, key=aid.get)
+    alpha = _Alphabet(names, g.layer_names)
+    ok = np.zeros((len(names) + 1, len(names) + 1, g.n_layers), dtype=bool)
+    for sa, da, lay in singles:
+        ok[aid[sa], aid[da], g.layer_id(lay)] = True
+    n = len(frontier)
+    front = _Rows(
+        np.array([[aid[a] for a in p.attrs] for p in frontier],
+                 dtype=np.int64).reshape(n, 2),
+        np.full(n, 2), np.zeros((n, 1), dtype=np.int64),
+        np.ones((n, 1), dtype=np.int64),
+        np.array([g.layer_id(l) for p in frontier for _, _, l in p.edges],
+                 dtype=np.int64).reshape(n, 1))
+
     while frontier:
-        # Children grown alike share one object, so each is coded once.
-        first: Dict[Tuple[tuple, FrozenSet[PatternEdge]], Pattern] = {}
-        grown = [[(first.setdefault((c.attrs, c.edges), c), e)
-                  for c, e in _grow(p, cfg.max_nodes, by_pair, by_src, by_dst)]
-                 for p in frontier]
-        canonical_forms(first.values())
-        sup_of: Dict[str, int] = {}
-        nxt: List[Pattern] = []
-        for p, kids in zip(frontier, grown):
-            # Untested children, each code with the first growth of it.
-            new = {c.code: (c, e) for c, e in reversed(kids)
-                   if c.code not in sup_of}
-            # Closing children first, then new-slot ones, each by code.
-            todo = sorted(new.values(),
-                          key=lambda ce: (ce[0].n_slots, ce[0].code))
-            closing = [(c, e) for c, e in todo if c.n_slots == p.n_slots]
-            table = p.mined_on[1]
-            tested = []
-            if closing:
-                children = [c for c, _ in closing]
-                lids = [(a, b, g.layer_id(lay)) for _, (a, b, lay) in closing]
-                tested = [(c, sup, t, len(table)) for c, (sup, t) in zip(
-                    children, _close(table, g, lids, children, cfg.budget,
-                                     sigma))]
-            for c, e in todo[len(closing):]:
-                t, rows = _child_table(p, c, e, g, cfg.budget)
-                tested.append((c, _support(t, g.n_nodes), t, rows))
-            for c, sup, t, rows in tested:
-                stats.count_rows(rows, t)
-                stats.candidates_tested += 1
-                sup_of[c.code] = sup
-                if sup >= sigma:
-                    nxt.append(_carrying(c, sup, g, t))
-            for c, _ in kids:
-                sup = sup_of[c.code]
-                stats.antimonotone_checks += 1
-                stats.support_pairs.append((p.support, sup))
-                if sup > p.support:
-                    stats.antimonotone_violations += 1
-                    raise MiningInvariantError(
-                        f"support of {c.code!r} ({sup}) exceeds parent "
-                        f"support ({p.support}): anti-monotonicity violated"
-                    )
-        nxt.sort(key=lambda p: p.code)
-        stats.frequent_per_level.append(len(nxt))
-        result.extend(nxt)
-        frontier = nxt
+        kids = _Children(front, ok, cfg.max_nodes, alpha)
+        ts = kids.testers()
+        of = kids.par[ts]
+        tested = _test(frontier, g, of, kids.edge[ts], kids.attr[ts],
+                       cfg.budget, sigma, kids.first_code(ts))
+        done = len(tested.sup)
+        sup_of = np.zeros(kids.n_classes, dtype=np.int64)
+        sup_of[kids.cls[ts[:done]]] = tested.sup
+        # Every growth of a parent before the first untested child's has
+        # a tested class; check those against their parents' supports.
+        psup = np.array([p.support for p in frontier], dtype=np.int64)
+        checks = int(kids.par.searchsorted(of[done] if done < len(ts)
+                                           else len(frontier)))
+        got = sup_of[kids.cls[:checks]]
+        bad = np.flatnonzero(got > psup[kids.par[:checks]])
+        if len(bad):
+            checks = int(bad[0]) + 1
+            done = int(of.searchsorted(kids.par[bad[0]], "right"))
+        closing = kids.attr[ts[:done]] < 0
+        stats.rows_generated += int(tested.rows[:done].sum())
+        stats.max_rows = max(stats.max_rows,
+                             int(tested.rows[:done].max(initial=0)))
+        stats.rows_kept += int(tested.kept[:done][
+            ~closing | (tested.sup[:done] >= sigma)].sum())
+        stats.candidates_tested += done
+        stats.antimonotone_checks += checks
+        stats.support_pairs += zip(psup[kids.par[:checks]].tolist(),
+                                   got[:checks].tolist())
+        if len(bad):
+            stats.antimonotone_violations += 1
+            raise MiningInvariantError(
+                f"support of {kids.code(bad[0])!r} ({got[bad[0]]}) exceeds "
+                f"parent support ({psup[kids.par[bad[0]]]}): "
+                f"anti-monotonicity violated"
+            )
+        if done < len(ts):  # the next parent is over the budget: raise
+            _test(frontier, g, of[done:], kids.edge[ts[done:]],
+                  kids.attr[ts[done:]], cfg.budget, sigma,
+                  kids.first_code(ts[done:]))
+        freq = np.flatnonzero(tested.sup >= sigma)
+        codes = [kids.code(t) for t in ts[freq].tolist()]
+        order = sorted(range(len(freq)), key=codes.__getitem__)
+        freq = freq[order]
+        frontier = kids.patterns(ts[freq], [codes[o] for o in order],
+                                 tested.sup[freq].tolist(),
+                                 [tested.tables[i] for i in freq.tolist()],
+                                 g, names)
+        front = kids.rows(ts[freq])
+        stats.frequent_per_level.append(len(frontier))
+        result.extend(frontier)
 
     result.sort(key=lambda p: p.code)
     return result

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from mrk.graph import ATTR_DEFAULT, MultiplexGraph
-from mrk.miner import Pattern, canonical_forms, embedding_table
+from mrk.miner import (
+    Pattern, canonical_forms, embedding_table, min_image_support,
+)
 
 
 # -- random hosts -----------------------------------------------------------
@@ -195,6 +197,68 @@ def oracle_frequent(
         if p.code not in by_code:
             by_code[p.code] = oracle_mis(p, g)
     return {c: s for c, s in by_code.items() if s >= sigma}
+
+
+def oracle_mining_stats(g: MultiplexGraph, sigma: int, max_nodes: int) -> dict:
+    """The lattice counters of ``mine``, by a walk over plain patterns.
+
+    Level 1 tests every single-edge type in the host, and the frequent
+    ones, sorted by code, are the first frontier.  Each level walks its
+    frontier in code order and grows each parent, in its own slot
+    numbering, in the documented order: closing edges by (i, j, layer),
+    then per slot the frequent edge types leaving its attribute and then
+    those entering it, each by (other attribute, layer).  Every growth
+    records (parent support, ``min_image_support`` of the child).  A child
+    is tested at its first growth, by code, and the frequent children keep
+    the slot numbering of that growth; sorted by code, they are the next
+    frontier.  Returns the counters as ``MiningStats`` names them.
+    """
+    ln = g.layer_names
+    types = sorted({(g.attrs[u], g.attrs[v], ln[l]) for u, v, l in g.edges})
+    freq, frontier = [], []
+    for sa, da, lay in types:
+        p = Pattern((sa, da), frozenset({(0, 1, lay)}))
+        sup = min_image_support(p, g)
+        if sup >= sigma:
+            freq.append((sa, da, lay))
+            frontier.append(Pattern(p.attrs, p.edges, sup))
+
+    def code(p: Pattern) -> str:
+        return oracle_canonical_form(p)[0]
+
+    def grow(p: Pattern) -> List[Pattern]:
+        k, at, out = len(p.attrs), p.attrs, []
+        for i in range(k):
+            for j in range(k):
+                out += [Pattern(at, p.edges | {(i, j, lay)})
+                        for sa, da, lay in freq
+                        if i != j and (sa, da) == (at[i], at[j])
+                        and (i, j, lay) not in p.edges]
+        for i in range(k if k < max_nodes else 0):
+            out += [Pattern(at + (da,), p.edges | {(i, k, lay)})
+                    for sa, da, lay in freq if sa == at[i]]
+            out += [Pattern(at + (sa,), p.edges | {(k, i, lay)})
+                    for sa, da, lay in freq if da == at[i]]
+        return out
+
+    frontier.sort(key=code)
+    levels, tested, pairs = [len(frontier)], len(types), []
+    while frontier:
+        sup_of: Dict[str, int] = {}
+        nxt: Dict[str, Pattern] = {}
+        for p in frontier:
+            for c in grow(p):
+                cc = code(c)
+                if cc not in sup_of:
+                    sup_of[cc] = min_image_support(c, g)
+                    tested += 1
+                    if sup_of[cc] >= sigma:
+                        nxt[cc] = Pattern(c.attrs, c.edges, sup_of[cc])
+                pairs.append((p.support, sup_of[cc]))
+        frontier = [nxt[cc] for cc in sorted(nxt)]
+        levels.append(len(frontier))
+    return {"frequent_per_level": levels, "candidates_tested": tested,
+            "antimonotone_checks": len(pairs), "support_pairs": pairs}
 
 
 # -- rule-scoring oracle ----------------------------------------------------

@@ -35,6 +35,7 @@ from tests.conftest import (
     oracle_embeddings,
     oracle_frequent,
     oracle_isomorphic,
+    oracle_mining_stats,
     oracle_mis,
     rand_host,
 )
@@ -629,6 +630,38 @@ def test_mine_budget_error_names_the_pattern():
     assert star in mine(g, MinerConfig(min_support=1, max_nodes=3))
 
 
+def test_mine_budget_error_names_the_smallest_code():
+    # The hub h (a) has three m spokes (b), ten l out-spokes (x<) and ten
+    # l in-spokes (x).  The single edges join in at most 20 rows, and the
+    # first parent of level 2, a->b with 3 rows, grows two new-slot
+    # children of 30 rows each: h->x< and x->h.  Names rank by their code
+    # token "x<|" < "x|", and h->x< grows first, yet the x child's code is
+    # the smaller ("x;" < "x<"), so the error names it.
+    triples = [("h", f"b{i}", "m") for i in range(3)]
+    triples += [("h", f"p{i}", "l") for i in range(10)]
+    triples += [(f"q{i}", "h", "l") for i in range(10)]
+    attrs = {"h": "a", **{f"b{i}": "b" for i in range(3)},
+             **{f"p{i}": "x<" for i in range(10)},
+             **{f"q{i}": "x" for i in range(10)}}
+    g = MultiplexGraph(triples, attrs=attrs, directed=True)
+    to_x = Pattern(("a", "b", "x"), frozenset({(0, 1, "m"), (2, 0, "l")}))
+    to_xlt = Pattern(("a", "b", "x<"), frozenset({(0, 1, "m"), (0, 2, "l")}))
+    assert "x<|" < "x|" and to_x.code < to_xlt.code
+    with pytest.raises(MiningBudgetError) as err:
+        mine(g, MinerConfig(min_support=1, max_nodes=3, budget=25))
+    assert err.value.pattern_code == to_x.code
+    assert err.value.budget == 25
+    # Every single edge fits the budget, and both children exceed it.
+    stats = MiningStats()
+    out = mine(g, MinerConfig(min_support=1, max_nodes=2, budget=25),
+               stats=stats)
+    assert stats.max_rows == 20
+    assert len(embeddings(to_x, g)) == len(embeddings(to_xlt, g)) == 30
+    assert {to_x, to_xlt} <= set(mine(g, MinerConfig(min_support=1,
+                                                     max_nodes=3)))
+    assert len(out) == 3
+
+
 def _hub_host(spokes: int) -> MultiplexGraph:
     """A hub with ``spokes`` out-spokes on layer a, the spokes in a b-ring."""
     s = [f"s{i:03d}" for i in range(spokes)]
@@ -655,17 +688,26 @@ def test_mine_step_over_budget_raises_before_allocating(move):
     child = Pattern(parent.attrs + ("x",) * (move == "new slot"),
                     parent.edges | {e})
     assert len(embeddings(child, g)) > 0
+    edge = (*e[:2], g.layer_id(e[2]))
+    want = g.arrays.attr_ids["x"] if move == "new slot" else -1
+
+    def test(budget):
+        # The one child is named when it is over the budget.
+        return miner._test([parent], g, [0], [edge], [want], budget, 0,
+                           lambda over: child.code if over == [0] else "")
+
     tracemalloc.start()
     try:
         with pytest.raises(MiningBudgetError) as err:
-            miner._child_table(parent, child, e, g, budget=rows - 1)
+            test(rows - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert err.value.pattern_code == child.code
     assert err.value.budget == rows - 1
     assert peak < rows * 8  # not even one int64 column of the rows
-    table, used = miner._child_table(parent, child, e, g, budget=rows)
+    tested = test(rows)
+    table, used = tested.tables[0], tested.rows[0]
     assert used == rows
     assert np.array_equal(table, embedding_table(child, g))
 
@@ -698,19 +740,23 @@ def test_mine_raises_on_a_planted_support_violation(rng, monkeypatch):
     # parent's support; the parent's check must count it and raise.
     g = rand_host(rng, 12, 2, 30, directed=True)
     grown = []
-    real_child_table, real_support = miner._child_table, miner._support
+    real_test = miner._test
 
-    def child_table(parent, child, *args):
-        grown.append((parent, child))
-        return real_child_table(parent, child, *args)
+    def test(parents, g_, of, edges, attrs, *args):
+        out = real_test(parents, g_, of, edges, attrs, *args)
+        growing = [i for i in range(len(out.sup)) if attrs[i] >= 0]
+        if growing and not grown:
+            i = growing[0]
+            parent = parents[of[i]]
+            a, b, l = map(int, edges[i])
+            name = {v: x for x, v in g_.arrays.attr_ids.items()}[attrs[i]]
+            grown.append((parent, Pattern(
+                parent.attrs + (name,),
+                parent.edges | {(a, b, g_.layer_names[l])})))
+            out.sup[i] = parent.support + 1
+        return out
 
-    def support(table, n):
-        if len(grown) == 1:
-            return grown[0][0].support + 1
-        return real_support(table, n)
-
-    monkeypatch.setattr(miner, "_child_table", child_table)
-    monkeypatch.setattr(miner, "_support", support)
+    monkeypatch.setattr(miner, "_test", test)
     stats = MiningStats()
     with pytest.raises(MiningInvariantError) as err:
         mine(g, MinerConfig(min_support=1, max_nodes=3), stats=stats)
@@ -737,6 +783,19 @@ def test_mine_stats_sink_changes_nothing(rng, directed, n_attrs):
 
 @pytest.mark.parametrize("directed", [True, False])
 @pytest.mark.parametrize("n_attrs", [1, 2, 3])
+def test_mine_stats_match_the_growth_oracle(rng, directed, n_attrs):
+    g = adversarial_host(rng, directed, n_attrs)
+    stats = MiningStats()
+    mine(g, MinerConfig(min_support=2, max_nodes=3), stats=stats)
+    want = oracle_mining_stats(g, 2, 3)
+    assert len(want["frequent_per_level"]) > 2
+    assert any(0 < child < 2 for _, child in want["support_pairs"])
+    for name, value in want.items():
+        assert getattr(stats, name) == value, name
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("n_attrs", [1, 2, 3])
 def test_mined_tables_equal_fresh_joins(rng, directed, n_attrs):
     g = adversarial_host(rng, directed, n_attrs)
     assert "only>loops" not in g.layer_names
@@ -754,26 +813,37 @@ def test_mined_tables_equal_fresh_joins(rng, directed, n_attrs):
 
 def _assert_closing_pass_matches_fresh_joins(g, monkeypatch, sigma,
                                             max_nodes):
-    """Every closing child ``mine`` tests, at every level and frequent or
-    not, gets the support of a fresh join from the batch pass, and each
-    table the pass keeps equals the fresh join's.  Returns the batches as
-    (edges, children, supports)."""
+    """Every child ``mine`` tests, at every level and frequent or not,
+    gets the support of a fresh join from the batch pass, and each table
+    the pass keeps equals the fresh join's.  Returns the closing children
+    of each parent in a pass as (edges, children, supports)."""
     batches = []
-    real = miner._close
+    real = miner._test
 
-    def spy(table, g_, edges, children, budget, sigma_):
-        out = real(table, g_, edges, children, budget, sigma_)
-        batches.append((edges, children, [sup for sup, _ in out]))
-        for child, (sup, kept) in zip(children, out):
+    def spy(parents, g_, of, edges, attrs, budget, sigma_, name):
+        out = real(parents, g_, of, edges, attrs, budget, sigma_, name)
+        names = {v: x for x, v in g_.arrays.attr_ids.items()}
+        closing = {}
+        for i, (sup, kept) in enumerate(zip(out.sup, out.tables)):
+            parent = parents[of[i]]
+            a, b, l = map(int, edges[i])
+            child = Pattern(
+                parent.attrs + ((names[attrs[i]],) if attrs[i] >= 0 else ()),
+                parent.edges | {(a, b, g.layer_names[l])})
             assert sup == min_image_support(child, g), child.code
             if sup < sigma:
                 assert kept is None, child.code
             else:
                 assert np.array_equal(kept, embedding_table(child, g)), \
                     child.code
+            if attrs[i] < 0:
+                batch = closing.setdefault(of[i], ([], [], []))
+                for part, x in zip(batch, ((a, b, l), child, sup)):
+                    part.append(x)
+        batches.extend(closing.values())
         return out
 
-    monkeypatch.setattr(miner, "_close", spy)
+    monkeypatch.setattr(miner, "_test", spy)
     mine(g, MinerConfig(min_support=sigma, max_nodes=max_nodes))
     return batches
 
