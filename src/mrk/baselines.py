@@ -175,14 +175,34 @@ _T0 = 1.0
 _T_MIN = 1e-3
 _COOLING = 0.95
 _STEP = 0.1
+# Rows per chunk of the squared deviations that _zscore_columns sums.
+_VAR_ROWS = 1 << 16
 
 
 def _zscore_columns(x: np.ndarray) -> None:
-    """Z-normalise each column of ``x`` in place; constant columns become 0."""
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
+    """Z-normalise each column of ``x`` in place; constant columns become 0.
+
+    ``x`` is C-ordered with at least two columns.  The result is bitwise
+    that of ``(x - x.mean(axis=0)) / x.std(axis=0)``, without the
+    full-size copy that ``std`` makes: numpy reduces axis 0 of such an
+    array row by row, so the squared deviations are added row by row too,
+    :data:`_VAR_ROWS` rows at a time through one buffer whose row 0
+    carries the running sum, then divided by n under a square root as
+    numpy's ``_var`` does.  (numpy sums a single column pairwise, which
+    rounds differently.)  An empty ``x`` is left as it is.
+    """
+    n, m = x.shape
+    if not n:
+        return
+    x -= x.mean(axis=0)
+    buf = np.zeros((min(n, _VAR_ROWS) + 1, m))
+    for lo in range(0, n, _VAR_ROWS):
+        part = x[lo:lo + _VAR_ROWS]
+        rows = buf[:len(part) + 1]
+        np.multiply(part, part, out=rows[1:])
+        buf[0] = np.add.reduce(rows, axis=0)
+    sd = np.sqrt(buf[0] / n)
     flat = ~(sd > 0)
-    x -= mu
     x /= np.where(flat, 1.0, sd)
     x[:, flat] = 0.0
 
@@ -203,6 +223,11 @@ def ensemble(
     positives followed by its negatives.  Missing candidate scores are
     imputed as 0 before normalization, so every table covers the same key
     list; the tables are read in one :meth:`ScoreTable.matrix_for` call.
+    That C-ordered (keys, tables) matrix, z-normalised in place by
+    :func:`_zscore_columns`, is the one full-size array of the call: the
+    lookup and the column variance both work through key chunks.  At
+    least two tables are needed, which also keeps the variance bitwise
+    numpy's.
     ``base`` sums with equal weights.  ``over`` anneals the weight vector
     against AUC on the given truth labels: geometric cooling,
     single-weight Gaussian proposals, Metropolis acceptance, best weights

@@ -2,12 +2,12 @@
 
 Every writing subcommand produces its output atomically and drops a JSON
 manifest next to it recording the command, resolved parameters, input file
-digests, seed, tool version, and stage timings.  Every option can also be
-set through an environment variable named ``MRK_`` plus its parameter name
-in upper case, the name in the subcommand's signature: ``MRK_SIGMA`` sets
-``--support`` and ``MRK_OUT_PATH`` sets ``--out``.  The names carry no
-subcommand, so one variable applies to every subcommand with that
-parameter.
+digests, seed, tool version, stage timings, and the peak RSS when each
+stage ended.  Every option can also be set through an environment
+variable named ``MRK_`` plus its parameter name in upper case, the name
+in the subcommand's signature: ``MRK_SIGMA`` sets ``--support`` and
+``MRK_OUT_PATH`` sets ``--out``.  The names carry no subcommand, so one
+variable applies to every subcommand with that parameter.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ class RunManifest:
     seed: Optional[int] = None
     inputs: Dict[str, str] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
+    peak_rss_mib: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def of_command(cls) -> "RunManifest":
@@ -147,10 +148,17 @@ class RunManifest:
 
     @contextmanager
     def stage(self, name: str):
-        """Record the wall-clock time of the enclosed block as ``name``."""
+        """Record the wall-clock time of the enclosed block as ``name``,
+        and the process's peak RSS in MiB when the block ends."""
+        import resource  # read only here, so importing mrk.cli skips it
+
         t0 = time.perf_counter()
         yield
         self.timings[name] = time.perf_counter() - t0
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # ru_maxrss is in KiB, but in bytes on macOS.
+        self.peak_rss_mib[name] = rss / (2**20 if sys.platform == "darwin"
+                                         else 2**10)
 
     def write(self, path: str, *outputs: str) -> None:
         """Write the manifest to ``path`` with digests of the finished
@@ -162,6 +170,8 @@ class RunManifest:
             "inputs": self.inputs,
             "outputs": {o: _sha256(o) for o in outputs},
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
+            "peak_rss_mib": {k: round(v, 3)
+                             for k, v in self.peak_rss_mib.items()},
             "version": __version__,
         })
 

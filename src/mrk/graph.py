@@ -108,18 +108,15 @@ class KeySpace:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ids here of the names behind ``other``'s keys ``q``, -1 where a
         name is not on this space's axis."""
-        return self.ids_of(other.ids(q), other)
+        return tuple(i if m is None else m[i]
+                     for m, i in zip(self.id_maps(other), other.ids(q)))
 
-    def ids_of(
-        self, ids: Tuple[np.ndarray, ...], other: "KeySpace"
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ids here of the names behind ``other``'s id triples ``ids``, -1
-        where a name is not on this space's axis.  An axis equal to
-        ``other``'s returns its ids array itself."""
-        return tuple(
-            i if mine == theirs else _positions(mine, theirs)[i]
-            for mine, theirs, i in zip(self.axes, other.axes, ids)
-        )
+    def id_maps(self, other: "KeySpace") -> Tuple[Optional[np.ndarray], ...]:
+        """Per axis, the id here of each of ``other``'s names, -1 where a
+        name is not on this space's axis, or None where the axes are
+        equal, so that ids map through ``ids if m is None else m[ids]``."""
+        return tuple(None if mine == theirs else _positions(mine, theirs)
+                     for mine, theirs in zip(self.axes, other.axes))
 
     def encode(self, triples: Sequence[Tuple[str, str, str]]) -> np.ndarray:
         """Keys of name triples; a name off its axis raises KeyError."""

@@ -32,6 +32,9 @@ from .rules import Rule
 
 WEIGHTING_SCHEMES = ("count", "conf", "lift", "conf-mean", "lift-mean")
 
+# Keys per chunk of a ScoreTable.matrix_for lookup.
+_LOOKUP_ROWS = 1 << 16
+
 
 def _by_key(keys, values) -> Tuple[np.ndarray, np.ndarray]:
     """Keys as int64 and values as float64, both in ascending key order."""
@@ -152,50 +155,59 @@ class ScoreTable:
         float array with one row per key and one column per table: column
         ``j`` holds ``tables[j].scores_for(keys, space)``.
 
-        The keys are split into ids once, the ids are mapped once into
-        each distinct table space, and each distinct key array is searched
-        once, so tables holding equal keys in equal spaces (the classical
-        indices' pair keys) share one search.
+        Tables holding equal keys in equal spaces (the classical indices'
+        pair keys) share one search, decided once per call.  The keys are
+        then read in chunks of :data:`_LOOKUP_ROWS`: each chunk is split
+        into ids once, mapped into each distinct table space once and
+        searched once per distinct key array, and fills its rows of the
+        result.  So the result is the one array as long as the keys.
         """
         q = np.asarray(keys, dtype=np.int64)
-        ids = space.ids(q)
-        mapped: Dict[KeySpace, Tuple[np.ndarray, ...]] = {}
-        searches: List[tuple] = []  # (space, pairs, held, found, positions)
+        searches: List[tuple] = []  # distinct (space, pairs, held)
 
-        def search(sp: KeySpace, pairs: bool, held: np.ndarray):
-            """Where the query keys of ``sp`` are among the sorted ``held``
-            keys, and their positions there."""
-            for s_sp, s_pairs, s_held, found, at in searches:
+        def search(sp: KeySpace, pairs: bool, held: np.ndarray) -> int:
+            for i, (s_sp, s_pairs, s_held) in enumerate(searches):
                 if (s_sp == sp and s_pairs == pairs
                         and np.array_equal(s_held, held)):
-                    return found, at
-            if sp not in mapped:
-                mapped[sp] = sp.ids_of(ids, space)
-            a, b, c = mapped[sp]
-            ask = (a >= 0) & (b >= 0)
-            if pairs:
-                qk = sp.pair(np.minimum(a, b), np.maximum(a, b))
-            else:
-                qk, ask = sp.key(a, b, c), ask & (c >= 0)
-            pos = held.searchsorted(qk)
-            found = ask & (held.take(pos, mode="clip") == qk)
-            at = pos[found]
-            searches.append((sp, pairs, held, found, at))
-            return found, at
+                    return i
+            searches.append((sp, pairs, held))
+            return len(searches) - 1
 
+        plan = [(search(t.space, False, t.keys) if t.keys.size else None,
+                 search(t.space, True, t.pair_keys) if t.pair_keys.size
+                 else None) for t in tables]
+        maps = {sp: sp.id_maps(space)
+                for sp in dict.fromkeys(sp for sp, _, _ in searches)}
         out = np.zeros((len(q), len(tables)))
-        for j, t in enumerate(tables):
-            col = out[:, j]
-            found = None
-            if t.keys.size:
-                found, at = search(t.space, False, t.keys)
-                col[found] = t.values[at]
-            if t.pair_keys.size:
-                hit, at = search(t.space, True, t.pair_keys)
-                if found is not None:  # pairs answer only the links missed
-                    at = at[~found[hit]]
-                    hit = hit & ~found
-                col[hit] = t.pair_values[at]
+        for lo in range(0, len(q), _LOOKUP_ROWS):
+            ids = space.ids(q[lo:lo + _LOOKUP_ROWS])
+            mapped = {sp: tuple(i if m is None else m[i]
+                                for m, i in zip(mp, ids))
+                      for sp, mp in maps.items()}
+            hits = []  # per search: where the chunk's keys are held, and at
+            for sp, pairs, held in searches:
+                a, b, c = mapped[sp]
+                ask = (a >= 0) & (b >= 0)
+                if pairs:
+                    qk = sp.pair(np.minimum(a, b), np.maximum(a, b))
+                else:
+                    qk, ask = sp.key(a, b, c), ask & (c >= 0)
+                pos = held.searchsorted(qk)
+                found = ask & (held.take(pos, mode="clip") == qk)
+                hits.append((found, pos[found]))
+            block = out[lo:lo + _LOOKUP_ROWS]
+            for j, (t, (links, pair)) in enumerate(zip(tables, plan)):
+                col = block[:, j]
+                found = None
+                if links is not None:
+                    found, at = hits[links]
+                    col[found] = t.values[at]
+                if pair is not None:
+                    hit, at = hits[pair]
+                    if found is not None:  # pairs answer only the links missed
+                        at = at[~found[hit]]
+                        hit = hit & ~found
+                    col[hit] = t.pair_values[at]
         return out
 
 

@@ -1,13 +1,17 @@
 """Co-occurrence, classical indices, and ensemble combination."""
 
 import math
+import tracemalloc
+import warnings
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from mrk import baselines
 from mrk.baselines import (
     CLASSICAL_METHODS,
+    _zscore_columns,
     classical_on_multiplex,
     classical_scores,
     ensemble,
@@ -397,6 +401,75 @@ def test_ensemble_validation():
         ensemble([good, noise], keys, keys, space, mode="over")
 
 
+def _zscore_reference(x: np.ndarray) -> None:
+    """Z-normalisation over numpy's own ``mean`` and ``std``, as
+    ``_zscore_columns`` was first written."""
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    flat = ~(sd > 0)
+    x -= mu
+    x /= np.where(flat, 1.0, sd)
+    x[:, flat] = 0.0
+
+
+@pytest.mark.parametrize("rows", [5, None])
+def test_zscore_columns_is_bitwise_numpy_std(monkeypatch, rows):
+    if rows is not None:
+        monkeypatch.setattr(baselines, "_VAR_ROWS", rows)
+    chunk = baselines._VAR_ROWS
+    rng = np.random.default_rng(11)
+    for m in range(2, 9):
+        for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+            # Per column, a spread and an offset from 1e-8 to 1e8.
+            x = (rng.normal(size=(n, m)) * 10.0 ** rng.integers(-8, 9, m)
+                 + rng.normal(size=m) * 10.0 ** rng.integers(-8, 9, m))
+            x[:, 0] = 0.1  # constant
+            if m > 2:
+                x[:, m - 1] = 0.0
+            want = x.copy()
+            _zscore_reference(want)
+            _zscore_columns(x)
+            assert x.tobytes() == want.tobytes(), (m, n)
+    # No rows: nothing to normalise, and no warning either.
+    x = np.empty((0, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _zscore_columns(x) is None
+    assert x.shape == (0, 3)
+
+
+def test_ensemble_holds_one_full_size_array():
+    # 8 tables over 320k keys.  The (keys, tables) matrix is the one
+    # full-size array: a copy of it, or int64 lookup arrays over all keys,
+    # would each add as much again.
+    rng = np.random.default_rng(3)
+    space = KeySpace.links(tuple(f"n{i:03d}" for i in range(200)),
+                           tuple("abcdefgh"))
+    pair_space = KeySpace.links(space.axes[0], ())
+    n, _, nl = space.shape
+    keys = rng.permutation(n * n * nl)
+
+    def some(size, frac):
+        k = np.flatnonzero(rng.random(size) < frac)
+        return k, rng.random(len(k))
+
+    shared = some(n * n, 0.4)[0]  # the classical indices' one pair set
+    tables = [ScoreTable("links", space, *some(n * n * nl, 0.3)),
+              ScoreTable("mixed", space, *some(n * n * nl, 0.1),
+                         *some(n * n, 0.2))]
+    tables += [ScoreTable(f"pairs{i}", pair_space, pair_keys=shared,
+                          pair_values=rng.random(len(shared)))
+               for i in range(6)]
+    full = len(keys) * len(tables) * 8
+    tracemalloc.start()
+    try:
+        ensemble(tables, keys, (), space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full + 8 * 2**20
+
+
 def test_ensemble_matches_per_key_oracle():
     rng = np.random.default_rng(5)
     nodes = [f"n{i}" for i in range(9)]
@@ -427,6 +500,13 @@ def test_ensemble_matches_per_key_oracle():
     qkeys, qtruth = space.encode(keys), space.encode(sorted(truth))
     base = ensemble(tables, qkeys, qtruth, space, mode="base")
     assert base.tolist() == (z @ np.ones(len(tables))).tolist()
+    # The ensemble's z matrix is bitwise the old formula's.
+    got = ScoreTable.matrix_for(tables, qkeys, space)
+    assert got.tobytes() == x.tobytes()
+    old = x.copy()
+    _zscore_columns(got)
+    _zscore_reference(old)
+    assert got.tobytes() == old.tobytes()
     # The oracle matrix as exact-key tables must give the same annealing.
     dense = [ScoreTable.from_scores(t.scheme, dict(zip(keys, x[:, j].tolist())))
              for j, t in enumerate(tables)]

@@ -7,6 +7,8 @@ diagnostic on stderr (leaving no partial output) on bad input.
 
 import hashlib
 import json
+import resource
+import sys
 
 import pytest
 
@@ -311,6 +313,12 @@ def test_manifest_records_the_command(tmp_path, command, host_file,
     assert m["outputs"] == {p: sha256_of(p) for p in outputs}
     assert set(m["timings"]) == stages
     assert m["version"] == __version__
+    # Peak RSS so far when each stage ended; the command ran in this
+    # process, so none is above this process's peak now.
+    now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+        2**20 if sys.platform == "darwin" else 2**10)
+    assert set(m["peak_rss_mib"]) == stages
+    assert all(0 < v <= now + 1e-3 for v in m["peak_rss_mib"].values())
 
 
 # -- rules -------------------------------------------------------------------

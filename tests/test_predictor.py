@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from mrk import predictor
 from mrk.errors import MrkError
 from mrk.graph import ATTR_DEFAULT, LINK_MASK_CAP, KeySpace, MultiplexGraph
 from mrk.evaluation import split_random
@@ -630,6 +631,18 @@ def _random_table(rng, scheme, space, links=0.0, pairs=0.0):
 
 
 def test_matrix_for_matches_per_key_oracle(rng):
+    _check_matrix_for(rng)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_matrix_for_across_lookup_chunks(rng, monkeypatch, rows):
+    # Shared searches, the pair fallback and names off a table's axes all
+    # cross chunk edges.
+    monkeypatch.setattr(predictor, "_LOOKUP_ROWS", rows)
+    _check_matrix_for(rng)
+
+
+def _check_matrix_for(rng):
     # Names hold code separators; the query space has nodes and layers some
     # tables lack, and the tables have names the query never asks about.
     nodes = ("%", "|", ",", ">", ":", ";", "=", "::", "a::b", "x")
