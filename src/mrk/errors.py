@@ -17,7 +17,7 @@ class MiningBudgetError(MrkError):
     """One pattern's embedding join would exceed its budget of embedding rows.
 
     Inside mining a pattern's rows are those its own join step generates
-    from its parent's table; a fresh join counts the rows of every step.
+    from its parent's table; a fresh join counts the rows of every new slot.
     The error is raised before the step allocates them.
     """
 

@@ -9,24 +9,24 @@ level by level.
 
 Embeddings come from one engine, a numpy join over the host's per-layer
 CSR adjacency in the manner of FSG's embedding lists (Kuramochi & Karypis
-2001).  A table grows by one :func:`_step` at a time: a new slot expands
-the host nodes of an already placed neighbour slot through the CSR and
-filters the candidate rows by attribute, by the pattern's other edges back
-to placed slots and by injectivity.  A closing edge filters the rows by
-that edge alone.  An edge test is one
-:meth:`~mrk.graph.GraphArrays.is_edge` lookup.
+2001).  :func:`_extend` adds a slot: it expands the host nodes of an
+already placed neighbour slot through the CSR and filters the candidate
+rows by attribute and injectivity.  :func:`_close` filters rows by one
+more edge between placed slots, one :meth:`~mrk.graph.GraphArrays.is_edge`
+lookup per row.  :func:`_least_images` counts supports.
 
-:func:`mine` grows the tables along the lattice: each child's table is one
-step from the table of the parent that first grew it, and the returned
-patterns carry their tables, which rule scoring reads.  A lattice level is
-integer arrays from growth to support: :func:`_grow` grows the whole
-frontier as rows of attribute ids and edge codes, :class:`_Children`
-sorts them into isomorphism classes, and :func:`_test` tests the level's
-candidates in a few vectorised passes.  Only frequent children become
-:class:`Pattern` objects.  :func:`embedding_table` joins a pattern from
-scratch, one step per slot, for patterns that carry no table for the host
-at hand.  The budget caps the candidate rows one pattern generates, which
-bounds its memory.
+:func:`mine` reads the single-edge tables and supports straight off the
+host's edge arrays, then grows the tables along the lattice: each child's
+table is one step from the table of the parent that first grew it, and
+the returned patterns carry their tables, which rule scoring reads.  A
+lattice level is integer arrays from growth to support: :func:`_grow`
+grows the whole frontier as rows of attribute ids and edge codes,
+:class:`_Children` sorts them into isomorphism classes, and :func:`_test`
+tests the level's candidates in a few vectorised passes.  Only frequent
+children become :class:`Pattern` objects.  :func:`embedding_table` joins
+a pattern from scratch on the same two steps, one slot at a time, for
+patterns that carry no table for the host at hand.  The budget caps the
+candidate rows one pattern generates, which bounds its memory.
 
 Candidates are deduplicated by canonical form, FSG's dedup step done in
 bulk: :func:`_canonical_rows` ranks every slot permutation of a whole
@@ -443,68 +443,6 @@ def _join_plan(
     return order, back
 
 
-def _step(
-    table: np.ndarray,
-    g: MultiplexGraph,
-    edges: Sequence[Tuple[int, int, int]],
-    want: int,
-    budget: int,
-    name: Callable[[], str],
-    used: int = 0,
-) -> Tuple[np.ndarray, int]:
-    """One join step of a pattern's table: a new last column with
-    attribute id ``want``.  Returns the new table and rows used.
-
-    ``edges`` are pattern edges ``(a, b, layer id)`` between the new column
-    and the table's columns.  The first edge expands the host node of its
-    other column through the layer's CSR (with no edge, every node of the
-    attribute extends every row), and the candidate rows are filtered by
-    attribute, by the other edges (:meth:`GraphArrays.is_edge`) and by
-    injectivity.
-
-    The candidate rows are added to ``used`` before the step allocates
-    them; past ``budget`` it raises :class:`MiningBudgetError` naming the
-    pattern's code, ``name()``.  Rows keep the table's order and, within
-    one of its rows, ascending new-node order, so a sorted table gives a
-    sorted result.
-    """
-    ix = g.arrays
-    m, c = table.shape
-    if edges:
-        (a, b, l), edges = edges[0], edges[1:]
-        if a == c:  # the new column is the edge's source
-            col, ptr, nbr = b, ix.in_ptr, ix.in_nbr
-        else:
-            col, ptr, nbr = a, ix.out_ptr, ix.out_nbr
-        row = l * ix.n + table[:, col]
-        lo, hi = ptr[row], ptr[row + 1]
-        # Hosts have no self loops: a neighbour is never the anchor's node.
-        others = [j for j in range(c) if j != col]
-    else:
-        nbr = np.flatnonzero(ix.attr == want)
-        lo, hi = np.zeros(m, dtype=np.int64), np.full(m, len(nbr))
-        others = range(c)
-    cnt = hi - lo
-    total = int(cnt.sum())
-    used += total
-    if used > budget:
-        raise MiningBudgetError(name(), budget)
-    new = nbr[_ranges(lo, cnt)]
-    rows = table[np.arange(m).repeat(cnt)]
-    masks = []
-    if len(ix.attr_ids) > 1:  # else every node matches
-        masks.append(ix.attr[new] == want)
-    for a, b, l in edges:
-        src = new if a == c else rows[:, a]
-        dst = new if b == c else rows[:, b]
-        masks.append(ix.is_edge(g.space.key(src, dst, l)))
-    masks += [rows[:, j] != new for j in others]
-    if masks:
-        keep = np.logical_and.reduce(masks)
-        rows, new = rows[keep], new[keep]
-    return np.concatenate((rows, new[:, None]), axis=1), used
-
-
 def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The ranges ``start[i] .. start[i] + count[i] - 1``, concatenated."""
     end = count.cumsum()
@@ -575,6 +513,19 @@ def _close(
     return np.concatenate(who), np.concatenate(r)
 
 
+def _fan_out(
+    g: MultiplexGraph, nodes: np.ndarray, l, inn,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where in the CSR the neighbours of host ``nodes`` on layers ``l``
+    start, and how many there are: the in-neighbours where ``inn`` (the
+    new slot is the edge's source), else the out-neighbours.  ``l`` and
+    ``inn`` are per node, or one for all."""
+    ix = g.arrays
+    at = l * ix.n + nodes
+    head = np.where(inn, ix.in_ptr[at], ix.out_ptr[at])
+    return head, np.where(inn, ix.in_ptr[at + 1], ix.out_ptr[at + 1]) - head
+
+
 def _extend(
     frame: np.ndarray, g: MultiplexGraph, k: int, edges: np.ndarray,
     want: np.ndarray, start: np.ndarray, count: np.ndarray,
@@ -585,18 +536,17 @@ def _extend(
     parent's rows ``start[i] ..`` (``count[i]`` of them) of ``frame`` by
     the edge ``edges[i] = (a, b, layer id)``, one of whose ends is slot
     ``k``.  Each row fans out to the neighbours of its anchor node through
-    the edge's CSR, and the candidates are filtered by attribute and
-    injectivity, as in :func:`_step`.  Returns, for every candidate kept,
-    the child, the frame row and the new node, by child, row and node.
+    the edge's CSR (:func:`_fan_out`), and the candidates are filtered by
+    attribute and injectivity.  Returns, for every candidate kept, the
+    child, the frame row and the new node, by child, row and node.
     """
     ix = g.arrays
     r = _ranges(start, count)
     who = np.arange(len(start)).repeat(count)
     a, b, l = edges.T
-    inn = (a == k)[who]  # the new slot is the edge's source
-    at = l[who] * ix.n + frame.ravel()[r * k + np.where(a == k, b, a)[who]]
-    head = np.where(inn, ix.in_ptr[at], ix.out_ptr[at])
-    cnt = np.where(inn, ix.in_ptr[at + 1], ix.out_ptr[at + 1]) - head
+    inn = (a == k)[who]
+    head, cnt = _fan_out(g, frame.ravel()[r * k + np.where(a == k, b, a)[who]],
+                         l[who], inn)
     pos = _ranges(head, cnt)
     inn, who, r = inn.repeat(cnt), who.repeat(cnt), r.repeat(cnt)
     new = np.where(inn, ix.in_nbr[pos], ix.out_nbr[pos])
@@ -625,9 +575,9 @@ def _test(
     layer id)``.  With ``attrs[i] = -1`` the edge closes two of the
     parent's slots, and the child checks every row of the table the parent
     carries.  Otherwise it attaches a new last slot with attribute id
-    ``attrs[i]`` (:func:`_extend`).  Each table keeps the order of
-    :func:`_step`: the parent's rows in order, new nodes ascending within
-    each.
+    ``attrs[i]`` (:func:`_extend`).  Each table lists the parent's rows in
+    order, new nodes ascending within each, so a sorted parent table gives
+    a sorted child table.
 
     ``of`` is ascending and a parent's closing children come before its
     new-slot ones.  The rows every child generates are known before
@@ -652,10 +602,9 @@ def _test(
     rows = m[of]
     for i in np.flatnonzero(grows).tolist():
         a, b, l = e[i].tolist()
-        inn = a == k_of[i]  # the new slot is the edge's source
-        ptr = ix.in_ptr if inn else ix.out_ptr
-        at = l * ix.n + tables[of[i]][:, b if inn else a]
-        rows[i] = int((ptr[at + 1] - ptr[at]).sum())
+        inn = a == k_of[i]
+        rows[i] = int(_fan_out(g, tables[of[i]][:, b if inn else a], l,
+                               inn)[1].sum())
     over = np.flatnonzero(rows > budget)
     cut = int(of.searchsorted(of[over[0]])) if len(over) else len(of)
     if cut == 0 and len(over):
@@ -700,8 +649,17 @@ def _test(
 def _join(
     p: Pattern, g: MultiplexGraph, budget: int
 ) -> Tuple[np.ndarray, int]:
-    """Fresh join of ``p``'s table, one :func:`_step` per slot; returns the
-    sorted table and the rows its steps used."""
+    """Fresh join of ``p``'s table, one slot at a time in the order of
+    :func:`_join_plan`; returns the sorted table and the rows it used.
+
+    A slot grows through a one-child :func:`_extend` anchored on its
+    first back edge to placed slots, and each further back edge filters
+    the rows through a one-child :func:`_close`.  A slot without one (the
+    first, or an isolated one) extends every row by every node of its
+    attribute, injectively.  A new slot's candidate rows count against
+    ``budget`` before they are allocated; past it
+    :class:`MiningBudgetError` names ``p.code``.
+    """
     k = p.n_slots
     ix = g.arrays
     try:
@@ -712,11 +670,32 @@ def _join(
     order, back = _join_plan(k, edges)
     table = np.empty((1, 0), dtype=np.int64)
     used = 0
-    for pos, slot in enumerate(order):
-        if not len(table):
+    zero = np.zeros(1, dtype=np.int64)
+    for c, slot in enumerate(order):
+        m = len(table)
+        if not m:
             return np.empty((0, k), dtype=np.int64), used
-        table, used = _step(table, g, back[pos], want[slot], budget,
-                            lambda: p.code, used)
+        if back[c]:
+            a, b, l = back[c][0]
+            used += int(_fan_out(g, table[:, b if a == c else a], l,
+                                 a == c)[1].sum())
+        else:
+            nodes = np.flatnonzero(ix.attr == want[slot])
+            used += m * len(nodes)
+        if used > budget:
+            raise MiningBudgetError(p.code, budget)
+        if back[c]:
+            _, r, new = _extend(table, g, c, np.array(back[c][:1]),
+                                np.array([want[slot]]), zero, np.array([m]))
+        else:
+            r, new = np.arange(m).repeat(len(nodes)), np.tile(nodes, m)
+            keep = (table[r] != new[:, None]).all(axis=1)
+            r, new = r[keep], new[keep]
+        table = np.concatenate((table[r], new[:, None]), axis=1)
+        for e in back[c][1:]:
+            _, r = _close(table, g, c + 1, zero, np.array([e]), zero,
+                          np.array([len(table)]))
+            table = table[r]
     table = table[:, [order.index(s) for s in range(k)]]
     if k and len(table) > 1:
         table = table[np.lexsort(table.T[::-1])]
@@ -730,10 +709,9 @@ def embedding_table(
 
     Matching is homomorphic on edges (extra host edges are allowed) and
     injective on nodes; attributes, directions and layers must agree.  The
-    table is joined from scratch, one :func:`_step` per slot in the order
-    of :func:`_join_plan`.  Every candidate row that any step generates
-    counts against ``budget``, before any filter, so the budget bounds
-    memory.
+    table is joined from scratch by :func:`_join`, on the engine mining
+    grows its tables with.  Every new slot's candidate rows count against
+    ``budget`` before they are allocated, so the budget bounds memory.
 
     Rows are sorted.  A pattern attribute or layer the host lacks gives an
     empty table.
@@ -797,7 +775,7 @@ class MinerConfig:
     Inside :func:`mine` a pattern's rows are those its own join step
     generates from its parent's table: the parent's rows for a closing
     edge, the CSR expansion for a new slot.  A single-edge pattern, which
-    has no parent, counts every step of its fresh join.
+    has no parent, counts the rows of both steps of a fresh join.
     """
 
     min_support: int
@@ -833,10 +811,11 @@ class MiningStats:
     the order :func:`_grow` grew its children.  ``candidates_tested``
     counts the distinct children (one per isomorphism class and level)
     and the single-edge types.  ``rows_generated`` sums the candidate
-    rows of every join step mining ran; ``max_rows`` is the most rows any
+    rows of every join step mining ran or, for a frequent single-edge
+    pattern, its fresh join would run; ``max_rows`` is the most rows any
     one pattern used, the figure the budget caps.  ``rows_kept`` sums the
-    rows that survive the join step of every single-edge and new-slot
-    candidate, and of a closing candidate only when it is frequent.
+    rows that survive the join step of every frequent single-edge and
+    every new-slot candidate, and of a closing candidate when frequent.
     """
 
     frequent_per_level: List[int] = field(default_factory=list)
@@ -847,30 +826,6 @@ class MiningStats:
     rows_generated: int = 0
     max_rows: int = 0
     rows_kept: int = 0
-
-    def count_rows(self, rows: int, table: Optional[np.ndarray]) -> None:
-        """Count a candidate's ``rows`` and its table, if materialised."""
-        self.rows_generated += rows
-        self.max_rows = max(self.max_rows, rows)
-        if table is not None:
-            self.rows_kept += len(table)
-
-
-def _single_edge_supports(g: MultiplexGraph) -> Dict[Tuple[str, str, str], int]:
-    """Support of every single-edge pattern present in the host, in one scan.
-
-    For a one-edge pattern the slot images are exactly the distinct sources
-    and targets of the matching host edges, so the support is the smaller of
-    the two counts.
-    """
-    srcs: Dict[Tuple[str, str, str], Set[int]] = {}
-    dsts: Dict[Tuple[str, str, str], Set[int]] = {}
-    ln = g.layer_names
-    for u, v, l in g.edges:
-        key = (g.attrs[u], g.attrs[v], ln[l])
-        srcs.setdefault(key, set()).add(u)
-        dsts.setdefault(key, set()).add(v)
-    return {key: min(len(srcs[key]), len(dsts[key])) for key in srcs}
 
 
 @dataclass
@@ -1034,16 +989,6 @@ class _Children:
         return out
 
 
-def _carrying(p: Pattern, support: int, g: MultiplexGraph,
-              table: np.ndarray) -> Pattern:
-    """``p`` with its support, its read-only table on ``g`` and its
-    canonical form."""
-    table.flags.writeable = False
-    q = Pattern(p.attrs, p.edges, support, (g, table))
-    q.__dict__["_canonical"] = p._canonical
-    return q
-
-
 def mine(
     g: MultiplexGraph,
     cfg: MinerConfig,
@@ -1051,7 +996,8 @@ def mine(
 ) -> List[Pattern]:
     """Enumerate all frequent patterns up to ``cfg.max_nodes`` slots.
 
-    Level k holds the frequent patterns with k edges.  A level grows every
+    Level k holds the frequent patterns with k edges.  Level 1 is read
+    off the host's edge arrays with no join.  A later level grows every
     child of the frontier in one :func:`_grow` pass, as integer rows, and
     sorts them into isomorphism classes by their minimal rows of the
     canonical kernel (:class:`_Children`), with no code string written.
@@ -1078,38 +1024,61 @@ def mine(
     """
     sigma = cfg.min_support
     stats = MiningStats() if stats is None else stats
-    seen = _single_edge_supports(g)
-    singles = {key: sup for key, sup in seen.items() if sup >= sigma}
-
-    edges = [Pattern((sa, da), frozenset({(0, 1, lay)}), sup)
-             for (sa, da, lay), sup in sorted(singles.items())]
-    canonical_forms(edges)
+    ix = g.arrays
+    names = sorted(ix.attr_ids, key=ix.attr_ids.get)
+    na, nl = len(names), g.n_layers
+    # Level 1: the stored edges in out-CSR order, by (layer, src, dst),
+    # stably sorted by type (src attribute, dst attribute, layer): each
+    # type's run is the sorted table of its single-edge pattern.
+    lay, src = np.divmod(np.arange(nl * ix.n).repeat(np.diff(ix.out_ptr)),
+                         ix.n)
+    kind = (ix.attr[src] * na + ix.attr[ix.out_nbr]) * nl + lay
+    by = np.argsort(kind, kind="stable")
+    types, size = np.unique(kind[by], return_counts=True)
+    sup = _least_images(np.arange(len(types)).repeat(size),
+                        [src[by], ix.out_nbr[by]], len(types), ix.n)
+    ab, tl = np.divmod(types, nl)
+    ts, td = np.divmod(ab, na)
+    # The rows _join generates: an unanchored slot (the source attribute's
+    # nodes), then a slot anchored on it (their out-edges on the layer).
+    rows = (np.bincount(ix.attr, minlength=na)[ts]
+            + np.bincount(ix.attr[src] * nl + lay,
+                          minlength=na * nl)[ts * nl + tl])
+    freq = np.flatnonzero(sup >= sigma)
+    # Only the frequent types' edges stay alive, in their tables.
+    by = by[(sup >= sigma).repeat(size)]
+    uv = np.stack((src[by], ix.out_nbr[by]), axis=1)
+    uv.flags.writeable = False
+    del lay, src, kind, by
+    end = size[freq].cumsum().tolist()
+    frontier = [Pattern((names[ts[t]], names[td[t]]),
+                        frozenset({(0, 1, g.layer_names[tl[t]])}),
+                        int(sup[t]), (g, uv[e - int(size[t]):e]))
+                for t, e in zip(freq.tolist(), end)]
+    canonical_forms(frontier)
     # Distinct (attr, attr, layer) triples are never isomorphic, so the
     # codes are distinct; their order decides which parent first grows
     # each child of the next level.
-    frontier: List[Pattern] = []
-    for p in sorted(edges, key=lambda p: p.code):
-        table, rows = _join(p, g, cfg.budget)
-        stats.count_rows(rows, table)
-        frontier.append(_carrying(p, p.support, g, table))
+    order = sorted(range(len(freq)), key=lambda i: frontier[i].code)
+    frontier = [frontier[i] for i in order]
+    freq = freq[order]
+    for p, t in zip(frontier, freq.tolist()):
+        if rows[t] > cfg.budget:
+            raise MiningBudgetError(p.code, cfg.budget)
+        stats.rows_generated += int(rows[t])
+        stats.max_rows = max(stats.max_rows, int(rows[t]))
+        stats.rows_kept += int(size[t])
     result: List[Pattern] = list(frontier)
     stats.frequent_per_level.append(len(frontier))
-    stats.candidates_tested += len(seen)
+    stats.candidates_tested += len(types)
 
-    aid = g.arrays.attr_ids
-    names = sorted(aid, key=aid.get)
     alpha = _Alphabet(names, g.layer_names)
-    ok = np.zeros((len(names) + 1, len(names) + 1, g.n_layers), dtype=bool)
-    for sa, da, lay in singles:
-        ok[aid[sa], aid[da], g.layer_id(lay)] = True
-    n = len(frontier)
-    front = _Rows(
-        np.array([[aid[a] for a in p.attrs] for p in frontier],
-                 dtype=np.int64).reshape(n, 2),
-        np.full(n, 2), np.zeros((n, 1), dtype=np.int64),
-        np.ones((n, 1), dtype=np.int64),
-        np.array([g.layer_id(l) for p in frontier for _, _, l in p.edges],
-                 dtype=np.int64).reshape(n, 1))
+    ok = np.zeros((na + 1, na + 1, nl), dtype=bool)
+    ok[ts[freq], td[freq], tl[freq]] = True
+    n = len(freq)
+    front = _Rows(np.stack((ts[freq], td[freq]), axis=1), np.full(n, 2),
+                  np.zeros((n, 1), dtype=np.int64),
+                  np.ones((n, 1), dtype=np.int64), tl[freq, None])
 
     while frontier:
         kids = _Children(front, ok, cfg.max_nodes, alpha)

@@ -136,6 +136,13 @@ def test_embeddings_match_oracle(rng):
                 {(0, 1, layers[0]), (1, 2, layers[2]), (0, 2, layers[1])}
             ),
         ),
+        # Disconnected patterns, which a pattern file may hold: a slot
+        # with no edge joins every node of its attribute to every row.
+        Pattern(("s",), frozenset()),
+        Pattern(("s", "t"), frozenset()),
+        Pattern(("s", "s", "t"), frozenset({(0, 1, layers[0])})),
+        Pattern(("s", "t", "t", "s"),
+                frozenset({(0, 1, layers[1]), (2, 3, layers[2])})),
     ]
     for p in pats:
         got = [e.nodes for e in embeddings(p, g)]
@@ -735,6 +742,77 @@ def test_mine_stats_count_rows_per_step():
     assert stats.rows_kept == (3 + 1) + 1
 
 
+def test_fresh_join_budget_counts_each_new_slot():
+    # The triangle 0->1->2->0 with an isolated slot 3 is joined slot by
+    # slot: 0 unanchored, 1 anchored on 0->1, 2 anchored on 1->2 and
+    # filtered by 2->0, then 3 unanchored.  The host holds the triangle
+    # n1->n2->n3->n1 and the path n1->n4->n5, all on a; n5 alone has
+    # attribute z.
+    g = MultiplexGraph(
+        [("n1", "n2", "a"), ("n2", "n3", "a"), ("n3", "n1", "a"),
+         ("n1", "n4", "a"), ("n4", "n5", "a")],
+        attrs={"n5": "z"}, directed=True)
+    p = Pattern((D,) * 4, frozenset({(0, 1, "a"), (1, 2, "a"), (2, 0, "a")}))
+    used = (
+        1 * 4            # slot 0: one empty row times the 4 D nodes
+        + 2 + 1 + 1 + 1  # slot 1: out-degrees of n1..n4, n4->n5 included
+        + 1 + 1 + 1 + 2  # slot 2: out-degrees of the rows' slot-1 nodes
+                         # n2, n4, n3, n1
+        + 0              # the 2->0 filter, which keeps the 3 triangle rows
+        + 3 * 4          # slot 3: 3 rows times the 4 D nodes
+    )
+    with pytest.raises(MiningBudgetError) as err:
+        embedding_table(p, g, budget=used - 1)
+    assert err.value.pattern_code == p.code
+    table = embedding_table(p, g, budget=used)
+    assert len(table) == 3
+    assert table.tolist() == [list(e) for e in oracle_embeddings(p, g)]
+
+
+def test_mine_single_edge_over_budget_names_its_code():
+    # The a->x type on b generates 1 a node plus its 1 out-edge on b, 2
+    # rows; the h->x type on a, whose code comes after it, 1 + 6 rows.
+    triples = [("h", f"x{i}", "a") for i in range(6)] + [("a0", "x0", "b")]
+    attrs = {"h": "h", "a0": "a", **{f"x{i}": "x" for i in range(6)}}
+    g = MultiplexGraph(triples, attrs=attrs, directed=True)
+    small = single_edge_pattern("a", "x", "b")
+    big = single_edge_pattern("h", "x", "a")
+    assert small.code < big.code
+    # mine's row count and a fresh join's agree.
+    assert [miner._join(p, g, 10 ** 9)[1] for p in (small, big)] == [2, 7]
+    stats = MiningStats()
+    with pytest.raises(MiningBudgetError) as err:
+        mine(g, MinerConfig(min_support=1, max_nodes=2, budget=6),
+             stats=stats)
+    assert err.value.pattern_code == big.code
+    assert err.value.budget == 6
+    assert (stats.rows_generated, stats.max_rows, stats.rows_kept) == (2, 2, 1)
+    stats = MiningStats()
+    out = mine(g, MinerConfig(min_support=1, max_nodes=2, budget=7),
+               stats=stats)
+    assert out == [small, big]
+    assert (stats.rows_generated, stats.max_rows, stats.rows_kept) == (9, 7, 7)
+
+
+def test_single_edge_tables_hold_no_infrequent_edges():
+    # The hub type h->x (support 1) holds most edges; the frequent a->x
+    # tables must not keep them alive.
+    triples = [("h", f"x{i}", "a") for i in range(6)] + [
+        ("a0", "x0", "b"), ("a1", "x1", "b"), ("a0", "x1", "c"),
+        ("a1", "x0", "c")]
+    attrs = {"h": "h", "a0": "a", "a1": "a", **{f"x{i}": "x" for i in range(6)}}
+    g = MultiplexGraph(triples, attrs=attrs, directed=True)
+    out = mine(g, MinerConfig(min_support=2, max_nodes=2))
+    assert [p.code for p in out] == sorted(
+        single_edge_pattern("a", "x", l).code for l in "bc")
+    for p in out:
+        table = p.mined_on[1]
+        assert table.tolist() == embedding_table(p, g).tolist()
+        # The array behind the table holds at most the 4 frequent edges.
+        held = table if table.base is None else table.base
+        assert held.size <= 4 * 2
+
+
 def test_mine_raises_on_a_planted_support_violation(rng, monkeypatch):
     # The first new-slot child mining tests reports one more than its
     # parent's support; the parent's check must count it and raise.
@@ -815,8 +893,10 @@ def _assert_closing_pass_matches_fresh_joins(g, monkeypatch, sigma,
                                             max_nodes):
     """Every child ``mine`` tests, at every level and frequent or not,
     gets the support of a fresh join from the batch pass, and each table
-    the pass keeps equals the fresh join's.  Returns the closing children
-    of each parent in a pass as (edges, children, supports)."""
+    the pass keeps equals the fresh join's.  Both run on one engine, so
+    each support and kept table is also checked against networkx's
+    embeddings.  Returns the closing children of each parent in a pass as
+    (edges, children, supports)."""
     batches = []
     real = miner._test
 
@@ -830,12 +910,16 @@ def _assert_closing_pass_matches_fresh_joins(g, monkeypatch, sigma,
             child = Pattern(
                 parent.attrs + ((names[attrs[i]],) if attrs[i] >= 0 else ()),
                 parent.edges | {(a, b, g.layer_names[l])})
+            want = nx_embeddings(child, g)
             assert sup == min_image_support(child, g), child.code
+            assert sup == min((len(set(c)) for c in zip(*want)),
+                              default=0), child.code
             if sup < sigma:
                 assert kept is None, child.code
             else:
                 assert np.array_equal(kept, embedding_table(child, g)), \
                     child.code
+                assert kept.tolist() == [list(e) for e in want], child.code
             if attrs[i] < 0:
                 batch = closing.setdefault(of[i], ([], [], []))
                 for part, x in zip(batch, ((a, b, l), child, sup)):
