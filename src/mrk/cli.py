@@ -455,7 +455,8 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
 
     reports: List[EvalReport] = []
     with manifest.stage("evaluate"):
-        for split in splits:
+        while splits:
+            split = splits.pop(0)  # frees each finished fold's graph
             if old_new:
                 table = fold_table(split.train, predictor)
                 reports.append(evaluate_old_new(table, split, predictor=predictor))

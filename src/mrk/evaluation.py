@@ -76,12 +76,6 @@ class EvalSplit:
         return self.space.encode(self.positives_of(CAT_OLD_OLD))
 
 
-def _canon(u: str, v: str, lay: str, directed: bool) -> Triple:
-    if not directed and u > v:
-        u, v = v, u
-    return (u, v, lay)
-
-
 def _build_split(
     g: MultiplexGraph,
     train_units: Sequence[Triple],
@@ -89,11 +83,15 @@ def _build_split(
     fold: int,
     seed: Optional[int],
 ) -> EvalSplit:
+    """A split training on ``train_units`` and holding out ``test_units``.
+
+    Both are edge units as :meth:`MultiplexGraph.unit_triples` lists them,
+    so an undirected unit already has ``src < dst`` and the positives are
+    the test units as given.
+    """
     attrs = g.attr_map()
     train = MultiplexGraph(train_units, attrs=attrs, directed=g.directed)
-    positives = frozenset(
-        _canon(u, v, l, g.directed) for u, v, l in test_units
-    )
+    positives = frozenset(test_units)
     cats: Dict[Triple, str] = {}
     for u, v, l in positives:
         known = train.has_node(u) + train.has_node(v)

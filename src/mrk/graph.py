@@ -9,6 +9,12 @@ Node names, layer names and attribute values are strings in every public
 interface.  Internally they are interned to dense integers; interning sorts
 the names first, so loading the same edges in any order yields an identical
 graph and integer comparisons agree with name-string comparisons.
+
+A graph stores its edges once, as the sorted int64 keys of its link
+:class:`KeySpace`.  Everything else about the edges is read from those
+keys: the id-triple set ``edges`` and the per-layer node sets
+``layer_nodes`` are built on first read, and so is the CSR index
+``arrays``, whose ``keys`` is the store itself.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -181,7 +188,7 @@ def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int):
 
 
 class MultiplexGraph:
-    """Immutable multiplex graph; :attr:`arrays` holds its adjacency index."""
+    """Immutable multiplex graph whose edges are sorted link keys."""
 
     def __init__(
         self,
@@ -200,48 +207,32 @@ class MultiplexGraph:
         self.directed = directed
         self.load_report = report if report is not None else LoadReport()
 
-        seen: Set[Tuple[str, str, str]] = set()
-        names: Set[str] = set(extra_nodes)
-        layers: Set[str] = set()
-        for src, dst, lay in triples:
-            names.add(src)
-            names.add(dst)
-            if src == dst:
-                self.load_report.self_loops += 1
-                continue
-            if not directed and src > dst:
-                src, dst = dst, src
-            if (src, dst, lay) in seen:
-                self.load_report.duplicates += 1
-                continue
-            seen.add((src, dst, lay))
-            layers.add(lay)
-
+        srcs, dsts, lays = tuple(zip(*triples)) or ((), (), ())
+        names = set(srcs).union(dsts, extra_nodes)
         self.node_names: Tuple[str, ...] = tuple(sorted(names))
-        self.layer_names: Tuple[str, ...] = tuple(sorted(layers))
         self._node_id = {n: i for i, n in enumerate(self.node_names)}
+        u, v = (np.fromiter(map(self._node_id.__getitem__, c), np.int64, len(c))
+                for c in (srcs, dsts))
+        kept = u != v
+        self.load_report.self_loops += len(u) - int(kept.sum())
+        lays = list(compress(lays, kept.tolist()))
+        self.layer_names: Tuple[str, ...] = tuple(sorted(set(lays)))
         self._layer_id = {l: i for i, l in enumerate(self.layer_names)}
-
         attrs = attrs or {}
         self.attrs: Tuple[str, ...] = tuple(
             attrs.get(n, ATTR_DEFAULT) for n in self.node_names
         )
 
-        edge_ids: Set[Tuple[int, int, int]] = set()
-        for src, dst, lay in seen:
-            u, v, l = self._node_id[src], self._node_id[dst], self._layer_id[lay]
-            edge_ids.add((u, v, l))
-            if not directed:
-                edge_ids.add((v, u, l))
-        self.edges: FrozenSet[Tuple[int, int, int]] = frozenset(edge_ids)
-
-        nl = len(self.layer_names)
-        self.layer_edge_counts: List[int] = [0] * nl
-        self.layer_nodes: List[Set[int]] = [set() for _ in range(nl)]
-        for u, v, l in edge_ids:
-            self.layer_edge_counts[l] += 1
-            self.layer_nodes[l].add(u)
-            self.layer_nodes[l].add(v)
+        u, v = u[kept], v[kept]
+        l = np.fromiter(map(self._layer_id.__getitem__, lays), np.int64, len(lays))
+        if not directed:  # every pair in both orientations
+            u, v, l = np.concatenate([u, v]), np.concatenate([v, u]), np.tile(l, 2)
+        self._keys = np.unique(self.space.key(u, v, l))
+        self._keys.flags.writeable = False
+        # Each copy of an undirected unit adds two keys, one per orientation.
+        self.load_report.duplicates += (len(l) - self.n_edges) // (2 - directed)
+        self.layer_edge_counts: List[int] = np.bincount(
+            self.space.ids(self._keys)[2], minlength=self.n_layers).tolist()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -256,7 +247,7 @@ class MultiplexGraph:
     @property
     def n_edges(self) -> int:
         """Stored directed edge count (symmetric pairs count twice)."""
-        return len(self.edges)
+        return len(self._keys)
 
     def node_id(self, name: str) -> int:
         return self._node_id[name]
@@ -276,29 +267,38 @@ class MultiplexGraph:
         return KeySpace.links(self.node_names, self.layer_names)
 
     @cached_property
+    def edges(self) -> FrozenSet[Tuple[int, int, int]]:
+        """Stored edges as (src, dst, layer) id triples, built on first read."""
+        return frozenset(zip(*(x.tolist() for x in self.space.ids(self._keys))))
+
+    @cached_property
+    def layer_nodes(self) -> List[Set[int]]:
+        """Per layer, the ids of the nodes with an edge on it, built on
+        first read."""
+        n = self.n_nodes
+        u, v, l = self.space.ids(self._keys)
+        lay, node = np.divmod(np.unique(np.concatenate([l * n + u, l * n + v])), n)
+        return [set(node[lay == i].tolist()) for i in range(self.n_layers)]
+
+    @cached_property
     def arrays(self) -> GraphArrays:
         """The integer-array index, built on first use."""
         n, nl = self.n_nodes, self.n_layers
-        e = np.fromiter(
-            (x for edge in self.edges for x in edge), dtype=np.int64,
-            count=3 * len(self.edges),
-        ).reshape(-1, 3)
-        u, v, l = e[:, 0], e[:, 1], e[:, 2]
+        u, v, l = self.space.ids(self._keys)
         attr_ids = {a: i for i, a in enumerate(sorted(set(self.attrs)))}
         out_ptr, out_nbr = _csr(l * n + u, v, nl * n)
         in_ptr, in_nbr = _csr(l * n + v, u, nl * n)
-        keys = np.sort(self.space.key(u, v, l))
         mask = None
         if n * n * nl <= LINK_MASK_CAP:
             mask = np.zeros(n * n * nl, dtype=bool)
-            mask[keys] = True
+            mask[self._keys] = True
             mask.flags.writeable = False
         return GraphArrays(
             n=n,
             attr=np.array([attr_ids[a] for a in self.attrs], dtype=np.int64),
             attr_ids=attr_ids,
             out_ptr=out_ptr, out_nbr=out_nbr, in_ptr=in_ptr, in_nbr=in_nbr,
-            keys=keys, mask=mask,
+            keys=self._keys, mask=mask,
         )
 
     def node_layers(self, u: int) -> Tuple[int, ...]:
@@ -315,8 +315,7 @@ class MultiplexGraph:
 
     def name_triples(self) -> List[Tuple[str, str, str]]:
         """All stored edges as sorted (src, dst, layer) name triples."""
-        nn, ln = self.node_names, self.layer_names
-        return sorted((nn[u], nn[v], ln[l]) for u, v, l in self.edges)
+        return self.space.decode(self._keys)
 
     def unit_triples(self) -> List[Tuple[str, str, str]]:
         """Edge units for splitting and serialization, sorted.
@@ -326,8 +325,8 @@ class MultiplexGraph:
         """
         if self.directed:
             return self.name_triples()
-        nn, ln = self.node_names, self.layer_names
-        return sorted((nn[u], nn[v], ln[l]) for u, v, l in self.edges if u < v)
+        u, v, _ = self.space.ids(self._keys)
+        return self.space.decode(self._keys[u < v])
 
     def attr_map(self) -> Dict[str, str]:
         """Node name to attribute, only for non-default attributes."""
@@ -343,7 +342,7 @@ class MultiplexGraph:
             and self.node_names == other.node_names
             and self.attrs == other.attrs
             and self.layer_names == other.layer_names
-            and self.name_triples() == other.name_triples()
+            and np.array_equal(self._keys, other._keys)
         )
 
     def __repr__(self) -> str:
@@ -550,11 +549,8 @@ def to_coupled(g: MultiplexGraph) -> CoupledMultigraph:
             for j in range(i + 1, len(reps)):
                 triples.append((reps[i], reps[j], COUPLING_LAYER))
                 triples.append((reps[j], reps[i], COUPLING_LAYER))
-    nn = g.node_names
-    for u, v, l in g.edges:
-        triples.append(
-            (_replica(nn[u], ln[l]), _replica(nn[v], ln[l]), INTRA_LAYER)
-        )
+    for src, dst, lay in g.name_triples():
+        triples.append((_replica(src, lay), _replica(dst, lay), INTRA_LAYER))
     cg = MultiplexGraph(
         triples, attrs=attrs, directed=True, extra_nodes=isolated
     )

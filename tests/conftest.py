@@ -77,6 +77,61 @@ def adversarial_host(rng, directed: bool, n_attrs: int) -> MultiplexGraph:
                           extra_nodes=["iso,1", "iso::2"])
 
 
+# -- graph construction oracle ---------------------------------------------
+
+
+def oracle_graph(
+    triples: Iterable[Tuple[str, str, str]],
+    attrs: Dict[str, str],
+    directed: bool,
+    extra_nodes: Iterable[str] = (),
+) -> dict:
+    """What a graph built from ``triples`` shows, by a per-edge scan over
+    Python sets: self loops dropped (their layer kept only if a real edge
+    names it), undirected pairs ordered by name, duplicates counted, and
+    each undirected unit stored both ways."""
+    seen: Set[Tuple[str, str, str]] = set()
+    names: Set[str] = set(extra_nodes)
+    layers: Set[str] = set()
+    loops = dups = 0
+    for src, dst, lay in triples:
+        names.update((src, dst))
+        if src == dst:
+            loops += 1
+            continue
+        if not directed and src > dst:
+            src, dst = dst, src
+        if (src, dst, lay) in seen:
+            dups += 1
+            continue
+        seen.add((src, dst, lay))
+        layers.add(lay)
+    nodes, lays = tuple(sorted(names)), tuple(sorted(layers))
+    nid = {x: i for i, x in enumerate(nodes)}
+    lid = {x: i for i, x in enumerate(lays)}
+    stored = seen | (set() if directed else {(d, s, l) for s, d, l in seen})
+    edges = frozenset((nid[s], nid[d], lid[l]) for s, d, l in stored)
+    counts = [0] * len(lays)
+    layer_nodes: List[Set[int]] = [set() for _ in lays]
+    for u, v, l in edges:
+        counts[l] += 1
+        layer_nodes[l].update((u, v))
+    n, nl = len(nodes), len(lays)
+    return {
+        "node_names": nodes,
+        "layer_names": lays,
+        "attrs": tuple(attrs.get(x, ATTR_DEFAULT) for x in nodes),
+        "edges": edges,
+        "layer_edge_counts": counts,
+        "layer_nodes": layer_nodes,
+        "report": (loops, dups, 0),
+        "name_triples": sorted(stored),
+        "unit_triples": sorted(seen),
+        "n_edges": len(edges),
+        "keys": sorted((u * n + v) * nl + l for u, v, l in edges),
+    }
+
+
 # -- embedding / support oracles -------------------------------------------
 
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrk import graph
 from mrk.errors import CoupledGraphError, GraphFormatError
@@ -17,7 +19,7 @@ from mrk.graph import (
     write_attr_file,
     write_edge_file,
 )
-from tests.conftest import adversarial_host, pad_names, rand_host
+from tests.conftest import adversarial_host, oracle_graph, pad_names, rand_host
 
 
 def write(path, text):
@@ -152,6 +154,57 @@ def test_is_edge_equals_the_edge_set(rng, monkeypatch, directed, over_cap):
     assert ix.is_edge(keys[::-1]).tolist() == want[::-1]
     assert ix.is_edge(np.array([0, size - 1])).tolist() == [False, False]
     assert sum(want) == g.n_edges
+
+
+# Names that hold code separators and the replica separator "::".
+_NAMES = st.one_of(st.text("ab%|,>:;=", min_size=1, max_size=3),
+                   st.sampled_from(["a::b", "::", "%::|"]))
+
+
+@st.composite
+def construction_inputs(draw):
+    """Triples with duplicates, both orientations of some pairs, self
+    loops and a layer named only by self loops, in any order; extra
+    nodes; and attributes that also name nodes the graph lacks."""
+    nodes = draw(st.lists(_NAMES, min_size=1, max_size=7, unique=True))
+    layers = draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))
+    node, layer = st.sampled_from(nodes), st.sampled_from(layers)
+    triples = draw(st.lists(st.tuples(node, node, layer), max_size=25))
+    if triples:
+        again = st.tuples(st.sampled_from(triples), st.booleans())
+        for (s, d, l), flip in draw(st.lists(again, max_size=10)):
+            triples.append((d, s, l) if flip else (s, d, l))
+    loops_only = draw(_NAMES.filter(lambda x: x not in layers))
+    triples.append((nodes[0], nodes[0], loops_only))
+    triples = draw(st.permutations(triples))
+    extra = draw(st.lists(_NAMES, max_size=3))
+    attrs = draw(st.dictionaries(st.one_of(node, _NAMES), _NAMES, max_size=5))
+    return triples, attrs, draw(st.booleans()), extra
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(construction_inputs())
+def test_construction_matches_set_oracle(case):
+    triples, attrs, directed, extra = case
+    g = MultiplexGraph(triples, attrs=attrs, directed=directed,
+                       extra_nodes=extra)
+    assert not {"edges", "layer_nodes", "arrays"} & vars(g).keys()  # lazy
+    want = oracle_graph(triples, attrs, directed, extra)
+    rep = g.load_report
+    got = {
+        "node_names": g.node_names,
+        "layer_names": g.layer_names,
+        "attrs": g.attrs,
+        "edges": g.edges,
+        "layer_edge_counts": g.layer_edge_counts,
+        "layer_nodes": g.layer_nodes,
+        "report": (rep.self_loops, rep.duplicates, rep.unknown_attr_nodes),
+        "name_triples": g.name_triples(),
+        "unit_triples": g.unit_triples(),
+        "n_edges": g.n_edges,
+        "keys": g.arrays.keys.tolist(),
+    }
+    assert got == want
 
 
 # -- collapse ---------------------------------------------------------------
