@@ -16,6 +16,7 @@ import numpy as np
 from .errors import MrkError
 from .evaluation import mann_whitney_auc
 from .graph import KeySpace, MultiplexGraph, SimpleGraph, collapse
+from . import predictor
 from .predictor import ScoreTable
 
 CLASSICAL_METHODS = ("cn", "aa", "ra", "pa", "ja")
@@ -175,8 +176,48 @@ _T0 = 1.0
 _T_MIN = 1e-3
 _COOLING = 0.95
 _STEP = 0.1
-# Rows per chunk of the squared deviations that _zscore_columns sums.
-_VAR_ROWS = 1 << 16
+
+
+def _column_stats(fill, n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The column means and standard deviations of an (n, m) float
+    matrix, n >= 1 and m >= 2, that is read in blocks: ``fill(out, lo)``
+    writes its rows ``lo:lo + len(out)`` into ``out``.
+
+    The result is bitwise numpy's ``x.mean(axis=0)`` and ``x.std(axis=0)``
+    for the matrix ``x`` as one C-ordered array: numpy reduces axis 0 of
+    such an array row by row (it sums a single column pairwise, which
+    rounds differently), so two passes add the blocks in row order,
+    :data:`~mrk.predictor.CHUNK_ROWS` rows at a time, through one buffer
+    whose row 0 carries the running sum.  The first pass sums the rows
+    (numpy alone sums the first block, so the sum starts as numpy's does)
+    and divides by n; the second sums the squared deviations from that
+    mean and divides by n under a square root, as numpy's ``_var`` does.
+    """
+    chunk = predictor.CHUNK_ROWS
+    buf = np.zeros((min(n, chunk) + 1, m))
+    for lo in range(0, n, chunk):
+        rows = buf[:min(chunk, n - lo) + 1]
+        fill(rows[1:], lo)
+        buf[0] = np.add.reduce(rows if lo else rows[1:], axis=0)
+    mean = buf[0] / n
+    buf[0] = 0.0
+    for lo in range(0, n, chunk):
+        rows = buf[:min(chunk, n - lo) + 1]
+        dev = rows[1:]
+        fill(dev, lo)
+        dev -= mean
+        np.multiply(dev, dev, out=dev)
+        buf[0] = np.add.reduce(rows, axis=0)
+    return mean, np.sqrt(buf[0] / n)
+
+
+def _normalise(x: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> None:
+    """Z-normalise the rows ``x`` in place by column statistics; columns
+    without spread become 0."""
+    flat = ~(sd > 0)
+    x -= mean
+    x /= np.where(flat, 1.0, sd)
+    x[:, flat] = 0.0
 
 
 def _zscore_columns(x: np.ndarray) -> None:
@@ -184,27 +225,16 @@ def _zscore_columns(x: np.ndarray) -> None:
 
     ``x`` is C-ordered with at least two columns.  The result is bitwise
     that of ``(x - x.mean(axis=0)) / x.std(axis=0)``, without the
-    full-size copy that ``std`` makes: numpy reduces axis 0 of such an
-    array row by row, so the squared deviations are added row by row too,
-    :data:`_VAR_ROWS` rows at a time through one buffer whose row 0
-    carries the running sum, then divided by n under a square root as
-    numpy's ``_var`` does.  (numpy sums a single column pairwise, which
-    rounds differently.)  An empty ``x`` is left as it is.
+    full-size copy that ``std`` makes.  This is the in-place case of the
+    ensemble's one normalisation: :func:`_column_stats` reads its blocks
+    from slices of ``x``, and :func:`_normalise` then rewrites all of
+    ``x``.  An empty ``x`` is left as it is.
     """
     n, m = x.shape
-    if not n:
-        return
-    x -= x.mean(axis=0)
-    buf = np.zeros((min(n, _VAR_ROWS) + 1, m))
-    for lo in range(0, n, _VAR_ROWS):
-        part = x[lo:lo + _VAR_ROWS]
-        rows = buf[:len(part) + 1]
-        np.multiply(part, part, out=rows[1:])
-        buf[0] = np.add.reduce(rows, axis=0)
-    sd = np.sqrt(buf[0] / n)
-    flat = ~(sd > 0)
-    x /= np.where(flat, 1.0, sd)
-    x[:, flat] = 0.0
+    if n:
+        stats = _column_stats(
+            lambda out, lo: np.copyto(out, x[lo:lo + len(out)]), n, m)
+        _normalise(x, *stats)
 
 
 def ensemble(
@@ -222,65 +252,87 @@ def ensemble(
     :func:`evaluation.roc_auc` takes as it is when the keys are a fold's
     positives followed by its negatives.  Missing candidate scores are
     imputed as 0 before normalization, so every table covers the same key
-    list; the tables are read in one :meth:`ScoreTable.matrix_for` call.
-    That C-ordered (keys, tables) matrix, z-normalised in place by
-    :func:`_zscore_columns`, is the one full-size array of the call: the
-    lookup and the column variance both work through key chunks.  At
-    least two tables are needed, which also keeps the variance bitwise
-    numpy's.
-    ``base`` sums with equal weights.  ``over`` anneals the weight vector
-    against AUC on the given truth labels: geometric cooling,
-    single-weight Gaussian proposals, Metropolis acceptance, best weights
-    kept; each single-predictor basis vector and the equal-weight vector
-    are also evaluated, so the result never falls below them on the
-    training labels.
+    list.  The tables are looked up once (:meth:`ScoreTable.lookup`), which
+    keeps an int32 position per key and group of tables; its fill then
+    writes any row block of the C-ordered (keys, tables) score matrix.
+    Every result is bitwise that of the whole matrix z-normalised by
+    numpy's ``mean`` and ``std`` and multiplied by the weights, with at
+    least two tables, as :func:`_column_stats` needs.
+
+    ``base`` sums with equal weights in three streamed passes over filled
+    blocks of :data:`~mrk.predictor.CHUNK_ROWS` rows: the column sums,
+    the squared deviations (see :func:`_column_stats`), then each block
+    normalised and multiplied into its rows of the result.  So no
+    (keys, tables) array exists: the call holds a few int32 and float64
+    columns over the keys.
+
+    ``over`` anneals the weight vector against AUC on the given truth
+    labels: geometric cooling, single-weight Gaussian proposals,
+    Metropolis acceptance, best weights kept; each single-predictor basis
+    vector and the equal-weight vector are also evaluated, so the result
+    never falls below them on the training labels.  It reads the
+    normalised matrix at every step, so it still holds that matrix: one
+    fill of all rows, normalised in place by :func:`_zscore_columns` with
+    the same statistics.
     """
     if mode not in ("base", "over"):
         raise MrkError(f"unknown ensemble mode {mode!r}")
     if len(tables) < 2:
         raise MrkError("ensemble needs at least two score tables")
     keys = np.asarray(candidate_keys, dtype=np.int64)
-    # One C-ordered (keys, tables) matrix, filled and normalised in place.
-    # The column reductions, and so their rounding, depend on that layout
-    # and on the row order of the keys.
+    n, nm = len(keys), len(tables)
+    if mode == "base":
+        if not n:
+            return np.empty(0)
+        look = ScoreTable.lookup(tables, keys, space)
+        mean, sd = _column_stats(look.fill, n, nm)
+        scores = np.empty(n)
+        # numpy hands a one-row product to a dot kernel that rounds unlike
+        # BLAS's gemv, so a lone last row joins the block before it: each
+        # row's sum then has the bits it has in one product over all rows.
+        chunk = predictor.CHUNK_ROWS
+        cuts = list(range(0, n, chunk)) + [n]
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+            del cuts[-2]
+        ones = np.ones(nm)
+        buf = np.empty((min(n, chunk + 1), nm))
+        for lo, hi in zip(cuts, cuts[1:]):
+            block = look.fill(buf[:hi - lo], lo)
+            _normalise(block, mean, sd)
+            np.dot(block, ones, out=scores[lo:hi])
+        return scores
     z = ScoreTable.matrix_for(tables, keys, space)
     _zscore_columns(z)
-    nm = len(tables)
 
-    if mode == "base":
-        weights = np.ones(nm)
-    else:
-        labels = np.isin(keys, np.fromiter(truth, dtype=np.int64))
-        if not labels.any() or labels.all():
-            raise MrkError(
-                "ensemble optimization needs both positive and negative keys"
-            )
+    labels = np.isin(keys, np.fromiter(truth, dtype=np.int64))
+    if not labels.any() or labels.all():
+        raise MrkError(
+            "ensemble optimization needs both positive and negative keys"
+        )
 
-        def auc_of(w: np.ndarray) -> float:
-            return mann_whitney_auc(z @ w, labels)
+    def auc_of(w: np.ndarray) -> float:
+        return mann_whitney_auc(z @ w, labels)
 
-        rng = np.random.default_rng(seed)
-        cur = np.ones(nm)
-        cur_auc = auc_of(cur)
-        best, best_auc = cur.copy(), cur_auc
-        t = _T0
-        while t > _T_MIN:
-            cand = cur.copy()
-            i = int(rng.integers(nm))
-            cand[i] += rng.normal(0.0, _STEP)
-            cand_auc = auc_of(cand)
-            delta = cand_auc - cur_auc
-            if delta >= 0 or rng.random() < math.exp(delta / t):
-                cur, cur_auc = cand, cand_auc
-                if cur_auc > best_auc:
-                    best, best_auc = cur.copy(), cur_auc
-            t *= _COOLING
-        for i in range(nm):
-            basis = np.zeros(nm)
-            basis[i] = 1.0
-            a = auc_of(basis)
-            if a > best_auc:
-                best, best_auc = basis, a
-        weights = best
-
-    return z @ weights
+    rng = np.random.default_rng(seed)
+    cur = np.ones(nm)
+    cur_auc = auc_of(cur)
+    best, best_auc = cur.copy(), cur_auc
+    t = _T0
+    while t > _T_MIN:
+        cand = cur.copy()
+        i = int(rng.integers(nm))
+        cand[i] += rng.normal(0.0, _STEP)
+        cand_auc = auc_of(cand)
+        delta = cand_auc - cur_auc
+        if delta >= 0 or rng.random() < math.exp(delta / t):
+            cur, cur_auc = cand, cand_auc
+            if cur_auc > best_auc:
+                best, best_auc = cur.copy(), cur_auc
+        t *= _COOLING
+    for i in range(nm):
+        basis = np.zeros(nm)
+        basis[i] = 1.0
+        a = auc_of(basis)
+        if a > best_auc:
+            best, best_auc = basis, a
+    return z @ best

@@ -469,9 +469,12 @@ def evaluate_cmd(edge_path, attr_path, directed, comune, test_path, predictor,
                 tables = [fold_table(split.train, p) for p in ("rules", "sharma")]
                 tables += classical_on_multiplex(split.train, CLASSICAL_METHODS)
                 pos = split.positive_keys()
-                scores = ensemble(tables, np.concatenate([pos, neg]), pos,
-                                  split.space, mode=predictor.split("-", 1)[1],
-                                  seed=seed)
+                keys = np.concatenate([pos, neg])
+                del neg  # one key array while the ensemble runs
+                scores = ensemble(tables, keys, pos, split.space,
+                                  mode=predictor.split("-", 1)[1], seed=seed)
+                neg = keys[len(pos):]  # the view keeps keys to the fold's end
+                del tables, keys
             else:
                 scores = fold_table(split.train, predictor)
             reports.append(roc_auc(scores, split, neg, predictor=predictor))

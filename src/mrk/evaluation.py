@@ -311,22 +311,27 @@ def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class EvalReport:
-    """ROC points, area, and the counts behind them.
+    """ROC area and the counts behind it.
 
     ``groups`` holds the fold's (score, positives, negatives) counts, from
-    which the ROC was read, so several folds pool into one rank AUC by
-    merging groups.  They are all a report keeps of its scores, and they
-    stay out of the serialized form.
+    which :attr:`roc` reads the ROC points when asked, so several folds
+    pool into one rank AUC by merging groups.  They are all a report
+    keeps of its scores, and they stay out of the serialized form.
     """
 
     predictor: str
     auc: float
     n_pos: int
     n_neg: int
-    roc: List[Tuple[float, float, float]]  # (fpr, tpr, threshold)
+    groups: ScoreGroups = field(repr=False)
     fold: int = 0
     old_new: bool = False
-    groups: Optional[ScoreGroups] = field(default=None, repr=False)
+
+    @property
+    def roc(self) -> List[Tuple[float, float, float]]:
+        """The ROC as (fpr, tpr, threshold) points (see :func:`_roc_points`)."""
+        fpr, tpr, thr = _roc_points(self.groups)
+        return list(zip(fpr.tolist(), tpr.tolist(), thr.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -339,10 +344,15 @@ class EvalReport:
         }
 
     def roc_csv(self) -> str:
-        lines = ["fpr,tpr,threshold"]
-        for fpr, tpr, thr in self.roc:
-            lines.append(f"{fpr!r},{tpr!r},{thr!r}")
-        return "\n".join(lines) + "\n"
+        return roc_csv_text(self.roc)
+
+
+def roc_csv_text(points: Sequence[Tuple[float, float, float]]) -> str:
+    """A ROC CSV: a header, then one ``fpr,tpr,threshold`` row per point."""
+    lines = ["fpr,tpr,threshold"]
+    for fpr, tpr, thr in points:
+        lines.append(f"{fpr!r},{tpr!r},{thr!r}")
+    return "\n".join(lines) + "\n"
 
 
 def _roc_points(g: ScoreGroups) -> Tuple[np.ndarray, ...]:
@@ -366,19 +376,19 @@ def _report(
     predictor: str,
     old_new: bool = False,
 ) -> EvalReport:
-    """Tie-grouped ROC of scores whose first ``n_pos`` are positives, and
-    its trapezoid area, the rank-statistic AUC up to rounding."""
+    """The score groups of scores whose first ``n_pos`` are positives,
+    and the trapezoid area of their ROC, the rank-statistic AUC up to
+    rounding."""
     groups = _groups(scores, scores[:n_pos])
-    fpr, tpr, thr = _roc_points(groups)
+    fpr, tpr, _ = _roc_points(groups)
     return EvalReport(
         predictor=predictor,
         auc=float(_trapezoid(tpr, fpr)),
         n_pos=n_pos,
         n_neg=len(scores) - n_pos,
-        roc=list(zip(fpr.tolist(), tpr.tolist(), thr.tolist())),
+        groups=groups,
         fold=fold,
         old_new=old_new,
-        groups=groups,
     )
 
 
@@ -461,10 +471,9 @@ def evaluate_old_new(
 def pooled_auc(reports: Sequence[EvalReport]) -> Optional[float]:
     """AUC of all folds' scored candidates thrown on one pile, from the
     folds' merged score groups."""
-    groups = [r.groups for r in reports if r.groups is not None]
-    if not groups:
+    if not reports:
         return None
-    return _rank_auc(_merge(groups))
+    return _rank_auc(_merge([r.groups for r in reports]))
 
 
 def summary_dict(reports: Sequence[EvalReport]) -> dict:

@@ -32,8 +32,9 @@ from .rules import Rule
 
 WEIGHTING_SCHEMES = ("count", "conf", "lift", "conf-mean", "lift-mean")
 
-# Keys per chunk of a ScoreTable.matrix_for lookup.
-_LOOKUP_ROWS = 1 << 16
+# Keys per chunk of a ScoreTable.lookup, a Lookup.fill and the streamed
+# column passes of baselines.ensemble.
+CHUNK_ROWS = 1 << 13
 
 
 def _by_key(keys, values) -> Tuple[np.ndarray, np.ndarray]:
@@ -155,12 +156,33 @@ class ScoreTable:
         float array with one row per key and one column per table: column
         ``j`` holds ``tables[j].scores_for(keys, space)``.
 
+        This is :meth:`lookup` and one :meth:`Lookup.fill` of all rows, so
+        besides the result it holds one int32 position per key and group
+        of tables and the chunk at hand.  Callers that can consume the
+        matrix in row blocks call those two themselves.
+        """
+        out = np.empty((len(keys), len(tables)))
+        return ScoreTable.lookup(tables, keys, space).fill(out)
+
+    @staticmethod
+    def lookup(tables: Sequence["ScoreTable"], keys,
+               space: KeySpace) -> "Lookup":
+        """Where each of ``space``'s ``keys`` sits in each table, as a
+        :class:`Lookup` that fills any row range of :meth:`matrix_for`.
+
         Tables holding equal keys in equal spaces (the classical indices'
         pair keys) share one search, decided once per call.  The keys are
-        then read in chunks of :data:`_LOOKUP_ROWS`: each chunk is split
-        into ids once, mapped into each distinct table space once and
-        searched once per distinct key array, and fills its rows of the
-        result.  So the result is the one array as long as the keys.
+        read in chunks of :data:`CHUNK_ROWS`: each chunk is split into ids
+        once, mapped into each distinct table space once and searched once
+        per distinct search.  A search whose key space has at most twice
+        as many keys as ``keys`` reads the positions from a dense int32
+        index over that space, which is then never larger than one float64
+        column of the score matrix; a larger space is searched with
+        ``searchsorted``.  Tables with the same link and pair searches
+        form one group, which stores one int32 position per key into its
+        stacked values (see :class:`Lookup`), so a table holding both
+        link and pair keys settles its link-first, pair-fallback rule
+        here, once per key.
         """
         q = np.asarray(keys, dtype=np.int64)
         searches: List[tuple] = []  # distinct (space, pairs, held)
@@ -178,36 +200,88 @@ class ScoreTable:
                  else None) for t in tables]
         maps = {sp: sp.id_maps(space)
                 for sp in dict.fromkeys(sp for sp, _, _ in searches)}
-        out = np.zeros((len(q), len(tables)))
-        for lo in range(0, len(q), _LOOKUP_ROWS):
-            ids = space.ids(q[lo:lo + _LOOKUP_ROWS])
+        dense = []  # per search: its dense index, or None
+        for sp, pairs, held in searches:
+            size = sp.shape[0] * sp.shape[1] * (1 if pairs else sp.shape[2])
+            index = None
+            if size <= 2 * len(q):
+                index = np.full(size, -1, dtype=np.int32)
+                index[held] = np.arange(len(held), dtype=np.int32)
+            dense.append(index)
+        groups: Dict[tuple, List[int]] = {}  # columns by (links, pairs)
+        for j, p in enumerate(plan):
+            groups.setdefault(p, []).append(j)
+        at = {p: np.empty(len(q), dtype=np.int32) for p in groups
+              if p != (None, None)}
+        for lo in range(0, len(q), CHUNK_ROWS):
+            ids = space.ids(q[lo:lo + CHUNK_ROWS])
             mapped = {sp: tuple(i if m is None else m[i]
                                 for m, i in zip(mp, ids))
                       for sp, mp in maps.items()}
-            hits = []  # per search: where the chunk's keys are held, and at
-            for sp, pairs, held in searches:
+            found = []  # per search: the chunk's positions, -1 if absent
+            for (sp, pairs, held), index in zip(searches, dense):
                 a, b, c = mapped[sp]
                 ask = (a >= 0) & (b >= 0)
                 if pairs:
                     qk = sp.pair(np.minimum(a, b), np.maximum(a, b))
                 else:
                     qk, ask = sp.key(a, b, c), ask & (c >= 0)
-                pos = held.searchsorted(qk)
-                found = ask & (held.take(pos, mode="clip") == qk)
-                hits.append((found, pos[found]))
-            block = out[lo:lo + _LOOKUP_ROWS]
-            for j, (t, (links, pair)) in enumerate(zip(tables, plan)):
-                col = block[:, j]
-                found = None
-                if links is not None:
-                    found, at = hits[links]
-                    col[found] = t.values[at]
-                if pair is not None:
-                    hit, at = hits[pair]
-                    if found is not None:  # pairs answer only the links missed
-                        at = at[~found[hit]]
-                        hit = hit & ~found
-                    col[hit] = t.pair_values[at]
+                if index is not None:
+                    pos = index.take(qk, mode="clip")
+                    pos[~ask] = -1
+                else:
+                    pos = held.searchsorted(qk)
+                    ask &= held.take(pos, mode="clip") == qk
+                    pos = np.where(ask, pos, -1)
+                found.append(pos)
+            for (links, pair), pos in at.items():
+                if pair is None:
+                    row = found[links]
+                else:  # pair rows follow the link rows and a 0.0 row
+                    row = found[pair] + (1 if links is None
+                                         else len(searches[links][2]) + 1)
+                    if links is not None:
+                        row = np.where(found[links] >= 0, found[links], row)
+                pos[lo:lo + CHUNK_ROWS] = row
+        del dense  # freed before the values are stacked
+        fills = []
+        for p, cols in groups.items():
+            part = [tables[j] for j in cols]
+            values = [np.column_stack([t.values for t in part]),
+                      np.zeros((1, len(cols))),
+                      np.column_stack([t.pair_values for t in part])]
+            if cols == list(range(cols[0], cols[-1] + 1)):
+                cols = slice(cols[0], cols[-1] + 1)  # a faster write
+            fills.append((cols, at.get(p), np.concatenate(values)))
+        return Lookup(tuple(fills))
+
+
+@dataclass(frozen=True)
+class Lookup:
+    """The positions of a key list in several score tables, from which
+    any row range of their (keys, tables) score matrix is filled.
+
+    Each entry of ``fills`` serves the tables whose link and pair searches
+    are the same: their columns, one int32 position per key, and their
+    stacked values, which are the tables' link values, a row of 0.0, then
+    their pair values.  A key found among the links holds its link row,
+    else a key found among the pairs its pair row, and any other key the
+    0.0 row (as -1 when the group holds no pairs, which reads the last
+    row), so one row gather fills all of the group's columns.  Tables
+    that hold no keys have no positions: their columns are 0.0.
+    """
+
+    fills: Tuple[tuple, ...]
+
+    def fill(self, out: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Write rows ``lo:lo + len(out)`` of the score matrix into
+        ``out``, :data:`CHUNK_ROWS` rows at a time, and return it."""
+        for a in range(0, len(out), CHUNK_ROWS):
+            block = out[a:a + CHUNK_ROWS]
+            rows = slice(lo + a, lo + a + len(block))
+            for cols, at, values in self.fills:
+                block[:, cols] = 0.0 if at is None else values.take(
+                    at[rows], axis=0, mode="wrap")  # -1: the last row
         return out
 
 

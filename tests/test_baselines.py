@@ -8,7 +8,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mrk import baselines
+from mrk import baselines, predictor
 from mrk.baselines import (
     CLASSICAL_METHODS,
     _zscore_columns,
@@ -415,8 +415,8 @@ def _zscore_reference(x: np.ndarray) -> None:
 @pytest.mark.parametrize("rows", [5, None])
 def test_zscore_columns_is_bitwise_numpy_std(monkeypatch, rows):
     if rows is not None:
-        monkeypatch.setattr(baselines, "_VAR_ROWS", rows)
-    chunk = baselines._VAR_ROWS
+        monkeypatch.setattr(predictor, "CHUNK_ROWS", rows)
+    chunk = predictor.CHUNK_ROWS
     rng = np.random.default_rng(11)
     for m in range(2, 9):
         for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
@@ -438,10 +438,27 @@ def test_zscore_columns_is_bitwise_numpy_std(monkeypatch, rows):
     assert x.shape == (0, 3)
 
 
-def test_ensemble_holds_one_full_size_array():
-    # 8 tables over 320k keys.  The (keys, tables) matrix is the one
-    # full-size array: a copy of it, or int64 lookup arrays over all keys,
-    # would each add as much again.
+@pytest.mark.parametrize("rows", [5, None])
+def test_column_stats_are_bitwise_numpy_mean_and_std(monkeypatch, rows):
+    # The streamed statistics themselves, not only the normalised matrix,
+    # with a column of -0.0, whose mean's sign depends on where a sum
+    # starts.
+    if rows is not None:
+        monkeypatch.setattr(predictor, "CHUNK_ROWS", rows)
+    chunk = predictor.CHUNK_ROWS
+    rng = np.random.default_rng(13)
+    for n in (1, chunk + 1, 3 * chunk + 2):
+        x = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-8, 9, 4)
+        x[:, 1] = -0.0
+        mean, sd = baselines._column_stats(
+            lambda out, lo: np.copyto(out, x[lo:lo + len(out)]), n, 4)
+        assert mean.tobytes() == x.mean(axis=0).tobytes(), n
+        assert sd.tobytes() == x.std(axis=0).tobytes(), n
+
+
+def _wide_input():
+    """320k keys, and 8 tables over them: links, links and pairs, and six
+    tables holding one pair key array."""
     rng = np.random.default_rng(3)
     space = KeySpace.links(tuple(f"n{i:03d}" for i in range(200)),
                            tuple("abcdefgh"))
@@ -460,6 +477,14 @@ def test_ensemble_holds_one_full_size_array():
     tables += [ScoreTable(f"pairs{i}", pair_space, pair_keys=shared,
                           pair_values=rng.random(len(shared)))
                for i in range(6)]
+    return keys, tables, space
+
+
+def test_ensemble_holds_one_full_size_array():
+    # 8 tables over 320k keys.  The (keys, tables) matrix is the one
+    # full-size array: a copy of it, or int64 lookup arrays over all keys,
+    # would each add as much again.
+    keys, tables, space = _wide_input()
     full = len(keys) * len(tables) * 8
     tracemalloc.start()
     try:
@@ -468,6 +493,69 @@ def test_ensemble_holds_one_full_size_array():
     finally:
         tracemalloc.stop()
     assert peak < full + 8 * 2**20
+
+
+def test_ensemble_base_holds_no_full_size_matrix():
+    # The input of test_ensemble_holds_one_full_size_array: base mode
+    # streams its passes through key chunks, so it stays below half of
+    # the (keys, tables) matrix.
+    keys, tables, space = _wide_input()
+    full = len(keys) * len(tables) * 8
+    tracemalloc.start()
+    try:
+        ensemble(tables, keys, (), space, mode="base")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 2
+
+
+@pytest.mark.parametrize("rows", [5, 64, None])
+def test_ensemble_base_streams_the_materialised_matrix(monkeypatch, rows):
+    # Base mode's streamed passes give the bytes of the matrix z-normalised
+    # as one array and summed by one matrix-vector product, for key counts
+    # on both sides of a chunk edge.  This also pins that BLAS sums each
+    # row of a chunked product as it does in the full one.
+    if rows is not None:
+        monkeypatch.setattr(predictor, "CHUNK_ROWS", rows)
+    chunk = predictor.CHUNK_ROWS
+    rng = np.random.default_rng(17)
+    space = KeySpace.links(tuple(f"n{i:03d}" for i in range(80)),
+                           tuple("abcdefgh"))
+    size = math.prod(space.shape)
+    pair_space = KeySpace.links(space.axes[0], ())
+
+    def values(k):  # a spread and an offset from 1e-8 to 1e8
+        return (rng.normal(size=k) * 10.0 ** rng.integers(-8, 9)
+                + rng.normal() * 10.0 ** rng.integers(-8, 9))
+
+    def some(k, frac):
+        held = np.flatnonzero(rng.random(k) < frac)
+        return held, values(len(held))
+
+    pairs = some(80 * 80, 0.5)[0]
+    pool = [
+        ScoreTable("links", space, *some(size, 0.3)),
+        ScoreTable("mixed", space, *some(size, 0.2), *some(80 * 80, 0.3)),
+        ScoreTable("empty", space),
+        ScoreTable("pairs0", pair_space, pair_keys=pairs,
+                   pair_values=values(len(pairs))),
+        ScoreTable("links-all", space, np.arange(size), values(size)),
+        ScoreTable("pairs1", pair_space, pair_keys=pairs,
+                   pair_values=values(len(pairs))),
+        ScoreTable("sparse", space, *some(size, 0.001)),
+        ScoreTable("pairs2", pair_space, pair_keys=pairs,
+                   pair_values=values(len(pairs))),
+    ]
+    for m in range(2, 9):
+        tables = pool[:m]
+        for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+            keys = rng.permutation(size)[:n]
+            got = ensemble(tables, keys, (), space, mode="base")
+            x = ScoreTable.matrix_for(tables, keys, space)
+            _zscore_reference(x)
+            want = x @ np.ones(m)
+            assert got.tobytes() == want.tobytes(), (m, n)
 
 
 def test_ensemble_matches_per_key_oracle():

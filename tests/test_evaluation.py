@@ -11,7 +11,6 @@ from mrk.evaluation import (
     CAT_NEW_NEW,
     CAT_OLD_NEW,
     CAT_OLD_OLD,
-    EvalReport,
     EvalSplit,
     _groups,
     _report,
@@ -22,6 +21,7 @@ from mrk.evaluation import (
     mann_whitney_auc,
     pooled_auc,
     roc_auc,
+    roc_csv_text,
     split_from_graphs,
     split_random,
     summary_dict,
@@ -367,7 +367,7 @@ def _roc_bytes(pts):
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     auc = np.float64(_trapezoid(ys, xs)).tobytes()
-    return EvalReport("x", 0.0, 0, 0, pts).roc_csv().encode(), auc
+    return roc_csv_text(pts).encode(), auc
 
 
 def test_grouped_roc_matches_per_candidate_oracle(rng):

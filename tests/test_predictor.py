@@ -630,19 +630,30 @@ def _random_table(rng, scheme, space, links=0.0, pairs=0.0):
                       pk, rng.integers(0, 4, len(pk)) / 2.0)
 
 
+# Query lengths for _check_matrix_for.  A search reads a dense index when
+# its key space has at most twice as many keys as the query, else it runs
+# searchsorted.  The spaces there hold 300 and 243 link keys and 100 and
+# 81 pair keys, so 600 keys read every search densely, 100 keys read the
+# link searches by searchsorted and the pair searches densely, and 30 keys
+# read every search by searchsorted.
+_QUERY_LENGTHS = (600, 100, 30)
+
+
 def test_matrix_for_matches_per_key_oracle(rng):
-    _check_matrix_for(rng)
+    for n_keys in _QUERY_LENGTHS:
+        _check_matrix_for(rng, n_keys)
 
 
 @pytest.mark.parametrize("rows", [1, 7])
 def test_matrix_for_across_lookup_chunks(rng, monkeypatch, rows):
     # Shared searches, the pair fallback and names off a table's axes all
-    # cross chunk edges.
-    monkeypatch.setattr(predictor, "_LOOKUP_ROWS", rows)
-    _check_matrix_for(rng)
+    # cross chunk edges, on both position paths.
+    monkeypatch.setattr(predictor, "CHUNK_ROWS", rows)
+    for n_keys in _QUERY_LENGTHS:
+        _check_matrix_for(rng, n_keys)
 
 
-def _check_matrix_for(rng):
+def _check_matrix_for(rng, n_keys):
     # Names hold code separators; the query space has nodes and layers some
     # tables lack, and the tables have names the query never asks about.
     nodes = ("%", "|", ",", ">", ":", ";", "=", "::", "a::b", "x")
@@ -680,7 +691,9 @@ def _check_matrix_for(rng):
         OldNewScoreTable.from_scores("slots", {(":", "::", "out"): 2.0}),
     ]
     n, _, nl = space.shape
-    q = rng.integers(0, n * n * nl, 600)  # any order, repeats
+    assert (n * n * nl, n * n) == (300, 100)
+    assert (math.prod(part.shape), part.shape[0] ** 2) == (243, 81)
+    q = rng.integers(0, n * n * nl, n_keys)  # any order, repeats
     names = space.decode(q)
     got = ScoreTable.matrix_for(tables, q, space)
     assert got.shape == (len(q), len(tables)) and got.flags.c_contiguous
