@@ -274,6 +274,11 @@ def ensemble(
     normalised matrix at every step, so it still holds that matrix: one
     fill of all rows, normalised in place by :func:`_zscore_columns` with
     the same statistics.
+
+    Both modes get the combined scores from BLAS products (``np.dot``, ``@``).
+    With 8 or more tables their rounding can depend on how OpenBLAS splits
+    the rows between threads, so the result may differ in the last bits
+    across thread counts; ``mrk evaluate`` always combines 7 tables.
     """
     if mode not in ("base", "over"):
         raise MrkError(f"unknown ensemble mode {mode!r}")

@@ -1,12 +1,13 @@
 """Link scoring by rule application.
 
 Every embedding of a rule's antecedent proposes the rule's delta edge at
-concrete host nodes.  Proposals that already exist in the graph are skipped;
-the rest are aggregated into a score table under one of several weighting
-schemes.  By default a rule contributes at most once per target, however
-many embeddings propose it.  Antecedent embeddings are read from the tables
-that mining carried on the patterns when the rules were mined on the
-scored graph itself, and joined afresh otherwise.
+concrete host nodes: a close rule a missing link, a new-node rule a slot
+where a newcomer attaches.  Both scorers share one walk by antecedent
+(:func:`_proposals`), which reads the tables mining carried when the rules
+were mined on the scored graph itself and joins afresh otherwise.  Links
+that already exist are skipped; the rest are aggregated into a score table
+under one of several weighting schemes.  By default a rule contributes at
+most once per target, however many embeddings propose it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -322,11 +323,6 @@ def _check_scheme(scheme: str) -> None:
         )
 
 
-def _inverse_map(rule: Rule) -> Dict[int, int]:
-    """Consequent slot -> antecedent slot, for slots in the map's image."""
-    return {c: a for a, c in enumerate(rule.antecedent_map)}
-
-
 def _rank(flat: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct keys among ``flat`` (sorted) and each entry's index
     among them.
@@ -346,39 +342,72 @@ def _rank(flat: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
     return ukeys, rank[flat]
 
 
-def _aggregate(
-    scheme: str,
-    rules: Sequence[Rule],
-    keys: List[np.ndarray],
-    hits: List[np.ndarray],
-    per_embedding: bool,
-    size: int,
-) -> Tuple[np.ndarray, np.ndarray, Contributors]:
+def _proposals(g: MultiplexGraph, rules: Sequence[Rule], reads: Sequence,
+               scale: int, budget: int) -> Iterator[tuple]:
+    """The antecedent walk of both scorers.
+
+    ``reads[i]`` is the tuple of antecedent slots ``rules[i]`` reads, or
+    None if it proposes nothing.  Consecutive reading rules that share one
+    antecedent object form a run, whose table is read once by ``table_in``.
+    Each distinct tuple of a run is reduced once by ``np.unique`` to its
+    distinct host nodes (one slot) or ``g.space.pair`` keys (two slots, as
+    (min, max) when ``g`` is undirected), times ``scale``.  Yields
+    ``(i, keys, counts)`` per reading rule, in rule order.
+    """
+    last = None  # the antecedent whose table ``emb`` holds
+    for i, read in enumerate(reads):
+        if read is None:
+            continue
+        if rules[i].antecedent is not last:
+            last = rules[i].antecedent
+            emb, reduced = last.table_in(g, budget), {}
+        if read not in reduced:
+            flat = emb[:, read[0]]
+            if len(read) == 2:
+                u, v = flat, emb[:, read[1]]
+                if not g.directed:
+                    u, v = np.minimum(u, v), np.maximum(u, v)
+                flat = g.space.pair(u, v)
+            keys, counts = np.unique(flat, return_counts=True)
+            keys *= scale
+            reduced[read] = keys, counts
+        yield (i, *reduced[read])
+
+
+def _aggregate(scheme: str, rules: Sequence[Rule], proposals: Iterator[tuple],
+               per_embedding: bool, size: int) -> tuple:
     """Combine the rules' proposals under one weighting scheme.
 
-    ``keys[i]`` holds the distinct keys, out of a space of ``size``, that
-    ``rules[i]`` proposes and ``hits[i]`` how many embeddings propose
-    each; both lists are emptied once read.  A rule adds its weight once
-    per key, or once per proposing embedding with ``per_embedding``.
-    Entries stay in rule order, and ``np.bincount`` adds in array order,
-    so every sum is the one taken rule by rule.
+    ``proposals`` yields ``(i, keys, hits)`` in rule order: the distinct
+    keys, out of a space of ``size``, that ``rules[i]`` proposes and how
+    many embeddings propose each.  A rule adds its weight once per key, or
+    once per proposing embedding with ``per_embedding``.  Entries stay in
+    rule order, and ``np.bincount`` adds in array order, so every sum is
+    the one taken rule by rule.
 
-    Returns the scored keys (sorted), their scores, and their contributing
-    rules.  Lift schemes skip rules whose lift is NaN: they neither score
+    Returns the scored keys (sorted), their scores, their contributors,
+    and the indices of the rules that proposed a key, which ``rids``
+    names.  Lift schemes skip rules whose lift is NaN: they neither score
     nor contribute, and keys that only such rules propose are dropped.
     """
-    rids = tuple(r.rid for r in rules)
+    used, keys, hits = [], [], []
+    for i, key, times in proposals:
+        if key.size:
+            used.append(i)
+            keys.append(key)
+            hits.append(times)
     if not keys:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0), Contributors(rids, np.zeros(1, np.int64), empty)
+        e = np.empty(0, dtype=np.int64)
+        return e, np.empty(0), Contributors((), np.zeros(1, np.int64), e), used
+    rules = [rules[i] for i in used]
     lengths = [len(k) for k in keys]
     flat = np.concatenate(keys)
-    keys.clear()
+    del keys
     ukeys, at = _rank(flat, size)
     del flat
     rule_of = np.repeat(np.arange(len(rules), dtype=np.int32), lengths)
     times = np.concatenate(hits) if per_embedding else None
-    hits.clear()
+    del hits
     m = len(ukeys)
     weight = np.array([r.lift if scheme.startswith("lift") else r.confidence
                        for r in rules])
@@ -414,7 +443,8 @@ def _aggregate(
     order %= len(rules)
     ptr = np.zeros(len(score) + 1, dtype=np.int64)
     np.cumsum(counts[kept], out=ptr[1:])
-    return ukeys[kept], score, Contributors(rids, ptr, order)
+    rids = tuple(r.rid for r in rules)
+    return ukeys[kept], score, Contributors(rids, ptr, order), used
 
 
 def score_links(
@@ -432,62 +462,33 @@ def score_links(
     canonicalized to one orientation.  With ``per_embedding`` every
     proposing embedding contributes instead of each rule once.
 
-    Work goes by antecedent.  Rules sharing an antecedent object come in
-    one run (as ``build_rules`` and the CLI's rule reader give them); its
-    embedding table is read once per run, from the table mining carried
-    when the rules were mined on ``g`` itself and by a fresh join
-    otherwise.  Each distinct column pair the run's rules read is reduced
-    once to its distinct node pairs, as link keys on layer 0 with their
-    embedding counts, and is dropped when the run ends.  A rule adds its
-    layer id to its pair's keys and keeps those that one ``is_edge``
-    gather finds missing.  The rules' keys are then ranked on the link
-    space (a presence mask, no sort, on spaces the edge mask covers) and
-    summed per key in rule order.
+    A close rule whose delta layer ``g`` has reads those two slots through
+    the walk :func:`_proposals`, as link keys on layer 0; it adds its
+    layer id and keeps the links that one ``is_edge`` gather finds
+    missing.  :func:`_aggregate` ranks the keys on the link space (a
+    presence mask, no sort, on spaces the edge mask covers) and sums them.
     """
     _check_scheme(scheme)
-    ix, n_layers = g.arrays, g.n_layers
-    last = None  # the antecedent whose table ``emb`` holds
-    reduced: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-    used: List[Rule] = []
-    keys: List[np.ndarray] = []
-    hits: List[np.ndarray] = []
+    reads: List[Optional[tuple]] = []
     for rule in rules:
-        if rule.new_node:
+        (ds, dd, dl), amap = rule.delta_edge, rule.antecedent_map
+        if rule.new_node or dl not in g.layer_names:
+            reads.append(None)
             continue
-        inv = _inverse_map(rule)
-        ds, dd, dl = rule.delta_edge
-        try:
-            lid = g.layer_id(dl)
-        except KeyError:
-            continue
-        if rule.antecedent is not last:
-            last, emb = rule.antecedent, rule.antecedent.table_in(g, budget)
-            reduced = {}
-        cols = (inv[ds], inv[dd])
-        if not g.directed:
-            # Symmetric storage: (u, v) is an edge iff (v, u) is.  Links
-            # are taken as (min, max), so both orientations of a slot pair
-            # share one reduction.
-            cols = tuple(sorted(cols))
-        if cols not in reduced:
-            u, v = emb[:, cols[0]], emb[:, cols[1]]
-            if not g.directed:
-                u, v = np.minimum(u, v), np.maximum(u, v)
-            pair, times = np.unique(g.space.pair(u, v), return_counts=True)
-            pair *= n_layers  # link (u, v, l) has key pair(u, v) * L + l
-            reduced[cols] = pair, times
-        base, times = reduced[cols]
-        key = base + lid
-        present = ix.is_edge(key)
-        if present.any():
-            missing = ~present
-            key, times = key[missing], times[missing]
-        if key.size:
-            used.append(rule)
-            keys.append(key)
-            hits.append(times)
-    ukeys, scores, contrib = _aggregate(scheme, used, keys, hits, per_embedding,
-                                        math.prod(g.space.shape))
+        cols = (amap.index(ds), amap.index(dd))
+        # Symmetric storage: (u, v) is an edge iff (v, u) is, so in an
+        # undirected graph both orientations share one reduction.
+        reads.append(cols if g.directed else tuple(sorted(cols)))
+
+    def missing(i, key, times):
+        key = key + g.layer_id(rules[i].delta_edge[2])  # pair(u, v) * L + l
+        keep = ~g.arrays.is_edge(key)
+        return (i, key, times) if keep.all() else (i, key[keep], times[keep])
+
+    walk = _proposals(g, rules, reads, g.n_layers, budget)
+    ukeys, scores, contrib, _ = _aggregate(
+        scheme, rules, (missing(*p) for p in walk), per_embedding,
+        math.prod(g.space.shape))
     return ScoreTable(scheme, g.space, ukeys, scores, contributors=contrib)
 
 
@@ -507,49 +508,35 @@ def score_old_new(
     orientation at the anchor ("out" when the anchor is the source);
     undirected graphs collapse both orientations to "out".  Slots are keys
     of a slot space over the graph's nodes and the layers of the graph and
-    of the rules.  Work goes by antecedent as in :func:`score_links`: each
-    distinct anchor column of a run's table is reduced once to its
-    distinct nodes with their embedding counts, and the rules' keys are
-    ranked and summed by the same helper.
+    of the rules.  Such a rule reads its anchor through the walk of
+    :func:`score_links`, as (node, 0, 0) keys, and adds its (layer,
+    direction) offset; the same :func:`_aggregate` sums the keys.
     """
     _check_scheme(scheme)
     growth = [r for r in rules if r.new_node]
     layers = sorted(set(g.layer_names) | {r.delta_edge[2] for r in growth})
     layer_of = {x: i for i, x in enumerate(layers)}
     space = KeySpace.slots(g.node_names, tuple(layers))
-    last = None  # the antecedent whose table ``emb`` holds
-    reduced: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    used: List[Rule] = []
-    keys: List[np.ndarray] = []
-    hits: List[np.ndarray] = []
-    fresh: List[str] = []  # attribute of each used rule's fresh slot
-    for rule in growth:
-        inv = _inverse_map(rule)
-        ds, dd, dl = rule.delta_edge
-        if ds in inv:
-            anchor, direction, new = inv[ds], "out", dd
-        elif dd in inv:
-            anchor, direction, new = inv[dd], "in", ds
-        else:
+    reads: List[Optional[tuple]] = []
+    offset: Dict[int, int] = {}
+    fresh: Dict[int, str] = {}  # attribute of each reading rule's new slot
+    for i, rule in enumerate(rules):
+        (ds, dd, dl), amap = rule.delta_edge, rule.antecedent_map
+        if not rule.new_node or not (ds in amap or dd in amap):
+            reads.append(None)
             continue
-        if not g.directed:
-            direction = "out"
-        if rule.antecedent is not last:
-            last, emb = rule.antecedent, rule.antecedent.table_in(g, budget)
-            reduced = {}
-        if anchor not in reduced:
-            reduced[anchor] = np.unique(emb[:, anchor], return_counts=True)
-        node, times = reduced[anchor]
-        if node.size:
-            used.append(rule)
-            keys.append(space.key(node, layer_of[dl],
-                                  DIRECTIONS.index(direction)))
-            hits.append(times)
-            fresh.append(rule.consequent.attrs[new])
-    ukeys, scores, contrib = _aggregate(scheme, used, keys, hits, per_embedding,
-                                        math.prod(space.shape))
+        anchor, direction, new = ((ds, "out", dd) if ds in amap
+                                  else (dd, "in", ds))
+        reads.append((amap.index(anchor),))
+        offset[i] = space.key(0, layer_of[dl], DIRECTIONS.index(
+            direction if g.directed else "out"))
+        fresh[i] = rule.consequent.attrs[new]
+    walk = _proposals(g, rules, reads, space.key(1, 0, 0), budget)
+    ukeys, scores, contrib, used = _aggregate(
+        scheme, rules, ((i, k + offset[i], c) for i, k, c in walk),
+        per_embedding, math.prod(space.shape))
     return OldNewScoreTable(scheme, space, ukeys, scores, contributors=contrib,
-                            fresh=tuple(fresh))
+                            fresh=tuple(fresh[i] for i in used))
 
 
 # -- serialization ----------------------------------------------------------

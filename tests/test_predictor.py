@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mrk import predictor
-from mrk.errors import MrkError
+from mrk.errors import MiningBudgetError, MrkError
 from mrk.graph import ATTR_DEFAULT, LINK_MASK_CAP, KeySpace, MultiplexGraph
 from mrk.evaluation import split_random
 from mrk.miner import MinerConfig, Pattern, embedding_table, mine
@@ -273,6 +273,98 @@ def test_carried_tables_never_cross_graphs(mined_fold):
         assert np.array_equal(r.antecedent.table_in(g),
                               embedding_table(r.antecedent, g))
         assert r.antecedent.table_in(train) is r.antecedent.mined_on[1]
+
+
+# -- the antecedent walk both scorers share ---------------------------------
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The antecedents whose tables ``Pattern.table_in`` was asked for."""
+    seen = []
+    table_in = Pattern.table_in
+
+    def counted(self, g, budget=predictor.DEFAULT_BUDGET):
+        seen.append(self)
+        return table_in(self, g, budget)
+
+    monkeypatch.setattr(Pattern, "table_in", counted)
+    return seen
+
+
+def _walk_rules(new_node):
+    """Rules on antecedents A, B, A, each proposing on the host of
+    :func:`_walk_host`, new-node rules when ``new_node``.  B equals A but
+    is another object, and runs go by object."""
+    if new_node:
+        cons, delta = [(0, 1, "a"), (1, 2, "b")], (1, 2, "b")
+    else:
+        cons, delta = [(0, 1, "a"), (1, 0, "b")], (1, 0, "b")
+    a = mk_rule([(0, 1, "a")], cons, delta, (0, 1), new_node)
+    b = mk_rule([(0, 1, "a")], cons, delta, (0, 1), new_node, conf=0.25)
+    return [a, b, dataclasses.replace(a, confidence=0.125)]
+
+
+def _walk_host():
+    return MultiplexGraph([("1", "2", "a"), ("2", "3", "a"), ("5", "6", "b")],
+                          directed=True)
+
+
+@pytest.mark.parametrize("new_node", [False, True])
+def test_walk_reads_each_antecedent_run_once(reads, new_node):
+    g = _walk_host()
+    a, b, a2 = _walk_rules(new_node)
+    score = score_old_new if new_node else score_links
+    assert len(score(g, [a, b, a2])) and len(reads) == 3
+    # Rules that read nothing (the other kind) do not end a run.
+    other = _walk_rules(not new_node)[1]
+    reads.clear()
+    assert len(score(g, [a, other, a2, b])) and len(reads) == 2
+    assert reads[0] is a.antecedent and reads[1] is b.antecedent
+
+
+def test_walk_reads_no_table_for_rules_that_propose_nothing(reads):
+    # Read back from JSON, every antecedent is joined afresh, and a join's
+    # first slot takes one row per host node, past a budget of 1.
+    g = _walk_host()
+    close, lost_layer, growth = (
+        rule_from_dict(rule_to_dict(r)) for r in (
+            _walk_rules(False)[0],
+            mk_rule([(0, 1, "a")], [(0, 1, "a"), (1, 0, "zz")], (1, 0, "zz"),
+                    (0, 1), new_node=False),
+            _walk_rules(True)[0],
+        ))
+    assert close.antecedent.mined_on is None
+    assert len(score_links(g, [lost_layer, growth], budget=1)) == 0
+    assert len(score_old_new(g, [close, lost_layer], budget=1)) == 0
+    assert reads == []
+    with pytest.raises(MiningBudgetError):
+        score_links(g, [close], budget=1)
+    with pytest.raises(MiningBudgetError):
+        score_old_new(g, [growth], budget=1)
+
+
+def test_fresh_and_provenance_skip_rules_without_proposals():
+    # The first rule's antecedent asks for an attribute the host lacks, so
+    # its table is empty: it neither scores nor names a fresh attribute.
+    g = MultiplexGraph([("1", "2", "a")], attrs={"1": "h"}, directed=True)
+    lost = mk_rule([(0, 1, "a")], [(0, 1, "a"), (1, 2, "a")], (1, 2, "a"),
+                   (0, 1), new_node=True, ant_attrs=("zz", D),
+                   cons_attrs=("zz", D, "y"))
+    kept = mk_rule([(0, 1, "a")], [(0, 1, "a"), (1, 2, "a")], (1, 2, "a"),
+                   (0, 1), new_node=True, ant_attrs=("h", D),
+                   cons_attrs=("h", D, "x"))
+    t = score_old_new(g, [lost, kept], scheme="count")
+    assert t.fresh == ("x",)
+    assert t.provenance == {("2", "a", "out"): (kept.rid,)}
+    assert t.new_attrs == {("2", "a", "out"): ("x",)}
+    lost = mk_rule([(0, 1, "a")], [(0, 1, "a"), (1, 0, "a")], (1, 0, "a"),
+                   (0, 1), new_node=False, ant_attrs=("zz", D))
+    kept = mk_rule([(0, 1, "a")], [(0, 1, "a"), (1, 0, "a")], (1, 0, "a"),
+                   (0, 1), new_node=False, ant_attrs=("h", D))
+    t = score_links(g, [lost, kept], scheme="count")
+    assert t.contributors.rids == (kept.rid,)
+    assert t.provenance == {("2", "1", "a"): (kept.rid,)}
 
 
 # -- both scoring functions against the dict oracle -------------------------
