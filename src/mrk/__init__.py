@@ -21,11 +21,9 @@ from .graph import (
     to_coupled,
 )
 from .miner import (
-    Embedding,
     MinerConfig,
     Pattern,
-    canonical_code,
-    embeddings,
+    embedding_table,
     min_image_support,
     mine,
 )
@@ -60,8 +58,7 @@ __all__ = [
     "MiningBudgetError", "PatternSizeError", "EvaluationError",
     "MultiplexGraph", "SimpleGraph", "CoupledMultigraph", "KeySpace",
     "load_graph", "collapse", "to_coupled", "from_coupled",
-    "MinerConfig", "Pattern", "Embedding",
-    "embeddings", "min_image_support", "canonical_code", "mine",
+    "MinerConfig", "Pattern", "embedding_table", "min_image_support", "mine",
     "Rule", "build_rules", "rule_lift",
     "ScoreTable", "OldNewScoreTable", "score_links", "score_old_new",
     "LayerCooccurrence", "layer_cooccurrence", "sharma_scores",

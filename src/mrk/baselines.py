@@ -220,23 +220,6 @@ def _normalise(x: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> None:
     x[:, flat] = 0.0
 
 
-def _zscore_columns(x: np.ndarray) -> None:
-    """Z-normalise each column of ``x`` in place; constant columns become 0.
-
-    ``x`` is C-ordered with at least two columns.  The result is bitwise
-    that of ``(x - x.mean(axis=0)) / x.std(axis=0)``, without the
-    full-size copy that ``std`` makes.  This is the in-place case of the
-    ensemble's one normalisation: :func:`_column_stats` reads its blocks
-    from slices of ``x``, and :func:`_normalise` then rewrites all of
-    ``x``.  An empty ``x`` is left as it is.
-    """
-    n, m = x.shape
-    if n:
-        stats = _column_stats(
-            lambda out, lo: np.copyto(out, x[lo:lo + len(out)]), n, m)
-        _normalise(x, *stats)
-
-
 def ensemble(
     tables: Sequence[ScoreTable],
     candidate_keys: Sequence[int],
@@ -252,28 +235,30 @@ def ensemble(
     :func:`evaluation.roc_auc` takes as it is when the keys are a fold's
     positives followed by its negatives.  Missing candidate scores are
     imputed as 0 before normalization, so every table covers the same key
-    list.  The tables are looked up once (:meth:`ScoreTable.lookup`), which
-    keeps an int32 position per key and group of tables; its fill then
-    writes any row block of the C-ordered (keys, tables) score matrix.
-    Every result is bitwise that of the whole matrix z-normalised by
-    numpy's ``mean`` and ``std`` and multiplied by the weights, with at
-    least two tables, as :func:`_column_stats` needs.
-
-    ``base`` sums with equal weights in three streamed passes over filled
+    list.  Both modes look the tables up once (:meth:`ScoreTable.lookup`),
+    which keeps an int32 position per key and group of tables; its fill
+    then writes any row block of the C-ordered (keys, tables) score
+    matrix.  Both take the column statistics from one
+    :func:`_column_stats` call over that fill, two streamed passes over
     blocks of :data:`~mrk.predictor.CHUNK_ROWS` rows: the column sums,
-    the squared deviations (see :func:`_column_stats`), then each block
-    normalised and multiplied into its rows of the result.  So no
-    (keys, tables) array exists: the call holds a few int32 and float64
-    columns over the keys.
+    then the squared deviations.  Every result is bitwise that of the
+    whole matrix z-normalised by numpy's ``mean`` and ``std`` and
+    multiplied by the weights, with at least two tables, as
+    :func:`_column_stats` needs.
+
+    ``base`` sums with equal weights in a third streamed pass: each block
+    filled again, normalised (:func:`_normalise`) and multiplied into its
+    rows of the result.  So no (keys, tables) array exists: the call holds
+    a few int32 and float64 columns over the keys.
 
     ``over`` anneals the weight vector against AUC on the given truth
     labels: geometric cooling, single-weight Gaussian proposals,
     Metropolis acceptance, best weights kept; each single-predictor basis
     vector and the equal-weight vector are also evaluated, so the result
-    never falls below them on the training labels.  It reads the
-    normalised matrix at every step, so it still holds that matrix: one
-    fill of all rows, normalised in place by :func:`_zscore_columns` with
-    the same statistics.
+    never falls below them on the training labels, which it checks hold
+    both classes before any lookup.  It reads the normalised matrix at
+    every step, so it holds that matrix: one fill of all rows, normalised
+    in place by :func:`_normalise`, after which the lookup is dropped.
 
     Both modes get the combined scores from BLAS products (``np.dot``, ``@``).
     With 8 or more tables their rounding can depend on how OpenBLAS splits
@@ -286,11 +271,17 @@ def ensemble(
         raise MrkError("ensemble needs at least two score tables")
     keys = np.asarray(candidate_keys, dtype=np.int64)
     n, nm = len(keys), len(tables)
+    if mode == "over":
+        labels = np.isin(keys, np.fromiter(truth, dtype=np.int64))
+        if not labels.any() or labels.all():
+            raise MrkError(
+                "ensemble optimization needs both positive and negative keys"
+            )
+    if not n:
+        return np.empty(0)
+    look = ScoreTable.lookup(tables, keys, space)
+    mean, sd = _column_stats(look.fill, n, nm)
     if mode == "base":
-        if not n:
-            return np.empty(0)
-        look = ScoreTable.lookup(tables, keys, space)
-        mean, sd = _column_stats(look.fill, n, nm)
         scores = np.empty(n)
         # numpy hands a one-row product to a dot kernel that rounds unlike
         # BLAS's gemv, so a lone last row joins the block before it: each
@@ -306,14 +297,9 @@ def ensemble(
             _normalise(block, mean, sd)
             np.dot(block, ones, out=scores[lo:hi])
         return scores
-    z = ScoreTable.matrix_for(tables, keys, space)
-    _zscore_columns(z)
-
-    labels = np.isin(keys, np.fromiter(truth, dtype=np.int64))
-    if not labels.any() or labels.all():
-        raise MrkError(
-            "ensemble optimization needs both positive and negative keys"
-        )
+    z = look.fill(np.empty((n, nm)))
+    del look  # the anneal reads z alone
+    _normalise(z, mean, sd)
 
     def auc_of(w: np.ndarray) -> float:
         return mann_whitney_auc(z @ w, labels)

@@ -7,13 +7,15 @@ distinct host nodes each slot maps to and take the minimum over slots.  This
 support never grows when a pattern is extended, which lets the miner prune
 level by level.
 
-Embeddings come from one engine, a numpy join over the host's per-layer
-CSR adjacency in the manner of FSG's embedding lists (Kuramochi & Karypis
-2001).  :func:`_extend` adds a slot: it expands the host nodes of an
-already placed neighbour slot through the CSR and filters the candidate
-rows by attribute and injectivity.  :func:`_close` filters rows by one
-more edge between placed slots, one :meth:`~mrk.graph.GraphArrays.is_edge`
-lookup per row.  :func:`_least_images` counts supports.
+An embedding is a row of its pattern's table, an int64 array whose row r
+maps slot i to host node ``[r, i]``.  Tables come from one engine, a
+numpy join over the host's per-layer CSR adjacency in the manner of
+FSG's embedding lists (Kuramochi & Karypis 2001).  :func:`_extend` adds
+a slot: it expands the host nodes of an already placed neighbour slot
+through the CSR and filters the candidate rows by attribute and
+injectivity.  :func:`_close` filters rows by one more edge between placed
+slots, one :meth:`~mrk.graph.GraphArrays.is_edge` lookup per row.
+:func:`_least_images` counts supports.
 
 :func:`mine` reads the single-edge tables and supports straight off the
 host's edge arrays, then grows the tables along the lattice: each child's
@@ -22,11 +24,13 @@ the returned patterns carry their tables, which rule scoring reads.  A
 lattice level is integer arrays from growth to support: :func:`_grow`
 grows the whole frontier as rows of attribute ids and edge codes,
 :class:`_Children` sorts them into isomorphism classes, and :func:`_test`
-tests the level's candidates in a few vectorised passes.  Only frequent
-children become :class:`Pattern` objects.  :func:`embedding_table` joins
-a pattern from scratch on the same two steps, one slot at a time, for
-patterns that carry no table for the host at hand.  The budget caps the
-candidate rows one pattern generates, which bounds its memory.
+tests the level's candidates in a few vectorised passes and returns the
+level's budget verdict, which :func:`mine` raises after the level's
+anti-monotone checks.  Only frequent children become :class:`Pattern`
+objects.  :func:`embedding_table` joins a pattern from scratch on the
+same two steps, one slot at a time, for patterns that carry no table for
+the host at hand.  The budget caps the candidate rows one pattern
+generates, which bounds its memory.
 
 Candidates are deduplicated by canonical form, FSG's dedup step done in
 bulk: :func:`_canonical_rows` ranks every slot permutation of a whole
@@ -43,7 +47,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+    Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
     Sequence, Set, Tuple,
 )
 
@@ -394,20 +398,8 @@ def _minimal_rows(
     return out, np.concatenate(ats), np.concatenate(js)
 
 
-def canonical_code(p: Pattern) -> str:
-    return p.code
-
-
 def single_edge_pattern(src_attr: str, dst_attr: str, layer: str) -> Pattern:
     return Pattern((src_attr, dst_attr), frozenset({(0, 1, layer)}))
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """One injective occurrence of a pattern: slot i maps to nodes[i]."""
-
-    pattern_code: str
-    nodes: Tuple[int, ...]
 
 
 def _join_plan(
@@ -472,12 +464,15 @@ _SEEN_CELLS = 1 << 20
 class _Tested(NamedTuple):
     """Per tested child: its support, the candidate rows its join step
     generated, the rows of its table, and the table itself when the
-    child is frequent (else None)."""
+    child is frequent (else None).  ``over`` holds the children that a
+    budget error names, ascending; it is empty when every child fits the
+    budget (see :func:`_test`)."""
 
     sup: np.ndarray
     rows: np.ndarray
     kept: np.ndarray
     tables: List[Optional[np.ndarray]]
+    over: np.ndarray
 
 
 def _close(
@@ -566,7 +561,6 @@ def _test(
     attrs: Sequence[int],
     budget: int,
     sigma: int,
-    name: Callable[[Sequence[int]], str],
 ) -> _Tested:
     """Support and table of many children of mined parents in a few
     vectorised passes, a lattice level at a time.
@@ -582,12 +576,12 @@ def _test(
     ``of`` is ascending and a parent's closing children come before its
     new-slot ones.  The rows every child generates are known before
     anything is allocated.  The children of the parents before the first
-    parent with a child over ``budget`` are tested and returned.  When
-    that parent is the first, :class:`MiningBudgetError` is raised naming
-    ``name(children)``: all its closing children when their rows are over
-    the budget, else its new-slot children over it.  Children are tested
-    in passes of at most :data:`_PASS_ROWS` candidate rows (or one child),
-    each over a copy of its parents' tables end to end, and a child below
+    parent with a child over ``budget`` are tested and returned, and
+    ``over`` lists the children of that parent which the budget error
+    names: all its closing children when their rows are over the budget,
+    else its new-slot children over it.  Children are tested in passes
+    of at most :data:`_PASS_ROWS` candidate rows (or one child), each
+    over a copy of its parents' tables end to end, and a child below
     ``sigma`` never keeps its table.
     """
     ix = g.arrays
@@ -606,11 +600,11 @@ def _test(
         rows[i] = int(_fan_out(g, tables[of[i]][:, b if inn else a], l,
                                inn)[1].sum())
     over = np.flatnonzero(rows > budget)
-    cut = int(of.searchsorted(of[over[0]])) if len(over) else len(of)
-    if cut == 0 and len(over):
+    cut = len(of)
+    if len(over):
+        cut = int(of.searchsorted(of[over[0]]))
         batch = 2 * of + grows
-        raise MiningBudgetError(
-            name(over[batch[over] == batch[over[0]]].tolist()), budget)
+        over = over[batch[over] == batch[over[0]]]
     of, k_of, grows = of[:cut], k_of[:cut], grows[:cut]
 
     sup = np.zeros(cut, dtype=np.int64)
@@ -643,7 +637,7 @@ def _test(
                                  kept[s][frequent].cumsum()[:-1])
                 for i, t in zip(s[frequent].tolist(), parts):
                     out[i] = t
-    return _Tested(sup, rows[:cut], kept, out)
+    return _Tested(sup, rows[:cut], kept, out, over)
 
 
 def _join(
@@ -717,17 +711,6 @@ def embedding_table(
     empty table.
     """
     return _join(p, g, budget)[0]
-
-
-def embeddings(
-    p: Pattern, g: MultiplexGraph, budget: int = DEFAULT_BUDGET
-) -> List[Embedding]:
-    """All embeddings of ``p`` in ``g``, sorted by mapped node tuple."""
-    code = p.code
-    return [
-        Embedding(code, tuple(nodes))
-        for nodes in embedding_table(p, g, budget).tolist()
-    ]
 
 
 def _support(table: np.ndarray, n: int) -> int:
@@ -946,10 +929,6 @@ class _Children:
         k = int(self.k[t])
         return self.alpha.code(k, self.groups[k][0][self.row[t]].tolist())
 
-    def first_code(self, ts: np.ndarray) -> Callable[[Sequence[int]], str]:
-        """For a budget error: the smallest code among ``ts[i]``, i given."""
-        return lambda over: min(self.code(ts[i]) for i in over)
-
     def testers(self) -> np.ndarray:
         """The growth that first grows each class, ascending."""
         return np.sort(np.unique(self.cls, return_index=True)[1])
@@ -1005,15 +984,16 @@ def mine(
     first growth: by the first parent that grows it, from that parent's
     table and in its slot numbering.  :func:`_test` tests all of them in
     a few passes, each parent's closing children before its new-slot
-    ones.  Then every growth of every parent is checked against the
-    parent's support: a child above it would contradict the anti-monotone
-    support measure and raises :class:`MiningInvariantError`, naming the
-    first such growth in the walk.  A budget error names the first child
-    over the budget in this walk, the one with the smallest code when
-    several children of one parent's batch are over it; it is raised
-    after the checks of the parents before it.  Only frequent children
-    become :class:`Pattern` objects, with codes; sorted by code, they are
-    the next frontier.  The counters always go to a :class:`MiningStats`:
+    ones, up to the first parent with a child over the budget.  Then
+    every growth of every parent is checked against the parent's
+    support: a child above it would contradict the anti-monotone support
+    measure and raises :class:`MiningInvariantError`, naming the first
+    such growth in the walk.  A budget error names the first child over
+    the budget in this walk, the one with the smallest code when several
+    children of one parent's batch are over it (``_test``'s verdict); it
+    is raised after the checks of the parents before it.  Only frequent
+    children become :class:`Pattern` objects, with codes; sorted by code,
+    they are the next frontier.  The counters always go to a :class:`MiningStats`:
     ``stats``, or a private one when it is None.
 
     Returns the frequent patterns sorted by code, each carrying its
@@ -1085,7 +1065,7 @@ def mine(
         ts = kids.testers()
         of = kids.par[ts]
         tested = _test(frontier, g, of, kids.edge[ts], kids.attr[ts],
-                       cfg.budget, sigma, kids.first_code(ts))
+                       cfg.budget, sigma)
         done = len(tested.sup)
         sup_of = np.zeros(kids.n_classes, dtype=np.int64)
         sup_of[kids.cls[ts[:done]]] = tested.sup
@@ -1116,10 +1096,9 @@ def mine(
                 f"parent support ({psup[kids.par[bad[0]]]}): "
                 f"anti-monotonicity violated"
             )
-        if done < len(ts):  # the next parent is over the budget: raise
-            _test(frontier, g, of[done:], kids.edge[ts[done:]],
-                  kids.attr[ts[done:]], cfg.budget, sigma,
-                  kids.first_code(ts[done:]))
+        if len(tested.over):  # the next parent is over the budget
+            raise MiningBudgetError(
+                min(map(kids.code, ts[tested.over].tolist())), cfg.budget)
         freq = np.flatnonzero(tested.sup >= sigma)
         codes = [kids.code(t) for t in ts[freq].tolist()]
         order = sorted(range(len(freq)), key=codes.__getitem__)

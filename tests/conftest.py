@@ -15,9 +15,7 @@ import numpy as np
 import pytest
 
 from mrk.graph import ATTR_DEFAULT, MultiplexGraph
-from mrk.miner import (
-    Pattern, canonical_forms, embedding_table, min_image_support,
-)
+from mrk.miner import Pattern, canonical_forms, embedding_table
 
 
 # -- random hosts -----------------------------------------------------------
@@ -254,8 +252,12 @@ def oracle_frequent(
     return {c: s for c, s in by_code.items() if s >= sigma}
 
 
-def oracle_mining_stats(g: MultiplexGraph, sigma: int, max_nodes: int) -> dict:
-    """The lattice counters of ``mine``, by a walk over plain patterns.
+def _oracle_walk(g: MultiplexGraph, sigma: int, max_nodes: int,
+                 budget: Optional[int]) -> Tuple[dict, Optional[str]]:
+    """The lattice walk of ``mine`` over plain patterns: its counters, as
+    ``MiningStats`` names them, and the code its budget error names, or
+    None when no pattern is over ``budget`` (or ``budget`` is None).  The
+    counters are those of a walk that finishes.
 
     Level 1 tests every single-edge type in the host, and the frequent
     ones, sorted by code, are the first frontier.  Each level walks its
@@ -263,23 +265,56 @@ def oracle_mining_stats(g: MultiplexGraph, sigma: int, max_nodes: int) -> dict:
     numbering, in the documented order: closing edges by (i, j, layer),
     then per slot the frequent edge types leaving its attribute and then
     those entering it, each by (other attribute, layer).  Every growth
-    records (parent support, ``min_image_support`` of the child).  A child
-    is tested at its first growth, by code, and the frequent children keep
-    the slot numbering of that growth; sorted by code, they are the next
-    frontier.  Returns the counters as ``MiningStats`` names them.
+    records (parent support, support of the child).  A child is tested at
+    its first growth, by code, and the frequent children keep the slot
+    numbering of that growth; sorted by code, they are the next frontier.
+
+    Rows count a join step's candidate rows.  A frequent single-edge
+    type's fresh join generates the source attribute's nodes plus their
+    out-edges on the layer.  A tested child's step generates, from its
+    parent's embeddings, one row per embedding when its edge closes two
+    slots, else one per neighbour of the anchor's image on the new edge's
+    layer and direction.  Kept rows are a frequent type's edges, a new
+    slot child's embeddings, and a frequent closing child's.  The budget
+    error names the first frequent type in code order over the budget;
+    then, at the first parent in code order with a tested child over it,
+    the smallest code among its closing children when they are over it,
+    else among its new-slot children over it.
     """
     ln = g.layer_names
-    types = sorted({(g.attrs[u], g.attrs[v], ln[l]) for u, v, l in g.edges})
-    freq, frontier = [], []
-    for sa, da, lay in types:
-        p = Pattern((sa, da), frozenset({(0, 1, lay)}))
-        sup = min_image_support(p, g)
-        if sup >= sigma:
-            freq.append((sa, da, lay))
-            frontier.append(Pattern(p.attrs, p.edges, sup))
+    attrs = g.attrs
+    deg = {True: {}, False: {}}  # in-degree, out-degree by (node, layer)
+    for u, v, l in g.edges:
+        deg[False][u, l] = deg[False].get((u, l), 0) + 1
+        deg[True][v, l] = deg[True].get((v, l), 0) + 1
+    named: Optional[str] = None
+    rows_of: List[int] = []
+    kept = 0
+
+    def support(t: np.ndarray) -> int:
+        return min((len(set(col)) for col in t.T.tolist()), default=0)
 
     def code(p: Pattern) -> str:
         return oracle_canonical_form(p)[0]
+
+    types = sorted({(attrs[u], attrs[v], ln[l]) for u, v, l in g.edges})
+    freq, frontier = [], []
+    for sa, da, lay in types:
+        p = Pattern((sa, da), frozenset({(0, 1, lay)}))
+        sup = support(embedding_table(p, g))
+        if sup >= sigma:
+            freq.append((sa, da, lay))
+            frontier.append(Pattern(p.attrs, p.edges, sup))
+    frontier.sort(key=code)
+    for p in frontier:
+        (_, _, lay), = p.edges
+        rows = attrs.count(p.attrs[0]) + sum(
+            attrs[u] == p.attrs[0] and ln[l] == lay for u, _, l in g.edges)
+        if budget is not None and rows > budget:
+            named = code(p)
+            break
+        rows_of.append(rows)
+        kept += len(embedding_table(p, g))
 
     def grow(p: Pattern) -> List[Pattern]:
         k, at, out = len(p.attrs), p.attrs, []
@@ -296,24 +331,61 @@ def oracle_mining_stats(g: MultiplexGraph, sigma: int, max_nodes: int) -> dict:
                     for sa, da, lay in freq if da == at[i]]
         return out
 
-    frontier.sort(key=code)
     levels, tested, pairs = [len(frontier)], len(types), []
-    while frontier:
+    while frontier and named is None:
         sup_of: Dict[str, int] = {}
         nxt: Dict[str, Pattern] = {}
         for p in frontier:
-            for c in grow(p):
-                cc = code(c)
+            k, parent = p.n_slots, embedding_table(p, g)
+            kids = [(c, code(c)) for c in grow(p)]
+            first: Dict[str, Tuple[bool, int]] = {}  # (closing, rows)
+            for c, cc in kids:
+                if cc in sup_of or cc in first:
+                    continue
+                if c.n_slots == k:
+                    first[cc] = (True, len(parent))
+                    continue
+                (a, b, lay), = c.edges - p.edges
+                inn, l = a == k, g.layer_id(lay)
+                first[cc] = (False, sum(deg[inn].get((x, l), 0) for x in
+                                        parent[:, b if inn else a].tolist()))
+            over = [(closing, cc) for cc, (closing, rows) in first.items()
+                    if budget is not None and rows > budget]
+            if over:
+                named = min(cc for closing, cc in over if closing == over[0][0])
+                break
+            for c, cc in kids:
                 if cc not in sup_of:
-                    sup_of[cc] = min_image_support(c, g)
+                    t = embedding_table(c, g)
+                    sup_of[cc] = support(t)
                     tested += 1
+                    closing, rows = first[cc]
+                    rows_of.append(rows)
+                    if not closing or sup_of[cc] >= sigma:
+                        kept += len(t)
                     if sup_of[cc] >= sigma:
                         nxt[cc] = Pattern(c.attrs, c.edges, sup_of[cc])
                 pairs.append((p.support, sup_of[cc]))
-        frontier = [nxt[cc] for cc in sorted(nxt)]
-        levels.append(len(frontier))
+        if named is None:
+            frontier = [nxt[cc] for cc in sorted(nxt)]
+            levels.append(len(frontier))
     return {"frequent_per_level": levels, "candidates_tested": tested,
-            "antimonotone_checks": len(pairs), "support_pairs": pairs}
+            "antimonotone_checks": len(pairs), "support_pairs": pairs,
+            "rows_generated": sum(rows_of), "max_rows": max(rows_of, default=0),
+            "rows_kept": kept}, named
+
+
+def oracle_mining_stats(g: MultiplexGraph, sigma: int, max_nodes: int) -> dict:
+    """The lattice counters of ``mine`` by the walk of :func:`_oracle_walk`,
+    as ``MiningStats`` names them."""
+    return _oracle_walk(g, sigma, max_nodes, None)[0]
+
+
+def oracle_budget_error(g: MultiplexGraph, sigma: int, max_nodes: int,
+                        budget: int) -> Optional[str]:
+    """The code of the pattern that ``mine`` names in its budget error at
+    ``budget`` (see :func:`_oracle_walk`), or None when it finishes."""
+    return _oracle_walk(g, sigma, max_nodes, budget)[1]
 
 
 # -- rule-scoring oracle ----------------------------------------------------

@@ -41,7 +41,7 @@ from mrk.miner import (
     MinerConfig,
     MiningStats,
     Pattern,
-    embeddings,
+    embedding_table,
     min_image_support,
     mine,
 )
@@ -168,9 +168,9 @@ def test_02_min_image_support_reuses_nodes():
         frozenset({(0, 1, "x"), (1, 2, "y"), (2, 3, "z")}),
     )
     with criterion(2) as rep:
-        embs = embeddings(p, g)
+        embs = embedding_table(p, g).tolist()
         assert len(embs) == 4, f"expected 4 embeddings, got {len(embs)}"
-        images = [set(col) for col in zip(*(e.nodes for e in embs))]
+        images = [set(col) for col in zip(*embs)]
         assert [len(s) for s in images] == [3, 3, 3, 3], (
             f"slot image sizes {[len(s) for s in images]}"
         )

@@ -11,7 +11,6 @@ import pytest
 from mrk import baselines, predictor
 from mrk.baselines import (
     CLASSICAL_METHODS,
-    _zscore_columns,
     classical_on_multiplex,
     classical_scores,
     ensemble,
@@ -402,8 +401,8 @@ def test_ensemble_validation():
 
 
 def _zscore_reference(x: np.ndarray) -> None:
-    """Z-normalisation over numpy's own ``mean`` and ``std``, as
-    ``_zscore_columns`` was first written."""
+    """Z-normalisation over numpy's own ``mean`` and ``std``, as the
+    ensemble was first written."""
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
     flat = ~(sd > 0)
@@ -412,8 +411,19 @@ def _zscore_reference(x: np.ndarray) -> None:
     x[:, flat] = 0.0
 
 
+def _zscore_streamed(x: np.ndarray) -> None:
+    """The ensemble's normalisation of ``x`` in place: statistics from
+    :func:`baselines._column_stats` over blocks read from ``x``, then
+    :func:`baselines._normalise`."""
+    n, m = x.shape
+    stats = baselines._column_stats(
+        lambda out, lo: np.copyto(out, x[lo:lo + len(out)]), n, m)
+    baselines._normalise(x, *stats)
+
+
 @pytest.mark.parametrize("rows", [5, None])
-def test_zscore_columns_is_bitwise_numpy_std(monkeypatch, rows):
+def test_column_stats_and_normalise_are_bitwise_numpy_zscore(monkeypatch,
+                                                             rows):
     if rows is not None:
         monkeypatch.setattr(predictor, "CHUNK_ROWS", rows)
     chunk = predictor.CHUNK_ROWS
@@ -428,14 +438,17 @@ def test_zscore_columns_is_bitwise_numpy_std(monkeypatch, rows):
                 x[:, m - 1] = 0.0
             want = x.copy()
             _zscore_reference(want)
-            _zscore_columns(x)
+            _zscore_streamed(x)
             assert x.tobytes() == want.tobytes(), (m, n)
-    # No rows: nothing to normalise, and no warning either.
-    x = np.empty((0, 3))
+    # No keys: nothing to normalise, and no warning either; the annealed
+    # ensemble still needs both classes.
+    space = KeySpace.links(("a", "b"), ("x",))
+    tables = [ScoreTable.from_scores(s, {("a", "b"): 1.0}) for s in "pq"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _zscore_columns(x) is None
-    assert x.shape == (0, 3)
+        assert ensemble(tables, [], (), space).shape == (0,)
+        with pytest.raises(MrkError, match="both positive and negative"):
+            ensemble(tables, [], (), space, mode="over")
 
 
 @pytest.mark.parametrize("rows", [5, None])
@@ -592,7 +605,7 @@ def test_ensemble_matches_per_key_oracle():
     got = ScoreTable.matrix_for(tables, qkeys, space)
     assert got.tobytes() == x.tobytes()
     old = x.copy()
-    _zscore_columns(got)
+    _zscore_streamed(got)
     _zscore_reference(old)
     assert got.tobytes() == old.tobytes()
     # The oracle matrix as exact-key tables must give the same annealing.

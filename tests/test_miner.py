@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrk import miner
@@ -14,13 +14,10 @@ from mrk.errors import (
 )
 from mrk.graph import ATTR_DEFAULT, MultiplexGraph
 from mrk.miner import (
-    Embedding,
     MinerConfig,
     MiningStats,
     Pattern,
-    canonical_code,
     embedding_table,
-    embeddings,
     min_image_support,
     mine,
     pattern_from_dict,
@@ -31,6 +28,7 @@ from mrk.miner import (
 from tests.conftest import (
     adversarial_host,
     nx_embeddings,
+    oracle_budget_error,
     oracle_canonical_form,
     oracle_embeddings,
     oracle_frequent,
@@ -57,21 +55,21 @@ def path_pattern(layers, attrs=None):
 def test_single_edge_one_embedding():
     g = MultiplexGraph([("1", "2", "a")], directed=True)
     p = single_edge_pattern(D, D, "a")
-    embs = embeddings(p, g)
-    assert [e.nodes for e in embs] == [(g.node_id("1"), g.node_id("2"))]
+    assert embedding_table(p, g).tolist() == [[g.node_id("1"),
+                                               g.node_id("2")]]
 
 
 def test_two_cycle_two_embeddings():
     g = MultiplexGraph([("1", "2", "a"), ("2", "1", "a")], directed=True)
     p = Pattern((D, D), frozenset({(0, 1, "a"), (1, 0, "a")}))
-    assert len(embeddings(p, g)) == 2
+    assert len(embedding_table(p, g)) == 2
     assert min_image_support(p, g) == 2
 
 
 def test_pattern_layer_absent_from_host():
     g = MultiplexGraph([("1", "2", "a")], directed=True)
     p = single_edge_pattern(D, D, "zz")
-    assert embeddings(p, g) == []
+    assert embedding_table(p, g).shape == (0, 2)
     assert min_image_support(p, g) == 0
 
 
@@ -88,9 +86,9 @@ def test_three_path_instance():
         directed=True,
     )
     p = path_pattern(["x", "y", "z"])
-    embs = embeddings(p, g)
     nn = g.node_names
-    got = sorted(tuple(nn[i] for i in e.nodes) for e in embs)
+    got = sorted(tuple(nn[i] for i in row)
+                 for row in embedding_table(p, g).tolist())
     assert got == [
         ("1", "3", "6", "8"),
         ("1", "3", "6", "9"),
@@ -115,7 +113,7 @@ def test_attrs_restrict_matching():
         ("q", "p", "r"),
         frozenset({(0, 1, "a"), (1, 2, "a"), (2, 0, "a")}),
     )
-    assert embeddings(wrong, g) == []
+    assert embedding_table(wrong, g).shape == (0, 3)
 
 
 def test_embeddings_match_oracle(rng):
@@ -145,15 +143,15 @@ def test_embeddings_match_oracle(rng):
                 frozenset({(0, 1, layers[1]), (2, 3, layers[2])})),
     ]
     for p in pats:
-        got = [e.nodes for e in embeddings(p, g)]
-        assert got == oracle_embeddings(p, g)
+        got = embedding_table(p, g).tolist()
+        assert got == [list(e) for e in oracle_embeddings(p, g)]
         assert min_image_support(p, g) == oracle_mis(p, g)
 
 
 def test_undirected_host_matches_both_directions(rng):
     g = rand_host(rng, 14, 2, 26, directed=False)
     p = single_edge_pattern(D, D, g.layer_names[0])
-    got = {e.nodes for e in embeddings(p, g)}
+    got = set(map(tuple, embedding_table(p, g).tolist()))
     assert got == {t[::-1] for t in got}
     assert got == set(oracle_embeddings(p, g))
 
@@ -232,7 +230,7 @@ def test_embeddings_match_networkx_on_large_hosts(rng, n, directed,
     ]
     for p in pats:
         want = nx_embeddings(p, g)
-        assert [e.nodes for e in embeddings(p, g)] == want
+        assert embedding_table(p, g).tolist() == [list(e) for e in want]
         mis = min(len(set(col)) for col in zip(*want)) if want else 0
         assert min_image_support(p, g) == mis
 
@@ -375,11 +373,6 @@ def pattern_pairs(draw):
 def test_code_equal_iff_isomorphic_with_separator_names(pair):
     p, q = pair
     assert (p.code == q.code) == oracle_isomorphic(p, q)
-
-
-def test_canonical_code_function_matches_property():
-    p = path_pattern(["a", "b"])
-    assert canonical_code(p) == p.code
 
 
 # The oracle's adversarial names: every code separator and the escape
@@ -614,7 +607,7 @@ def test_budget_error_carries_pattern_code(rng):
     g = rand_host(rng, 12, 1, 60, directed=True)
     p = path_pattern([g.layer_names[0]] * 2)
     with pytest.raises(MiningBudgetError) as err:
-        embeddings(p, g, budget=3)
+        embedding_table(p, g, budget=3)
     assert err.value.pattern_code == p.code
     assert err.value.budget == 3
 
@@ -628,7 +621,7 @@ def test_mine_budget_error_names_the_pattern():
     attrs.update({f"s{i}": "x" for i in range(10)})
     g = MultiplexGraph(triples, attrs=attrs, directed=True)
     star = Pattern(("h", "x", "x"), frozenset({(0, 1, "a"), (0, 2, "a")}))
-    assert len(embeddings(star, g)) == 90
+    assert len(embedding_table(star, g)) == 90
     with pytest.raises(MiningBudgetError) as err:
         mine(g, MinerConfig(min_support=1, max_nodes=3, budget=50))
     assert err.value.pattern_code == star.code
@@ -663,10 +656,46 @@ def test_mine_budget_error_names_the_smallest_code():
     out = mine(g, MinerConfig(min_support=1, max_nodes=2, budget=25),
                stats=stats)
     assert stats.max_rows == 20
-    assert len(embeddings(to_x, g)) == len(embeddings(to_xlt, g)) == 30
+    assert len(embedding_table(to_x, g)) == len(embedding_table(to_xlt, g)) == 30
     assert {to_x, to_xlt} <= set(mine(g, MinerConfig(min_support=1,
                                                      max_nodes=3)))
     assert len(out) == 3
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_mine_budget_error_matches_the_walk_oracle(data):
+    # Small random hosts (undirected ones sparser, since each of their
+    # edges grows both ways) and budgets near the rows: up to one past the
+    # most rows any pattern uses, and half the time at least the most rows
+    # of a single edge (a two-slot run's), so that later levels are over
+    # it too.  mine names the oracle's code and the budget, or finishes
+    # with every pattern when the oracle names none.
+    directed = data.draw(st.booleans(), "directed")
+    n_attrs = data.draw(st.integers(1, 3), "attributes")
+    n_layers = data.draw(st.integers(1, 2), "layers")
+    sigma = data.draw(st.integers(1, 3), "sigma")
+    max_nodes = data.draw(st.integers(2, 4), "max_nodes")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), "seed")
+    g = rand_host(np.random.default_rng(seed), 5, n_layers,
+                  9 if directed else 6, directed, attr_values="stu"[:n_attrs])
+    cfg = MinerConfig(min_support=sigma, max_nodes=max_nodes)
+    stats, single = MiningStats(), MiningStats()
+    full = [p.code for p in mine(g, cfg, stats=stats)]
+    assume(len(full) <= 250)  # the oracle's walk is plain Python
+    mine(g, MinerConfig(min_support=sigma, max_nodes=2), stats=single)
+    budget = data.draw(st.one_of(
+        st.integers(1, stats.max_rows + 1),
+        st.integers(single.max_rows, stats.max_rows + 1)), "budget")
+    want = oracle_budget_error(g, sigma, max_nodes, budget)
+    cfg.budget = budget
+    if want is None:
+        assert [p.code for p in mine(g, cfg)] == full
+        return
+    with pytest.raises(MiningBudgetError) as err:
+        mine(g, cfg)
+    assert err.value.pattern_code == want
+    assert err.value.budget == budget
 
 
 def _hub_host(spokes: int) -> MultiplexGraph:
@@ -694,26 +723,26 @@ def test_mine_step_over_budget_raises_before_allocating(move):
     assert parent.mined_on[0] is g
     child = Pattern(parent.attrs + ("x",) * (move == "new slot"),
                     parent.edges | {e})
-    assert len(embeddings(child, g)) > 0
+    assert len(embedding_table(child, g)) > 0
     edge = (*e[:2], g.layer_id(e[2]))
     want = g.arrays.attr_ids["x"] if move == "new slot" else -1
 
     def test(budget):
-        # The one child is named when it is over the budget.
-        return miner._test([parent], g, [0], [edge], [want], budget, 0,
-                           lambda over: child.code if over == [0] else "")
+        return miner._test([parent], g, [0], [edge], [want], budget, 0)
 
     tracemalloc.start()
     try:
-        with pytest.raises(MiningBudgetError) as err:
-            test(rows - 1)
+        verdict = test(rows - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err.value.pattern_code == child.code
-    assert err.value.budget == rows - 1
+    # The verdict names the one child, child 0, which mine raises as its
+    # budget error, and nothing is tested.
+    assert verdict.over.tolist() == [0]
+    assert len(verdict.sup) == len(verdict.rows) == len(verdict.tables) == 0
     assert peak < rows * 8  # not even one int64 column of the rows
     tested = test(rows)
+    assert tested.over.tolist() == []
     table, used = tested.tables[0], tested.rows[0]
     assert used == rows
     assert np.array_equal(table, embedding_table(child, g))
@@ -900,8 +929,8 @@ def _assert_closing_pass_matches_fresh_joins(g, monkeypatch, sigma,
     batches = []
     real = miner._test
 
-    def spy(parents, g_, of, edges, attrs, budget, sigma_, name):
-        out = real(parents, g_, of, edges, attrs, budget, sigma_, name)
+    def spy(parents, g_, of, edges, attrs, budget, sigma_):
+        out = real(parents, g_, of, edges, attrs, budget, sigma_)
         names = {v: x for x, v in g_.arrays.attr_ids.items()}
         closing = {}
         for i, (sup, kept) in enumerate(zip(out.sup, out.tables)):
