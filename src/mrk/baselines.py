@@ -41,10 +41,7 @@ class LayerCooccurrence:
 
 
 def layer_cooccurrence(g: MultiplexGraph) -> LayerCooccurrence:
-    u, v, l = g.space.ids(g.arrays.keys)
-    if not g.directed:
-        unit = u < v  # one key per edge unit
-        u, v, l = u[unit], v[unit], l[unit]
+    u, v, l = g.space.ids(g.unit_keys)
     pairs, row = np.unique(g.space.pair(u, v), return_inverse=True)
     present = np.zeros((len(pairs), g.n_layers), dtype=bool)
     present[row, l] = True

@@ -544,7 +544,7 @@ def gen_synth_cmd(sizes, communities, pin, pout, seed, backbone, out_path):
         _atomic_write(out_path, lambda tmp: write_edge_file(g, tmp))
     manifest.write(out_path + ".manifest.json", out_path)
     click.echo(
-        f"{g.n_nodes} nodes, {len(g.unit_triples())} edges, "
+        f"{g.n_nodes} nodes, {len(g.unit_keys)} edges, "
         f"{g.n_layers} layers"
     )
 
@@ -586,7 +586,7 @@ def transform_cmd(edge_path, attr_path, directed, comune, target, out_path):
         _atomic_write(attrs_out, lambda tmp: write_attr_file(out_g, tmp))
     manifest.write(out_path + ".manifest.json", out_path, attrs_out)
     click.echo(
-        f"{out_g.n_nodes} nodes, {len(out_g.unit_triples())} edges, "
+        f"{out_g.n_nodes} nodes, {len(out_g.unit_keys)} edges, "
         f"{out_g.n_layers} layers"
     )
 

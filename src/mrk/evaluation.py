@@ -188,10 +188,7 @@ def candidates(
         raise EvaluationError("sampled mode needs a positive sample size k")
     space, train = split.space, split.train
     n, _, nl = space.shape
-    u, v, l = space.ids_from(train.arrays.keys, train.space)
-    if not split.directed:
-        unit = u < v  # one key per edge unit
-        u, v, l = u[unit], v[unit], l[unit]
+    u, v, l = space.ids_from(train.unit_keys, train.space)
     excluded = np.concatenate([space.key(u, v, l), split.positive_keys()])
     pairs = n * (n - 1) if split.directed else n * (n - 1) // 2
     population = pairs * nl - len(excluded)

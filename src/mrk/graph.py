@@ -14,7 +14,8 @@ A graph stores its edges once, as the sorted int64 keys of its link
 :class:`KeySpace`.  Everything else about the edges is read from those
 keys: the id-triple set ``edges`` and the per-layer node sets
 ``layer_nodes`` are built on first read, and so is the CSR index
-``arrays``, whose ``keys`` is the store itself.
+``arrays``, whose ``keys`` is the store itself; ``unit_keys`` holds one
+key per edge unit.
 """
 
 from __future__ import annotations
@@ -259,7 +260,8 @@ class MultiplexGraph:
         return name in self._node_id
 
     def has_edge(self, u: int, v: int, l: int) -> bool:
-        return (u, v, l) in self.edges
+        """Is id triple (u, v, l) a stored edge?  One lookup in the store."""
+        return bool(self.arrays.is_edge(np.int64(self.space.key(u, v, l))))
 
     @cached_property
     def space(self) -> KeySpace:
@@ -270,6 +272,17 @@ class MultiplexGraph:
     def edges(self) -> FrozenSet[Tuple[int, int, int]]:
         """Stored edges as (src, dst, layer) id triples, built on first read."""
         return frozenset(zip(*(x.tolist() for x in self.space.ids(self._keys))))
+
+    @property
+    def unit_keys(self) -> np.ndarray:
+        """One sorted, read-only key per edge unit: the store itself when
+        directed, else the key of each symmetric pair with u < v."""
+        if self.directed:
+            return self._keys
+        u, v, _ = self.space.ids(self._keys)
+        keys = self._keys[u < v]
+        keys.flags.writeable = False
+        return keys
 
     @cached_property
     def layer_nodes(self) -> List[Set[int]]:
@@ -318,15 +331,10 @@ class MultiplexGraph:
         return self.space.decode(self._keys)
 
     def unit_triples(self) -> List[Tuple[str, str, str]]:
-        """Edge units for splitting and serialization, sorted.
-
-        Directed graphs: every stored triple.  Undirected graphs: one
-        canonical (min, max, layer) triple per symmetric pair.
-        """
-        if self.directed:
-            return self.name_triples()
-        u, v, _ = self.space.ids(self._keys)
-        return self.space.decode(self._keys[u < v])
+        """Edge units for splitting and serialization: the names of
+        :attr:`unit_keys`, so every stored triple when directed, else one
+        (min, max, layer) triple per symmetric pair, sorted."""
+        return self.space.decode(self.unit_keys)
 
     def attr_map(self) -> Dict[str, str]:
         """Node name to attribute, only for non-default attributes."""

@@ -24,13 +24,13 @@ the returned patterns carry their tables, which rule scoring reads.  A
 lattice level is integer arrays from growth to support: :func:`_grow`
 grows the whole frontier as rows of attribute ids and edge codes,
 :class:`_Children` sorts them into isomorphism classes, and :func:`_test`
-tests the level's candidates in a few vectorised passes and returns the
-level's budget verdict, which :func:`mine` raises after the level's
-anti-monotone checks.  Only frequent children become :class:`Pattern`
-objects.  :func:`embedding_table` joins a pattern from scratch on the
-same two steps, one slot at a time, for patterns that carry no table for
-the host at hand.  The budget caps the candidate rows one pattern
-generates, which bounds its memory.
+tests the level's candidates in a few vectorised passes and names the
+over-budget children of the first parent that has any, which :func:`mine`
+raises after the level's anti-monotone checks.  Only frequent children
+become :class:`Pattern` objects.  :func:`embedding_table` joins a pattern
+from scratch on the same two steps, one slot at a time, for patterns that
+carry no table for the host at hand.  The budget caps the candidate rows
+one pattern generates, which bounds its memory.
 
 Candidates are deduplicated by canonical form, FSG's dedup step done in
 bulk: :func:`_canonical_rows` ranks every slot permutation of a whole
@@ -464,9 +464,10 @@ _SEEN_CELLS = 1 << 20
 class _Tested(NamedTuple):
     """Per tested child: its support, the candidate rows its join step
     generated, the rows of its table, and the table itself when the
-    child is frequent (else None).  ``over`` holds the children that a
-    budget error names, ascending; it is empty when every child fits the
-    budget (see :func:`_test`)."""
+    child is frequent (else None).  ``over`` holds, ascending, the
+    children over the budget of the first parent that has any, among
+    which a budget error names one; it is empty when every child fits
+    the budget (see :func:`_test`)."""
 
     sup: np.ndarray
     rows: np.ndarray
@@ -573,13 +574,11 @@ def _test(
     order, new nodes ascending within each, so a sorted parent table gives
     a sorted child table.
 
-    ``of`` is ascending and a parent's closing children come before its
-    new-slot ones.  The rows every child generates are known before
+    ``of`` is ascending.  The rows every child generates are known before
     anything is allocated.  The children of the parents before the first
     parent with a child over ``budget`` are tested and returned, and
-    ``over`` lists the children of that parent which the budget error
-    names: all its closing children when their rows are over the budget,
-    else its new-slot children over it.  Children are tested in passes
+    ``over`` lists that parent's children over the budget, among which
+    the budget error names one.  Children are tested in passes
     of at most :data:`_PASS_ROWS` candidate rows (or one child), each
     over a copy of its parents' tables end to end, and a child below
     ``sigma`` never keeps its table.
@@ -603,8 +602,7 @@ def _test(
     cut = len(of)
     if len(over):
         cut = int(of.searchsorted(of[over[0]]))
-        batch = 2 * of + grows
-        over = over[batch[over] == batch[over[0]]]
+        over = over[of[over] == of[over[0]]]
     of, k_of, grows = of[:cut], k_of[:cut], grows[:cut]
 
     sup = np.zeros(cut, dtype=np.int64)
@@ -983,17 +981,18 @@ def mine(
     The frontier is walked in code order, and each class is tested at its
     first growth: by the first parent that grows it, from that parent's
     table and in its slot numbering.  :func:`_test` tests all of them in
-    a few passes, each parent's closing children before its new-slot
-    ones, up to the first parent with a child over the budget.  Then
-    every growth of every parent is checked against the parent's
+    a few passes, up to the first parent with a child over the budget.
+    Then every growth of every parent is checked against the parent's
     support: a child above it would contradict the anti-monotone support
     measure and raises :class:`MiningInvariantError`, naming the first
-    such growth in the walk.  A budget error names the first child over
-    the budget in this walk, the one with the smallest code when several
-    children of one parent's batch are over it (``_test``'s verdict); it
-    is raised after the checks of the parents before it.  Only frequent
-    children become :class:`Pattern` objects, with codes; sorted by code,
-    they are the next frontier.  The counters always go to a :class:`MiningStats`:
+    such growth in the walk.  A budget error names, at the first parent
+    with a child over the budget, the smallest code among its children
+    over it (``_test``'s verdict); it is raised after the checks of the
+    parents before it.  Only a new-slot child can be over: a closing
+    child's rows are its parent's table rows, and the parent's own step
+    generated at least that many.  Only frequent children become
+    :class:`Pattern` objects, with codes; sorted by code, they are the
+    next frontier.  The counters always go to a :class:`MiningStats`:
     ``stats``, or a private one when it is None.
 
     Returns the frequent patterns sorted by code, each carrying its

@@ -8,6 +8,11 @@ were mined on the scored graph itself and joins afresh otherwise.  Links
 that already exist are skipped; the rest are aggregated into a score table
 under one of several weighting schemes.  By default a rule contributes at
 most once per target, however many embeddings propose it.
+
+Score tables are read for a key list on one route:
+:meth:`ScoreTable.lookup` finds the keys in several tables and
+:meth:`Lookup.fill` writes any row range of their score matrix;
+:meth:`ScoreTable.scores_for` is its one-table case.
 """
 
 from __future__ import annotations
@@ -146,30 +151,19 @@ class ScoreTable:
         Each key is looked up by its names.  A link the table lacks falls
         back to its layer-less pair in canonical (min, max) order, so
         single-layer tables answer multiplex queries.  Keys found neither
-        way score 0.  This is :meth:`matrix_for` with one table.
+        way score 0.  This is :meth:`lookup` and :meth:`Lookup.fill` with
+        one table.
         """
-        return ScoreTable.matrix_for([self], keys, space)[:, 0]
-
-    @staticmethod
-    def matrix_for(tables: Sequence["ScoreTable"], keys,
-                   space: KeySpace) -> np.ndarray:
-        """Scores of ``space``'s ``keys`` in every table, as a C-ordered
-        float array with one row per key and one column per table: column
-        ``j`` holds ``tables[j].scores_for(keys, space)``.
-
-        This is :meth:`lookup` and one :meth:`Lookup.fill` of all rows, so
-        besides the result it holds one int32 position per key and group
-        of tables and the chunk at hand.  Callers that can consume the
-        matrix in row blocks call those two themselves.
-        """
-        out = np.empty((len(keys), len(tables)))
-        return ScoreTable.lookup(tables, keys, space).fill(out)
+        out = np.empty((len(keys), 1))
+        return ScoreTable.lookup([self], keys, space).fill(out)[:, 0]
 
     @staticmethod
     def lookup(tables: Sequence["ScoreTable"], keys,
                space: KeySpace) -> "Lookup":
         """Where each of ``space``'s ``keys`` sits in each table, as a
-        :class:`Lookup` that fills any row range of :meth:`matrix_for`.
+        :class:`Lookup` that fills any row range of their (keys, tables)
+        score matrix, whose column ``j`` holds ``tables[j].scores_for(keys,
+        space)``.
 
         Tables holding equal keys in equal spaces (the classical indices'
         pair keys) share one search, decided once per call.  The keys are

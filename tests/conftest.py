@@ -252,12 +252,14 @@ def oracle_frequent(
     return {c: s for c, s in by_code.items() if s >= sigma}
 
 
-def _oracle_walk(g: MultiplexGraph, sigma: int, max_nodes: int,
-                 budget: Optional[int]) -> Tuple[dict, Optional[str]]:
+def _oracle_walk(
+    g: MultiplexGraph, sigma: int, max_nodes: int, budget: Optional[int],
+) -> Tuple[dict, Optional[Tuple[str, str]]]:
     """The lattice walk of ``mine`` over plain patterns: its counters, as
-    ``MiningStats`` names them, and the code its budget error names, or
-    None when no pattern is over ``budget`` (or ``budget`` is None).  The
-    counters are those of a walk that finishes.
+    ``MiningStats`` names them, and the code its budget error names with
+    the kind of growth that made it ("single edge", "closing" or "new
+    slot"), or None when no pattern is over ``budget`` (or ``budget`` is
+    None).  The counters are those of a walk that finishes.
 
     Level 1 tests every single-edge type in the host, and the frequent
     ones, sorted by code, are the first frontier.  Each level walks its
@@ -279,7 +281,10 @@ def _oracle_walk(g: MultiplexGraph, sigma: int, max_nodes: int,
     error names the first frequent type in code order over the budget;
     then, at the first parent in code order with a tested child over it,
     the smallest code among its closing children when they are over it,
-    else among its new-slot children over it.
+    else among its new-slot children over it.  (Under ``mine`` a closing
+    child is never over: its rows are its parent's embeddings, and the
+    parent's own step generated at least that many.  The closing branch
+    stays as reference.)
     """
     ln = g.layer_names
     attrs = g.attrs
@@ -287,7 +292,7 @@ def _oracle_walk(g: MultiplexGraph, sigma: int, max_nodes: int,
     for u, v, l in g.edges:
         deg[False][u, l] = deg[False].get((u, l), 0) + 1
         deg[True][v, l] = deg[True].get((v, l), 0) + 1
-    named: Optional[str] = None
+    named: Optional[Tuple[str, str]] = None
     rows_of: List[int] = []
     kept = 0
 
@@ -311,7 +316,7 @@ def _oracle_walk(g: MultiplexGraph, sigma: int, max_nodes: int,
         rows = attrs.count(p.attrs[0]) + sum(
             attrs[u] == p.attrs[0] and ln[l] == lay for u, _, l in g.edges)
         if budget is not None and rows > budget:
-            named = code(p)
+            named = code(p), "single edge"
             break
         rows_of.append(rows)
         kept += len(embedding_table(p, g))
@@ -352,7 +357,9 @@ def _oracle_walk(g: MultiplexGraph, sigma: int, max_nodes: int,
             over = [(closing, cc) for cc, (closing, rows) in first.items()
                     if budget is not None and rows > budget]
             if over:
-                named = min(cc for closing, cc in over if closing == over[0][0])
+                closing = over[0][0]
+                named = (min(cc for c, cc in over if c == closing),
+                         "closing" if closing else "new slot")
                 break
             for c, cc in kids:
                 if cc not in sup_of:
@@ -382,9 +389,10 @@ def oracle_mining_stats(g: MultiplexGraph, sigma: int, max_nodes: int) -> dict:
 
 
 def oracle_budget_error(g: MultiplexGraph, sigma: int, max_nodes: int,
-                        budget: int) -> Optional[str]:
+                        budget: int) -> Optional[Tuple[str, str]]:
     """The code of the pattern that ``mine`` names in its budget error at
-    ``budget`` (see :func:`_oracle_walk`), or None when it finishes."""
+    ``budget`` and the kind of growth that made it (see
+    :func:`_oracle_walk`), or None when it finishes."""
     return _oracle_walk(g, sigma, max_nodes, budget)[1]
 
 

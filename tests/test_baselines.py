@@ -565,7 +565,8 @@ def test_ensemble_base_streams_the_materialised_matrix(monkeypatch, rows):
         for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
             keys = rng.permutation(size)[:n]
             got = ensemble(tables, keys, (), space, mode="base")
-            x = ScoreTable.matrix_for(tables, keys, space)
+            x = ScoreTable.lookup(tables, keys, space).fill(
+                np.empty((len(keys), m)))
             _zscore_reference(x)
             want = x @ np.ones(m)
             assert got.tobytes() == want.tobytes(), (m, n)
@@ -602,7 +603,8 @@ def test_ensemble_matches_per_key_oracle():
     base = ensemble(tables, qkeys, qtruth, space, mode="base")
     assert base.tolist() == (z @ np.ones(len(tables))).tolist()
     # The ensemble's z matrix is bitwise the old formula's.
-    got = ScoreTable.matrix_for(tables, qkeys, space)
+    got = ScoreTable.lookup(tables, qkeys, space).fill(
+        np.empty((len(qkeys), len(tables))))
     assert got.tobytes() == x.tobytes()
     old = x.copy()
     _zscore_streamed(got)

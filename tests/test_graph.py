@@ -156,6 +156,40 @@ def test_is_edge_equals_the_edge_set(rng, monkeypatch, directed, over_cap):
     assert sum(want) == g.n_edges
 
 
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("over_cap", [False, True])
+def test_has_edge_equals_the_edge_set(rng, monkeypatch, directed, over_cap):
+    # Every id triple, read from the mask and, past the cap, by a search
+    # of the key store; neither builds the edges view.
+    g = adversarial_host(rng, directed, 2)
+    monkeypatch.setattr(graph, "LINK_MASK_CAP",
+                        g.n_nodes ** 2 * g.n_layers - over_cap)
+    assert (g.arrays.mask is None) == over_cap
+    triples = itertools.product(range(g.n_nodes), range(g.n_nodes),
+                                range(g.n_layers))
+    found = {t for t in triples if g.has_edge(*t)}
+    assert "edges" not in vars(g)
+    assert found == g.edges
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_unit_keys_hold_one_key_per_edge_unit(rng, directed):
+    # Names hold code separators and "::".  A directed graph's units are
+    # its stored keys; an undirected one keeps the u < v key of each
+    # symmetric pair.
+    g = adversarial_host(rng, directed, 2)
+    keys = g.unit_keys
+    assert not keys.flags.writeable and (np.diff(keys) > 0).all()
+    if directed:
+        assert keys is g.arrays.keys
+    else:
+        u, v, l = g.space.ids(keys)
+        assert (u < v).all() and 2 * len(keys) == g.n_edges
+        both = np.concatenate([keys, g.space.key(v, u, l)])
+        assert np.sort(both).tolist() == g.arrays.keys.tolist()
+    assert g.space.decode(keys) == g.unit_triples()
+
+
 # Names that hold code separators and the replica separator "::".
 _NAMES = st.one_of(st.text("ab%|,>:;=", min_size=1, max_size=3),
                    st.sampled_from(["a::b", "::", "%::|"]))

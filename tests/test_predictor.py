@@ -787,14 +787,18 @@ def _check_matrix_for(rng, n_keys):
     assert (math.prod(part.shape), part.shape[0] ** 2) == (243, 81)
     q = rng.integers(0, n * n * nl, n_keys)  # any order, repeats
     names = space.decode(q)
-    got = ScoreTable.matrix_for(tables, q, space)
+    got = ScoreTable.lookup(tables, q, space).fill(
+        np.empty((len(q), len(tables))))
     assert got.shape == (len(q), len(tables)) and got.flags.c_contiguous
     for j, t in enumerate(tables):
         want = [oracle_lookup(t, k) for k in names]
         assert got[:, j].tolist() == want, t.scheme
         assert t.scores_for(q, space).tolist() == want, t.scheme
-    assert ScoreTable.matrix_for(tables, [], space).shape == (0, len(tables))
-    assert ScoreTable.matrix_for([], q, space).shape == (len(q), 0)
+    empty = ScoreTable.lookup(tables, [], space).fill(
+        np.empty((0, len(tables))))
+    assert empty.shape == (0, len(tables))
+    assert ScoreTable.lookup([], q, space).fill(
+        np.empty((len(q), 0))).shape == (len(q), 0)
 
 
 def test_scores_csv_round_trip(tmp_path, mined_directed):
