@@ -5,9 +5,9 @@ concrete host nodes: a close rule a missing link, a new-node rule a slot
 where a newcomer attaches.  Both scorers share one walk by antecedent
 (:func:`_proposals`), which reads the tables mining carried when the rules
 were mined on the scored graph itself and joins afresh otherwise.  Links
-that already exist are skipped; the rest are aggregated into a score table
-under one of several weighting schemes.  By default a rule contributes at
-most once per target, however many embeddings propose it.
+that already exist are skipped, by one edge test per call; the rest are
+aggregated into a score table under one of several weighting schemes, by
+default each rule once per target however many embeddings propose it.
 
 Score tables are read for a key list on one route:
 :meth:`ScoreTable.lookup` finds the keys in several tables and
@@ -21,18 +21,14 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from .errors import MrkError
-from .graph import (
-    ATTR_DEFAULT,
-    DIRECTIONS,
-    LINK_MASK_CAP,
-    KeySpace,
-    MultiplexGraph,
-)
+from .graph import (ATTR_DEFAULT, DIRECTIONS, LINK_MASK_CAP, KeySpace,
+                    MultiplexGraph)
 from .miner import DEFAULT_BUDGET
 from .rules import Rule
 
@@ -79,9 +75,9 @@ class ScoreTable:
     ``values`` their scores; ``pair_keys`` holds layer-less node pairs as
     ``space.pair`` keys with ``pair_values``.  Either part may be empty.  Keys
     and values may be given as any sequences; construction makes them
-    int64 and float64 arrays in ascending key order.
-    ``scores`` and ``provenance`` are name-keyed views built on first
-    read.
+    int64 and float64 arrays in ascending key order.  A table scored from
+    rules keeps its ``entries`` (see :func:`_aggregate`).  ``contributors``,
+    ``scores`` and ``provenance`` are built on first read.
     """
 
     scheme: str
@@ -90,7 +86,7 @@ class ScoreTable:
     values: np.ndarray = ()
     pair_keys: np.ndarray = ()
     pair_values: np.ndarray = ()
-    contributors: Optional[Contributors] = None
+    entries: Optional[tuple] = None
 
     def __post_init__(self):
         self.keys, self.values = _by_key(self.keys, self.values)
@@ -132,6 +128,21 @@ class ScoreTable:
             pairs = zip(nodes[u].tolist(), nodes[v].tolist())
             out.update(zip(pairs, self.pair_values.tolist()))
         return out
+
+    @cached_property
+    def contributors(self) -> Optional[Contributors]:
+        """Each scored key's rules, or None if not scored from rules."""
+        if self.entries is None:
+            return None
+        rules, at, lengths = self.entries
+        n = len(rules)
+        # A rule proposes a key at most once, so sorting ``at * n + rule``
+        # groups the entries by key, in rule order within a key.
+        order = np.sort(at * np.int64(n) + np.repeat(np.arange(n), lengths))
+        order %= n
+        ptr = np.zeros(len(self.keys) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(at, minlength=len(self.keys)), out=ptr[1:])
+        return Contributors(tuple(r.rid for r in rules), ptr, order)
 
     @cached_property
     def provenance(self) -> Dict[Tuple, Tuple[str, ...]]:
@@ -337,108 +348,106 @@ def _rank(flat: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _proposals(g: MultiplexGraph, rules: Sequence[Rule], reads: Sequence,
-               scale: int, budget: int) -> Iterator[tuple]:
+               per_embedding: bool, budget: int) -> Iterator[tuple]:
     """The antecedent walk of both scorers.
 
-    ``reads[i]`` is the tuple of antecedent slots ``rules[i]`` reads, or
-    None if it proposes nothing.  Consecutive reading rules that share one
-    antecedent object form a run, whose table is read once by ``table_in``.
-    Each distinct tuple of a run is reduced once by ``np.unique`` to its
-    distinct host nodes (one slot) or ``g.space.pair`` keys (two slots, as
-    (min, max) when ``g`` is undirected), times ``scale``.  Yields
-    ``(i, keys, counts)`` per reading rule, in rule order.
+    ``reads[i]`` is None if ``rules[i]`` proposes nothing, else starts
+    with the slots of its antecedent it reads.  Consecutive reading rules
+    that share one antecedent object form a run, whose table is read once
+    by ``table_in``.  Each distinct slot tuple of a run is reduced once to
+    its distinct host nodes (one slot) or ``g.space.pair`` keys (two slots,
+    as (min, max) when ``g`` is undirected) by an in-place sort and one
+    ``not_equal`` mark of each key's first occurrence, whose gaps count its
+    embeddings.  Yields ``(i, keys, times)`` per rule that proposes a key,
+    in rule order: its keys and, with ``per_embedding``, their embedding
+    counts (else None).
     """
     last = None  # the antecedent whose table ``emb`` holds
     for i, read in enumerate(reads):
         if read is None:
             continue
+        cols = read[0]
         if rules[i].antecedent is not last:
             last = rules[i].antecedent
             emb, reduced = last.table_in(g, budget), {}
-        if read not in reduced:
-            flat = emb[:, read[0]]
-            if len(read) == 2:
-                u, v = flat, emb[:, read[1]]
+        if cols not in reduced:
+            if len(cols) == 2:
+                u, v = emb[:, cols[0]], emb[:, cols[1]]
                 if not g.directed:
                     u, v = np.minimum(u, v), np.maximum(u, v)
                 flat = g.space.pair(u, v)
-            keys, counts = np.unique(flat, return_counts=True)
-            keys *= scale
-            reduced[read] = keys, counts
-        yield (i, *reduced[read])
+            else:  # a view into the table, which the sort must not reorder
+                flat = emb[:, cols[0]].copy()
+            flat.sort()
+            first = np.ones(len(flat), dtype=bool)
+            np.not_equal(flat[1:], flat[:-1], out=first[1:])
+            reduced[cols] = flat[first], (np.diff(
+                np.flatnonzero(first), append=len(flat)) if per_embedding
+                else None)
+        if reduced[cols][0].size:
+            yield (i, *reduced[cols])
 
 
-def _aggregate(scheme: str, rules: Sequence[Rule], proposals: Iterator[tuple],
-               per_embedding: bool, size: int) -> tuple:
-    """Combine the rules' proposals under one weighting scheme.
+def _aggregate(scheme: str, rules: Sequence[Rule], reads: Sequence,
+               walk: Iterator[tuple], scale: int, size: int,
+               existing: Optional[Callable] = None) -> tuple:
+    """Combine the proposals of a :func:`_proposals` walk under one
+    weighting scheme, in passes over the whole call.
 
-    ``proposals`` yields ``(i, keys, hits)`` in rule order: the distinct
-    keys, out of a space of ``size``, that ``rules[i]`` proposes and how
-    many embeddings propose each.  A rule adds its weight once per key, or
-    once per proposing embedding with ``per_embedding``.  Entries stay in
-    rule order, and ``np.bincount`` adds in array order, so every sum is
-    the one taken rule by rule.
+    The walk's keys are concatenated in rule order, times ``scale`` plus
+    each rule's offset, the second item of its read; ``existing`` (one
+    call) flags the keys to drop, and a rule left without a key proposes
+    nothing.  A rule adds its weight once per key, or once per proposing
+    embedding when the walk counts them.  Entries stay in rule order, and
+    ``np.bincount`` adds in array order, so every sum is the one taken rule
+    by rule.  Lift schemes skip rules whose lift is NaN: they neither score
+    nor contribute.  The keys are ranked on their space of ``size``
+    through a presence mask where the edge mask covers it (no sort).
 
-    Returns the scored keys (sorted), their scores, their contributors,
-    and the indices of the rules that proposed a key, which ``rids``
-    names.  Lift schemes skip rules whose lift is NaN: they neither score
-    nor contribute, and keys that only such rules propose are dropped.
+    Returns the indices of the rules that proposed a key, the scored keys
+    (sorted), their scores, and the table's ``entries``: those rules, each
+    entry's key rank and each rule's entry count, from which
+    :attr:`ScoreTable.contributors` is built.
     """
-    used, keys, hits = [], [], []
-    for i, key, times in proposals:
-        if key.size:
-            used.append(i)
-            keys.append(key)
-            hits.append(times)
-    if not keys:
-        e = np.empty(0, dtype=np.int64)
-        return e, np.empty(0), Contributors((), np.zeros(1, np.int64), e), used
-    rules = [rules[i] for i in used]
-    lengths = [len(k) for k in keys]
-    flat = np.concatenate(keys)
-    del keys
-    ukeys, at = _rank(flat, size)
-    del flat
-    rule_of = np.repeat(np.arange(len(rules), dtype=np.int32), lengths)
-    times = np.concatenate(hits) if per_embedding else None
-    del hits
-    m = len(ukeys)
-    weight = np.array([r.lift if scheme.startswith("lift") else r.confidence
-                       for r in rules])
+    used, parts, hits = [], [np.empty(0, dtype=np.int64)], []
+    for i, keys, times in walk:
+        used.append(i)
+        parts.append(keys)
+        hits.append(times)
+    lengths = np.array([len(k) for k in parts[1:]], dtype=np.int64)
+    keys = np.concatenate(parts)
+    times = (None if hits and hits[0] is None
+             else np.concatenate(parts[:1] + hits))
+    del parts, hits
+    keys *= scale
+    keys += np.repeat(np.array([reads[i][1] for i in used], dtype=np.int32),
+                      lengths)
+    if existing is not None:
+        keep = ~existing(keys)
+        keys, times = keys[keep], None if times is None else times[keep]
+        lengths = np.add.reduceat(keep, np.cumsum(lengths) - lengths,
+                                  dtype=np.int64)
+        del keep
+        used = [i for i, n in zip(used, lengths.tolist()) if n]
+        lengths = lengths[lengths > 0]
+    weight = np.array([rules[i].lift if scheme.startswith("lift")
+                       else rules[i].confidence for i in used])
     skip = np.isnan(weight)
     if skip.any():
-        use = ~skip[rule_of]
-        at, rule_of = at[use], rule_of[use]
-        if times is not None:
-            times = times[use]
-        del use
-    counts = np.bincount(at, minlength=m)
-    n_hits = counts if times is None else np.bincount(at, times, minlength=m)
+        use = np.repeat(~skip, lengths)
+        keys, times = keys[use], None if times is None else times[use]
+        lengths = np.where(skip, 0, lengths)
+    ukeys, at = _rank(keys, size)
+    del keys
+    m = len(ukeys)
     if scheme == "count":
-        score = n_hits.astype(np.float64)
+        score = np.bincount(at, times, minlength=m).astype(np.float64)
     else:
-        w = weight[rule_of]
+        w = np.repeat(weight, lengths)
         score = np.bincount(at, w if times is None else w * times, minlength=m)
-        del w
-    del times
-    kept = n_hits > 0
-    score, n_hits = score[kept], n_hits[kept]
-    if scheme.endswith("-mean"):
-        score = score / n_hits
-    # Contributors: every entry left is a kept key's.  A rule proposes a
-    # key at most once, so ``at * R + rule`` is distinct per entry and its
-    # sort groups the entries by key, in rule order within a key.
-    order = at.astype(np.int64)
-    del at
-    order *= len(rules)
-    order += rule_of
-    del rule_of
-    order.sort()
-    order %= len(rules)
-    ptr = np.zeros(len(score) + 1, dtype=np.int64)
-    np.cumsum(counts[kept], out=ptr[1:])
-    rids = tuple(r.rid for r in rules)
-    return ukeys[kept], score, Contributors(rids, ptr, order), used
+        if scheme.endswith("-mean"):
+            score = score / np.bincount(at, times, minlength=m)
+    return used, ukeys, score, (tuple(rules[i] for i in used), at, lengths)
 
 
 def score_links(
@@ -457,10 +466,9 @@ def score_links(
     proposing embedding contributes instead of each rule once.
 
     A close rule whose delta layer ``g`` has reads those two slots through
-    the walk :func:`_proposals`, as link keys on layer 0; it adds its
-    layer id and keeps the links that one ``is_edge`` gather finds
-    missing.  :func:`_aggregate` ranks the keys on the link space (a
-    presence mask, no sort, on spaces the edge mask covers) and sums them.
+    the walk :func:`_proposals`, as node pairs.  :func:`_aggregate` adds
+    the rules' layers, drops the existing links of all rules with one
+    ``is_edge`` call, and ranks and sums the rest.
     """
     _check_scheme(scheme)
     reads: List[Optional[tuple]] = []
@@ -472,18 +480,13 @@ def score_links(
         cols = (amap.index(ds), amap.index(dd))
         # Symmetric storage: (u, v) is an edge iff (v, u) is, so in an
         # undirected graph both orientations share one reduction.
-        reads.append(cols if g.directed else tuple(sorted(cols)))
-
-    def missing(i, key, times):
-        key = key + g.layer_id(rules[i].delta_edge[2])  # pair(u, v) * L + l
-        keep = ~g.arrays.is_edge(key)
-        return (i, key, times) if keep.all() else (i, key[keep], times[keep])
-
-    walk = _proposals(g, rules, reads, g.n_layers, budget)
-    ukeys, scores, contrib, _ = _aggregate(
-        scheme, rules, (missing(*p) for p in walk), per_embedding,
-        math.prod(g.space.shape))
-    return ScoreTable(scheme, g.space, ukeys, scores, contributors=contrib)
+        reads.append((cols if g.directed else tuple(sorted(cols)),
+                      g.layer_id(dl)))
+    _, ukeys, scores, entries = _aggregate(
+        scheme, rules, reads, _proposals(g, rules, reads, per_embedding,
+                                         budget),
+        g.n_layers, math.prod(g.space.shape), g.arrays.is_edge)
+    return ScoreTable(scheme, g.space, ukeys, scores, entries=entries)
 
 
 def score_old_new(
@@ -503,34 +506,31 @@ def score_old_new(
     undirected graphs collapse both orientations to "out".  Slots are keys
     of a slot space over the graph's nodes and the layers of the graph and
     of the rules.  Such a rule reads its anchor through the walk of
-    :func:`score_links`, as (node, 0, 0) keys, and adds its (layer,
-    direction) offset; the same :func:`_aggregate` sums the keys.
+    :func:`score_links`, as (node, 0, 0) keys plus its (layer, direction)
+    offset; the same :func:`_aggregate` sums the keys.
     """
     _check_scheme(scheme)
-    growth = [r for r in rules if r.new_node]
-    layers = sorted(set(g.layer_names) | {r.delta_edge[2] for r in growth})
+    layers = sorted(set(g.layer_names)
+                    | {r.delta_edge[2] for r in rules if r.new_node})
     layer_of = {x: i for i, x in enumerate(layers)}
     space = KeySpace.slots(g.node_names, tuple(layers))
-    reads: List[Optional[tuple]] = []
-    offset: Dict[int, int] = {}
-    fresh: Dict[int, str] = {}  # attribute of each reading rule's new slot
-    for i, rule in enumerate(rules):
+    reads: List[Optional[tuple]] = []  # plus the new slot's attribute
+    for rule in rules:
         (ds, dd, dl), amap = rule.delta_edge, rule.antecedent_map
         if not rule.new_node or not (ds in amap or dd in amap):
             reads.append(None)
             continue
         anchor, direction, new = ((ds, "out", dd) if ds in amap
                                   else (dd, "in", ds))
-        reads.append((amap.index(anchor),))
-        offset[i] = space.key(0, layer_of[dl], DIRECTIONS.index(
-            direction if g.directed else "out"))
-        fresh[i] = rule.consequent.attrs[new]
-    walk = _proposals(g, rules, reads, space.key(1, 0, 0), budget)
-    ukeys, scores, contrib, used = _aggregate(
-        scheme, rules, ((i, k + offset[i], c) for i, k, c in walk),
-        per_embedding, math.prod(space.shape))
-    return OldNewScoreTable(scheme, space, ukeys, scores, contributors=contrib,
-                            fresh=tuple(fresh[i] for i in used))
+        d = DIRECTIONS.index(direction if g.directed else "out")
+        reads.append(((amap.index(anchor),), space.key(0, layer_of[dl], d),
+                      rule.consequent.attrs[new]))
+    used, ukeys, scores, entries = _aggregate(
+        scheme, rules, reads, _proposals(g, rules, reads, per_embedding,
+                                         budget),
+        space.key(1, 0, 0), math.prod(space.shape))
+    return OldNewScoreTable(scheme, space, ukeys, scores, entries=entries,
+                            fresh=tuple(reads[i][2] for i in used))
 
 
 # -- serialization ----------------------------------------------------------

@@ -461,6 +461,94 @@ def test_rules_on_a_layer_the_host_lacks_score_as_the_oracle(mined_fold):
     assert check_oracle(train, moved) == 20
 
 
+def test_contributors_are_built_on_first_read(mined_fold, monkeypatch):
+    # Scoring builds no Contributors and names no rule; the first read of
+    # contributors, provenance or new_attrs builds them from the rules the
+    # table kept, whatever the caller did to its own list meanwhile.
+    g, train, rules = mined_fold
+    built, named = [], []
+    real, rid = predictor.Contributors, Rule.rid
+
+    def contributors(*args):
+        built.append(args)
+        return real(*args)
+
+    def counted_rid(rule):
+        named.append(rule)
+        return rid.func(rule)
+
+    monkeypatch.setattr(predictor, "Contributors", contributors)
+    monkeypatch.setattr(Rule, "rid", property(counted_rid))
+    cases = [(host, scheme, per_embedding, old_new)
+             for host in (train, g) for scheme in WEIGHTING_SCHEMES
+             for per_embedding in (False, True) for old_new in (False, True)]
+    tables = []
+    for host, scheme, per_embedding, old_new in cases:
+        given = list(rules)
+        score = score_old_new if old_new else score_links
+        tables.append(score(host, given, scheme, per_embedding))
+        given.reverse()
+        given.clear()
+    assert built == [] and named == []
+    reads = ("contributors", "provenance", "new_attrs")
+    for j, (t, (host, scheme, per_embedding, old_new)) in enumerate(
+            zip(tables, cases)):
+        getattr(t, reads[j % (3 if old_new else 2)])
+        assert len(built) == j + 1
+        assert len(named) == len(t.contributors.rids)
+        want = oracle_rule_scores(host, rules, scheme, per_embedding, old_new)
+        assert_is_oracle(t, want)
+        assert len(built) == j + 1  # later reads use the first build
+        named.clear()
+
+
+def test_rules_whose_links_all_exist_drop_out_of_the_run():
+    # One antecedent run on a two-edge path: ``exist`` proposes only
+    # stored b edges, between rules that score.  ``one`` has a one-row
+    # table when directed (the one c edge) and two rows of one node pair
+    # when undirected; when directed, every row of ``star`` holds node 8
+    # at slot 0.
+    for directed in (True, False):
+        g = MultiplexGraph(
+            [("1", "2", "a"), ("2", "4", "a"), ("1", "3", "a"),
+             ("3", "4", "a"), ("4", "5", "a"), ("1", "2", "b"),
+             ("1", "3", "b"), ("2", "4", "b"), ("3", "4", "b"),
+             ("4", "5", "b"), ("6", "7", "c"), ("8", "9", "d"),
+             ("8", "10", "d"), ("8", "11", "d")], directed=directed)
+        path = Pattern((D,) * 3, frozenset({(0, 1, "a"), (1, 2, "a")}), 4)
+        one = Pattern((D,) * 2, frozenset({(0, 1, "c")}), 1)
+        star = Pattern((D,) * 2, frozenset({(0, 1, "d")}), 1)
+
+        def rule(ant, delta, conf, lift, new_node=False):
+            k = ant.n_slots + new_node
+            return Rule(ant, Pattern((D,) * k, ant.edges | {delta}, 1), delta,
+                        tuple(range(ant.n_slots)), new_node, conf, lift)
+
+        first = rule(path, (0, 2, "a"), 0.5, 2.0)
+        exist = rule(path, (0, 1, "b"), 0.3, 1.5)
+        later = [rule(path, (2, 0, "b"), 0.75, 3.0),
+                 rule(path, (0, 2, "b"), 0.25, math.nan),
+                 rule(path, (1, 3, "a"), 0.4, 1.25, new_node=True),
+                 rule(one, (1, 0, "a"), 0.2, 1.0),
+                 rule(one, (0, 2, "b"), 0.6, 2.5, new_node=True),
+                 rule(star, (0, 1, "a"), 0.35, 1.75),
+                 rule(star, (0, 2, "a"), 0.45, 2.25, new_node=True)]
+        rules = [first, exist] + later
+        one_rows, star_rows = embedding_table(one, g), embedding_table(star, g)
+        if directed:
+            assert len(one_rows) == 1 and len(set(star_rows[:, 0])) == 1
+        else:
+            assert len(one_rows) == 2
+            assert len({frozenset(r) for r in one_rows.tolist()}) == 1
+        assert check_oracle(g, rules) == 20
+        for scheme in WEIGHTING_SCHEMES:
+            for per_embedding in (False, True):
+                c = score_links(g, rules, scheme, per_embedding).contributors
+                assert exist.rid not in c.rids
+                assert c.rids == tuple(r.rid for r in [first] + later
+                                       if not r.new_node)
+
+
 def test_scores_past_the_mask_cap_are_the_oracle():
     # About 2,100 nodes on 4 layers: 17.6M link keys, past the 2^24 cap,
     # so the host has no edge mask and scoring ranks keys by np.unique.
