@@ -12,10 +12,10 @@ graph and integer comparisons agree with name-string comparisons.
 
 A graph stores its edges once, as the sorted int64 keys of its link
 :class:`KeySpace`.  Everything else about the edges is read from those
-keys: the id-triple set ``edges`` and the per-layer node sets
-``layer_nodes`` are built on first read, and so is the CSR index
-``arrays``, whose ``keys`` is the store itself; ``unit_keys`` holds one
-key per edge unit.
+keys: the id-triple set ``edges`` is built on first read, and so is the
+CSR index ``arrays``, whose ``keys`` is the store itself; ``unit_keys``
+holds one key per edge unit; layer participation and the coupled
+encoding are computed from the keys on each call.
 """
 
 from __future__ import annotations
@@ -180,6 +180,12 @@ class GraphArrays:
         return self.keys.take(self.keys.searchsorted(q), mode="clip") == q
 
 
+def _attr_index(attrs: Tuple[str, ...]) -> Tuple[Dict[str, int], np.ndarray]:
+    """Ids of the sorted attribute names, and each node's attribute id."""
+    ids = {a: i for i, a in enumerate(sorted(set(attrs)))}
+    return ids, np.fromiter(map(ids.__getitem__, attrs), np.int64, len(attrs))
+
+
 def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int):
     """Row pointers and row-sorted columns of the (row, col) pairs."""
     order = np.lexsort((cols, rows))
@@ -197,7 +203,6 @@ class MultiplexGraph:
         attrs: Optional[Dict[str, str]] = None,
         directed: bool = True,
         extra_nodes: Iterable[str] = (),
-        report: Optional[LoadReport] = None,
     ):
         """Build a graph from (src, dst, layer) name triples.
 
@@ -206,7 +211,7 @@ class MultiplexGraph:
         both orientations.  ``extra_nodes`` adds nodes that no edge touches.
         """
         self.directed = directed
-        self.load_report = report if report is not None else LoadReport()
+        self.load_report = LoadReport()
 
         srcs, dsts, lays = tuple(zip(*triples)) or ((), (), ())
         names = set(srcs).union(dsts, extra_nodes)
@@ -284,21 +289,19 @@ class MultiplexGraph:
         keys.flags.writeable = False
         return keys
 
-    @cached_property
-    def layer_nodes(self) -> List[Set[int]]:
-        """Per layer, the ids of the nodes with an edge on it, built on
-        first read."""
-        n = self.n_nodes
+    def _participation(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Node and layer ids of each (node, layer) pair where the node has
+        an edge on the layer, sorted by node, then layer."""
+        nl = self.n_layers
         u, v, l = self.space.ids(self._keys)
-        lay, node = np.divmod(np.unique(np.concatenate([l * n + u, l * n + v])), n)
-        return [set(node[lay == i].tolist()) for i in range(self.n_layers)]
+        return np.divmod(np.unique(np.concatenate([u * nl + l, v * nl + l])), nl)
 
     @cached_property
     def arrays(self) -> GraphArrays:
         """The integer-array index, built on first use."""
         n, nl = self.n_nodes, self.n_layers
         u, v, l = self.space.ids(self._keys)
-        attr_ids = {a: i for i, a in enumerate(sorted(set(self.attrs)))}
+        attr_ids, attr = _attr_index(self.attrs)
         out_ptr, out_nbr = _csr(l * n + u, v, nl * n)
         in_ptr, in_nbr = _csr(l * n + v, u, nl * n)
         mask = None
@@ -308,21 +311,16 @@ class MultiplexGraph:
             mask.flags.writeable = False
         return GraphArrays(
             n=n,
-            attr=np.array([attr_ids[a] for a in self.attrs], dtype=np.int64),
-            attr_ids=attr_ids,
+            attr=attr, attr_ids=attr_ids,
             out_ptr=out_ptr, out_nbr=out_nbr, in_ptr=in_ptr, in_nbr=in_nbr,
             keys=self._keys, mask=mask,
         )
-
-    def node_layers(self, u: int) -> Tuple[int, ...]:
-        """Layers on which node ``u`` has at least one incident edge."""
-        return tuple(l for l, nodes in enumerate(self.layer_nodes) if u in nodes)
 
     def smallest_layer_size(self) -> int:
         """Node count of the layer with fewest participating nodes."""
         if not self.layer_names:
             return 0
-        return min(len(s) for s in self.layer_nodes)
+        return int(np.bincount(self._participation()[1]).min())
 
     # -- name-space views --------------------------------------------------
 
@@ -425,18 +423,10 @@ def load_graph(
     ignored with a warning count.
     """
     triples = _parse_edge_file(edge_path, comune)
-    report = LoadReport()
-    attrs: Dict[str, str] = {}
-    if attr_path is not None:
-        raw_attrs = _parse_attr_file(attr_path)
-        known = {s for s, _, _ in triples} | {d for _, d, _ in triples}
-        for node, a in raw_attrs.items():
-            if node in known:
-                attrs[node] = a
-            else:
-                report.unknown_attr_nodes += 1
-    g = MultiplexGraph(triples, attrs=attrs, directed=directed, report=report)
+    attrs = _parse_attr_file(attr_path) if attr_path is not None else {}
+    g = MultiplexGraph(triples, attrs=attrs, directed=directed)
     rep = g.load_report
+    rep.unknown_attr_nodes = sum(not g.has_node(x) for x in attrs)
     if rep.self_loops or rep.duplicates or rep.unknown_attr_nodes:
         log.warning(
             "%s: dropped %d self loops, %d duplicate edges; "
@@ -540,27 +530,25 @@ def _replica(name: str, layer: str) -> str:
 
 def to_coupled(g: MultiplexGraph) -> CoupledMultigraph:
     """Encode a multiplex graph as a coupled node-colored multigraph."""
-    triples: List[Tuple[str, str, str]] = []
-    attrs: Dict[str, str] = {}
-    isolated: List[str] = []
-    ln = g.layer_names
-    for u in range(g.n_nodes):
-        lays = g.node_layers(u)
-        if not lays:
-            isolated.append(_replica(g.node_names[u], ATTR_DEFAULT))
-            continue
-        reps = [_replica(g.node_names[u], ln[l]) for l in lays]
-        for r, l in zip(reps, lays):
-            attrs[r] = ln[l]
-        # Coupling clique over this entity's replicas, both orientations.
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                triples.append((reps[i], reps[j], COUPLING_LAYER))
-                triples.append((reps[j], reps[i], COUPLING_LAYER))
-    for src, dst, lay in g.name_triples():
-        triples.append((_replica(src, lay), _replica(dst, lay), INTRA_LAYER))
+    node, lay = g._participation()
+    names = np.array(g.node_names, dtype=object)
+    layers = np.array(g.layer_names, dtype=object)[lay]
+    reps = np.array(list(map(_replica, names[node], layers)), dtype=object)
+    isolated = [_replica(x, ATTR_DEFAULT) for x in np.delete(names, node)]
+    # Coupling clique of each entity, both orientations: replica p, in a
+    # run of k[p] replicas of its node from index first[p], pairs with each
+    # other replica of the run; its k[p] rows of i start at cumsum(k) - k.
+    _, start, runs = np.unique(node, return_index=True, return_counts=True)
+    first, k = np.repeat(start, runs), np.repeat(runs, runs)
+    i = np.repeat(np.arange(len(node)), k)
+    j = np.repeat(first - np.cumsum(k) + k, k) + np.arange(len(i))
+    pair = i != j
+    triples = [(a, b, COUPLING_LAYER) for a, b in zip(reps[i[pair]], reps[j[pair]])]
+    triples += [(_replica(s, l), _replica(d, l), INTRA_LAYER)
+                for s, d, l in g.name_triples()]
     cg = MultiplexGraph(
-        triples, attrs=attrs, directed=True, extra_nodes=isolated
+        triples, attrs=dict(zip(reps, layers)), directed=True,
+        extra_nodes=isolated,
     )
     return CoupledMultigraph(cg, source_directed=g.directed)
 
@@ -568,25 +556,37 @@ def to_coupled(g: MultiplexGraph) -> CoupledMultigraph:
 def from_coupled(cg: CoupledMultigraph) -> MultiplexGraph:
     """Invert :func:`to_coupled`.
 
-    Replicas joined by coupling edges merge back into one entity; each
-    intra edge's layer is read off its endpoints' shared attribute.  A
-    coupled graph whose intra edge endpoints carry different attributes is
-    structurally invalid.
+    Replicas joined by coupling edges merge back into one entity, named
+    after the smallest of their name stems; each intra edge's layer is
+    read off its endpoints' shared attribute.  A coupled graph is
+    structurally invalid, and raises :class:`CoupledGraphError`, if it has
+    a layer other than the coupling and intra layers, a coupling edge
+    joining two replicas of one layer, a replica whose name does not end
+    with ``::`` and its attribute, or an intra edge whose endpoints carry
+    different attributes or the default one; the checks run in that
+    order.  An edge error names the offending edge with the smallest key,
+    which is the first in (src, dst) name order.
     """
     g = cg.graph
-    try:
-        coupling = g.layer_id(COUPLING_LAYER)
-    except KeyError:
-        coupling = None
-    try:
-        intra = g.layer_id(INTRA_LAYER)
-    except KeyError:
-        intra = None
-    for l in range(g.n_layers):
-        if l not in (coupling, intra):
+    for name in g.layer_names:
+        if name not in (COUPLING_LAYER, INTRA_LAYER):
             raise CoupledGraphError(
-                f"unexpected layer {g.layer_names[l]!r} in coupled graph"
+                f"unexpected layer {name!r} in coupled graph"
             )
+    nn, at = g.node_names, g.attrs
+    u, v, l = g.space.ids(g._keys)
+    attr_ids, attr = _attr_index(at)
+    au, av = attr[u], attr[v]
+    coupling = l == g._layer_id.get(COUPLING_LAYER, -1)
+    intra = l == g._layer_id.get(INTRA_LAYER, -1)
+
+    bad = np.flatnonzero(coupling & (au == av))
+    if bad.size:
+        x, y = u[bad[0]], v[bad[0]]
+        raise CoupledGraphError(
+            f"coupling edge joins two replicas of layer "
+            f"{at[x]!r}: {nn[x]} -> {nn[y]}"
+        )
 
     # Union replicas along coupling edges.
     parent = list(range(g.n_nodes))
@@ -597,46 +597,36 @@ def from_coupled(cg: CoupledMultigraph) -> MultiplexGraph:
             x = parent[x]
         return x
 
-    if coupling is not None:
-        for u, v, l in g.edges:
-            if l != coupling:
-                continue
-            if g.attrs[u] == g.attrs[v]:
-                raise CoupledGraphError(
-                    f"coupling edge joins two replicas of layer "
-                    f"{g.attrs[u]!r}: {g.node_names[u]} -> {g.node_names[v]}"
-                )
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
+    for x, y in zip(u[coupling].tolist(), v[coupling].tolist()):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
 
+    roots = [find(x) for x in range(g.n_nodes)]
     names: Dict[int, str] = {}
-    for i in range(g.n_nodes):
+    for r, name, a in zip(roots, nn, at):
         # A replica is named after its entity plus its attribute, the layer
         # (or the default for an isolated entity); names may contain "::".
-        name, suffix = g.node_names[i], _REPLICA_SEP + g.attrs[i]
+        suffix = _REPLICA_SEP + a
         if not name.endswith(suffix):
             raise CoupledGraphError(
                 f"replica {name!r} does not end with its attribute {suffix!r}"
             )
         stem = name[: -len(suffix)]
-        r = find(i)
-        if r not in names or stem < names[r]:
-            names[r] = stem
+        names[r] = min(names.get(r, stem), stem)
 
-    triples = []
-    if intra is not None:
-        for u, v, l in g.edges:
-            if l != intra:
-                continue
-            au, av = g.attrs[u], g.attrs[v]
-            if au != av or au == ATTR_DEFAULT:
-                raise CoupledGraphError(
-                    f"intra edge endpoints disagree on layer: "
-                    f"{g.node_names[u]}({au}) -> {g.node_names[v]}({av})"
-                )
-            triples.append((names[find(u)], names[find(v)], au))
-    extra = sorted(set(names.values()))
+    bad = np.flatnonzero(
+        intra & ((au != av) | (au == attr_ids.get(ATTR_DEFAULT, -1)))
+    )
+    if bad.size:
+        x, y = u[bad[0]], v[bad[0]]
+        raise CoupledGraphError(
+            f"intra edge endpoints disagree on layer: "
+            f"{nn[x]}({at[x]}) -> {nn[y]}({at[y]})"
+        )
+    entity = np.array([names[r] for r in roots], dtype=object)
+    x, y = u[intra], v[intra]
+    triples = zip(entity[x], entity[y], np.array(at, dtype=object)[x])
     return MultiplexGraph(
-        triples, directed=cg.source_directed, extra_nodes=extra
+        triples, directed=cg.source_directed, extra_nodes=names.values()
     )

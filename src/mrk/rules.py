@@ -89,12 +89,14 @@ def build_rules(
     Each rule is read off its consequent p2 by deleting one edge, the
     delta, together with any endpoint that it leaves bare (a new-node rule;
     otherwise a close rule).  The remainder must be connected, so a close
-    rule's delta is never a bridge; looked up by canonical code among
-    ``patterns``, it is the antecedent p1.  Confidence is support(p2) /
-    support(p1).  Only the smallest delta of each orbit under p2's
-    automorphism group is deleted, and the antecedent map is the smallest
-    isomorphism of p1 onto the remainder, in p2's slots; both come from the
-    minimising permutations of the canonical forms, which one
+    rule's delta is never a bridge; looked up by canonical code among the
+    connected ``patterns``, it is the antecedent p1 (a remainder is
+    connected exactly when the pattern of its code is, so connectivity is
+    tested once per pattern).  Confidence is support(p2) / support(p1).
+    Only the smallest delta of each orbit under p2's automorphism group is
+    deleted, and the antecedent map is the smallest isomorphism of p1 onto
+    the remainder, in p2's slots; both come from the minimising
+    permutations of the canonical forms, which one
     :func:`~mrk.miner.canonical_forms` batch computes for the patterns and
     one for all remainders.
 
@@ -105,26 +107,26 @@ def build_rules(
         if p.support is None:
             raise ValueError(f"pattern {p.code!r} carries no support")
     canonical_forms(patterns)
-    by_code = {p.code: p for p in patterns}
+    connected = [p for p in patterns if p.is_connected()]
+    by_code = {p.code: p for p in connected}
 
-    # Every connected one-edge-deletion remainder q, canonicalised at once.
+    # Every one-edge-deletion remainder q with an edge, canonicalised at once.
     cuts: List[Tuple[Pattern, PatternEdge, List[int], Pattern]] = []
-    for p2 in patterns:
-        if not p2.is_connected():
-            continue
+    for p2 in connected:
         perms = p2.canonical_perms
         auts = [tuple(perms[0].index(s) for s in perm) for perm in perms]
         deltas = {min((m[a], m[b], l) for m in auts) for a, b, l in p2.edges}
         for delta in sorted(deltas):
             rest = p2.edges - {delta}
+            if not rest:
+                continue
             keep = sorted({s for a, b, _ in rest for s in (a, b)})
             new = {s: i for i, s in enumerate(keep)}
             q = Pattern(
                 tuple(p2.attrs[s] for s in keep),
                 frozenset((new[a], new[b], l) for a, b, l in rest),
             )
-            if q.is_connected():
-                cuts.append((p2, delta, keep, q))
+            cuts.append((p2, delta, keep, q))
     canonical_forms(q for _, _, _, q in cuts)
 
     rules: List[Rule] = []

@@ -711,7 +711,7 @@ def test_gen_synth_output(tmp_path, capsys):
     g = load_graph(out, None, directed=False)
     assert g.n_nodes == 12
     assert g.layer_names == ("l1", "l2")
-    small = {g.node_names[u] for u in g.layer_nodes[g.layer_id("l2")]}
+    small = {x for s, d, l in g.name_triples() if l == "l2" for x in (s, d)}
     assert small <= set(g.node_names[:8])
 
     m = manifest_of(out)

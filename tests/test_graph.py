@@ -73,11 +73,15 @@ def test_load_comune_ordering(tmp_path):
 
 
 def test_load_attrs_with_unknown_node(tmp_path):
-    ep = write(tmp_path / "g.txt", "1 2 a\n")
-    ap = write(tmp_path / "g.attrs", "1 x\n9 y\n")
+    # Node 3 appears only in a self loop: the graph drops the loop but
+    # keeps the node, so its attribute line names a known node.
+    ep = write(tmp_path / "g.txt", "1 2 a\n3 3 a\n")
+    ap = write(tmp_path / "g.attrs", "1 x\n9 y\n3 z\n")
     g = load_graph(ep, ap)
     assert g.attrs[g.node_id("1")] == "x"
     assert g.attrs[g.node_id("2")] == ATTR_DEFAULT
+    assert g.attrs[g.node_id("3")] == "z"
+    assert g.load_report.self_loops == 1
     assert g.load_report.unknown_attr_nodes == 1
 
 
@@ -222,8 +226,10 @@ def test_construction_matches_set_oracle(case):
     triples, attrs, directed, extra = case
     g = MultiplexGraph(triples, attrs=attrs, directed=directed,
                        extra_nodes=extra)
-    assert not {"edges", "layer_nodes", "arrays"} & vars(g).keys()  # lazy
+    assert not {"edges", "arrays"} & vars(g).keys()  # lazy
     want = oracle_graph(triples, attrs, directed, extra)
+    want["smallest_layer_size"] = min(map(len, want.pop("layer_nodes")),
+                                      default=0)
     rep = g.load_report
     got = {
         "node_names": g.node_names,
@@ -231,7 +237,7 @@ def test_construction_matches_set_oracle(case):
         "attrs": g.attrs,
         "edges": g.edges,
         "layer_edge_counts": g.layer_edge_counts,
-        "layer_nodes": g.layer_nodes,
+        "smallest_layer_size": g.smallest_layer_size(),
         "report": (rep.self_loops, rep.duplicates, rep.unknown_attr_nodes),
         "name_triples": g.name_triples(),
         "unit_triples": g.unit_triples(),
@@ -376,3 +382,56 @@ def test_from_coupled_rejects_alien_layer():
 
     with pytest.raises(CoupledGraphError):
         from_coupled(CoupledMultigraph(g, source_directed=True))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3))
+def test_round_trip_adversarial_host(seed, directed, n_attrs):
+    # Names with code separators and "::", isolated nodes and a layer named
+    # only by self loops; the encoding drops node attributes.
+    g = adversarial_host(np.random.default_rng(seed), directed, n_attrs)
+    bare = MultiplexGraph(g.name_triples(), directed=directed,
+                          extra_nodes=g.node_names)
+    assert from_coupled(to_coupled(g)) == bare
+
+
+def _with_bad_edges(rng, directed, layer, bad):
+    """The coupled encoding of an adversarial host plus 2-4 of the replica
+    pairs that ``bad(attr_a, attr_b)`` accepts, on ``layer`` and in random
+    order, and the smallest added pair."""
+    from mrk.graph import CoupledMultigraph
+
+    inner = to_coupled(adversarial_host(rng, directed, 2)).graph
+    at = dict(zip(inner.node_names, inner.attrs))
+    pairs = [(a, b) for a, b in itertools.permutations(inner.node_names, 2)
+             if bad(at[a], at[b])]
+    picked = [pairs[i] for i in rng.choice(len(pairs), rng.integers(2, 5),
+                                           replace=False)]
+    triples = inner.name_triples() + [(a, b, layer) for a, b in picked]
+    cg = MultiplexGraph(triples, attrs=at, directed=True)
+    return CoupledMultigraph(cg, source_directed=directed), min(picked), at
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_from_coupled_names_smallest_bad_coupling_edge(rng, directed):
+    for _ in range(10):
+        cg, (a, b), at = _with_bad_edges(rng, directed, "1",
+                                         lambda x, y: x == y)
+        with pytest.raises(CoupledGraphError) as err:
+            from_coupled(cg)
+        assert str(err.value) == (
+            f"coupling edge joins two replicas of layer {at[a]!r}: {a} -> {b}"
+        )
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_from_coupled_names_smallest_bad_intra_edge(rng, directed):
+    for _ in range(10):
+        cg, (a, b), at = _with_bad_edges(
+            rng, directed, "2", lambda x, y: x != y or x == ATTR_DEFAULT)
+        with pytest.raises(CoupledGraphError) as err:
+            from_coupled(cg)
+        assert str(err.value) == (
+            f"intra edge endpoints disagree on layer: "
+            f"{a}({at[a]}) -> {b}({at[b]})"
+        )

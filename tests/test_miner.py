@@ -550,7 +550,8 @@ def test_mined_support_bounded_by_layer_sizes(rng):
     g = rand_host(rng, 18, 3, 50, directed=True)
     for p in mine(g, MinerConfig(min_support=2, max_nodes=3)):
         for layer in {l for _, _, l in p.edges}:
-            active = len(g.layer_nodes[g.layer_id(layer)])
+            active = len({x for s, d, l in g.name_triples() if l == layer
+                          for x in (s, d)})
             assert p.support <= active
 
 

@@ -150,6 +150,30 @@ def test_bridge_delta_suppressed(lift_host):
     assert rules[0].confidence == pytest.approx(2 / 6)
 
 
+def test_connectivity_tested_once_per_pattern(lift_host, monkeypatch):
+    # Deleting the middle edge of path3 leaves a remainder with the code
+    # of the disconnected pattern `apart`, which is no antecedent; the
+    # duplicate path2 yields its rules twice.
+    single = sp((D, D), {(0, 1, "a")}, 10)
+    path2 = sp((D, D, D), {(0, 1, "a"), (1, 2, "a")}, 4)
+    path3 = sp((D,) * 4, {(0, 1, "a"), (1, 2, "a"), (2, 3, "a")}, 2)
+    apart = sp((D,) * 4, {(0, 1, "a"), (2, 3, "a")}, 3)
+    base = build_rules([single, path2, path3], lift_host)
+    again = [r for r in base if r.consequent == path2]
+    want = sorted(rule_key(r) for r in base + again)
+    assert len(base) == 4 and len(again) == 2
+
+    calls = []
+    is_connected = Pattern.is_connected
+    monkeypatch.setattr(Pattern, "is_connected",
+                        lambda p: calls.append(p) or is_connected(p))
+    patterns = [single, path2, apart, path3, path2]
+    got = build_rules(patterns, lift_host)
+    assert len(calls) <= len(patterns)
+    assert all(r.antecedent != apart for r in got)
+    assert [rule_key(r) for r in got] == want
+
+
 # -- mined-host battery -----------------------------------------------------
 
 

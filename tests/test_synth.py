@@ -53,7 +53,8 @@ def test_layers_are_nested_prefixes():
     names = g.node_names
     for li, size in enumerate(cfg.layer_sizes):
         active = {
-            names[u] for u in g.layer_nodes[g.layer_id(f"l{li + 1}")]
+            x for s, d, l in g.name_triples() if l == f"l{li + 1}"
+            for x in (s, d)
         }
         assert active <= set(names[:size])
 
